@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs sweep-smoke sweep-smoke-tcp search-smoke lint lint-fixtures
+.PHONY: test bench bench-check bench-figs sweep-smoke search-smoke lint lint-fixtures
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
@@ -18,13 +18,9 @@ bench:
 
 ## Distributed-backend smoke: >= 32-scenario grid through a two-worker local
 ## fleet with a mid-sweep worker kill; asserts bit-identity with the serial
-## pass and a >= 95% warm cache rerun.  Filesystem spool transport.
+## pass and a >= 95% warm cache rerun.
 sweep-smoke:
-	$(PY) -m pytest benchmarks/test_distributed_sweep.py -m benchmark -q -k filesystem
-
-## Same smoke over the asyncio TCP broker (REPRO_SWEEP_SPOOL=tcp://host:port).
-sweep-smoke-tcp:
-	$(PY) -m pytest benchmarks/test_distributed_sweep.py -m benchmark -q -k tcp
+	$(PY) -m pytest benchmarks/test_distributed_sweep.py -m benchmark -q
 
 ## Adaptive-search smoke: budgeted halving over a 256-point space must
 ## evaluate <= 25% of it and land within 5% of the exhaustive optimum;
@@ -41,7 +37,7 @@ bench-check:
 	$(PY) scripts/bench_check.py
 
 ## Import/syntax floor plus repro-lint: byte-compile everything, then
-## enforce the determinism/lease-clock/distributed-safety invariants
+## enforce the determinism/lease-clock/serialization invariants
 ## (strict: stale baseline entries fail too).
 lint:
 	$(PY) -m compileall -q src tests benchmarks examples scripts
@@ -52,7 +48,7 @@ lint:
 ## against a rule silently going blind.  Single files exercise the
 ## per-file rules under a forced zone; the directories under
 ## fixtures/project/ are miniature projects exercising the cross-file
-## rules (taint chains, lock order, schema drift).
+## rules (taint chains, schema drift).
 lint-fixtures:
 	@for f in tests/analysis/fixtures/*/bad_*.py; do \
 		zone=$$(basename $$(dirname $$f)); \

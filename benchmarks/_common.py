@@ -62,7 +62,7 @@ def resolve_workers(environ=None) -> int:
 #: Process-wide engine: memoized on disk; parallel across
 #: :func:`resolve_workers` cores by default, or any substrate named by
 #: REPRO_SWEEP_BACKEND — e.g. ``REPRO_SWEEP_BACKEND=distributed
-#: REPRO_SWEEP_SPOOL=/share/spool`` (or ``tcp://host:port``) re-points
+#: REPRO_SWEEP_SPOOL=/share/spool`` re-points
 #: every figure driver at a worker fleet with no code changes.
 ENGINE = SweepEngine(
     workers=resolve_workers(), cache=SweepCache(), backend=backend_from_env()

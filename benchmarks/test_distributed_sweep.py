@@ -1,13 +1,11 @@
 """End-to-end distributed sweep smoke (the subsystem's acceptance bar).
 
-One test per transport, the whole story: a >= 32-scenario grid runs
-serially for ground truth, then cold through the distributed backend
-with two local workers — one of which is SIGKILLed mid-sweep, so
+One test, the whole story (``make sweep-smoke``): a >= 32-scenario grid
+runs serially for ground truth, then cold through the distributed
+backend with two local workers — one of which is SIGKILLed mid-sweep, so
 completion *requires* lease expiry and reassignment.  The surviving
-worker drains the queue, results must match the serial pass bit-for-bit,
-and a warm rerun must be served >= 95 % from the shared cache.  The same
-script runs over the filesystem spool (``make sweep-smoke``) and the
-asyncio TCP broker (``make sweep-smoke-tcp``).
+worker drains the spool, results must match the serial pass bit-for-bit,
+and a warm rerun must be served >= 95 % from the shared cache.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ from repro.sweep import (
     SweepCache,
     SweepEngine,
     SweepGrid,
-    TcpBroker,
     results_identical,
-    transport_from_spec,
 )
 
 from repro import telemetry
@@ -53,8 +49,7 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("transport_kind", ["filesystem", "tcp"])
-def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
+def test_distributed_smoke_with_worker_kill(tmp_path, capsys):
     grid = SMOKE_GRID
     assert len(grid) >= 32
 
@@ -62,29 +57,23 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
         lambda: SweepEngine(backend=SerialBackend()).run(grid)
     )
 
-    broker = None
-    if transport_kind == "tcp":
-        broker = TcpBroker(lease_ttl=LEASE_TTL)
-        spool_spec = broker.start()
-    else:
-        spool_spec = str(tmp_path / "spool")
     try:
         # -- cold distributed pass, killing one worker mid-sweep ----------
         cache = SweepCache(tmp_path / "cache")
         backend = DistributedBackend(
-            spool_spec,
+            tmp_path / "spool",
             cache=cache,
             lease_ttl=LEASE_TTL,
             timeout=900.0,
             local_workers=1,  # the survivor; the victim is spawned by hand
         )
-        transport = transport_from_spec(spool_spec, lease_ttl=LEASE_TTL)
-        transport.submit_many(grid.scenarios())
+        spool = backend.spool
+        spool.submit_many(grid.scenarios())
 
         victim = backend.spawn_local_worker(index=99)
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            status = transport.status()
+            status = spool.status()
             # Kill while the victim plausibly holds a lease and work
             # remains, so its chunk must be reassigned via lease expiry.
             if status.running >= 1 and status.done < status.total - 2:
@@ -92,7 +81,7 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
             time.sleep(0.02)
         victim.send_signal(signal.SIGKILL)
         victim.wait()
-        killed_at_status = transport.status()
+        killed_at_status = spool.status()
 
         engine = SweepEngine(cache=cache, backend=backend)
         distributed, t_distributed = _timed(lambda: engine.run(grid))
@@ -103,10 +92,8 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
 
         # -- warm rerun must be nearly free -------------------------------
         warm, t_warm = _timed(lambda: engine.run(grid))
-        final_status = transport.status()
+        final_status = spool.status()
     finally:
-        if broker is not None:
-            broker.stop()
         telemetry.flush()  # the submitter's own shard joins the timeline
     warm_hits = sum(1 for outcome in warm if outcome.from_cache)
     warm_hit_fraction = warm_hits / len(grid)
@@ -115,7 +102,7 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
     record_bench(
         "distributed_smoke",
         {
-            "transport": transport_kind,
+            "transport": "filesystem",
             "grid_size": len(grid),
             "serial_s": round(t_serial, 3),
             "distributed_s": round(t_distributed, 3),
@@ -130,7 +117,7 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
 
     with capsys.disabled():
         print()
-        print(f"=== distributed smoke ({transport_kind}): {len(grid)} "
+        print(f"=== distributed smoke: {len(grid)} "
               f"scenarios, 2 workers, 1 killed mid-sweep ===")
         print(f"at kill: {killed_at_status.done} done, "
               f"{killed_at_status.running} running, "

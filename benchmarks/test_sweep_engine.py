@@ -33,7 +33,6 @@ from repro.sweep import (
     SweepCache,
     SweepEngine,
     SweepGrid,
-    TcpBroker,
     results_identical,
 )
 
@@ -165,8 +164,7 @@ def _dist_grid() -> SweepGrid:
     )
 
 
-@pytest.mark.parametrize("transport", ["filesystem", "tcp"])
-def test_distributed_speedup(transport, tmp_path, capsys):
+def test_distributed_speedup(tmp_path, capsys):
     """Distributed-vs-serial on a 64-scenario grid: identical bits, and on
     a multi-core host the distributed pass must actually be faster.
 
@@ -186,15 +184,9 @@ def test_distributed_speedup(transport, tmp_path, capsys):
     )
     serial, t_serial = _timed(lambda: serial_engine.run(grid))
 
-    broker = None
-    if transport == "tcp":
-        broker = TcpBroker()
-        spool_spec = broker.start()
-    else:
-        spool_spec = str(tmp_path / "spool")
     cache = SweepCache(tmp_path / "cache")
     backend = DistributedBackend(
-        spool_spec, cache=cache, lease_ttl=30.0, timeout=600.0
+        tmp_path / "spool", cache=cache, lease_ttl=30.0, timeout=600.0
     )
     engine = SweepEngine(cache=cache, backend=backend)
     procs = [
@@ -213,8 +205,6 @@ def test_distributed_speedup(transport, tmp_path, capsys):
             proc.terminate()
         for proc in procs:
             proc.wait(timeout=10)
-        if broker is not None:
-            broker.stop()
     identical = all(
         results_identical(a.result, b.result)
         for a, b in zip(serial, distributed)
@@ -224,7 +214,7 @@ def test_distributed_speedup(transport, tmp_path, capsys):
     record_bench(
         "distributed_vs_serial",
         {
-            "transport": transport,
+            "transport": "filesystem",
             "grid_size": len(grid),
             "serial_s": round(t_serial, 3),
             "distributed_s": round(t_distributed, 3),
@@ -236,7 +226,7 @@ def test_distributed_speedup(transport, tmp_path, capsys):
 
     with capsys.disabled():
         print()
-        print(f"=== distributed backend ({transport}): {len(grid)} scenarios, "
+        print(f"=== distributed backend: {len(grid)} scenarios, "
               f"{workers} warm workers ===")
         print(f"serial {t_serial:.2f}s  distributed {t_distributed:.2f}s "
               f"({speedup:.2f}x)  identical: {identical}")
@@ -244,6 +234,6 @@ def test_distributed_speedup(transport, tmp_path, capsys):
     assert identical, "distributed and serial sweeps must be bit-identical"
     if cores >= 2:
         assert speedup >= 1.0, (
-            f"distributed ({transport}) only {speedup:.2f}x serial on "
+            f"distributed only {speedup:.2f}x serial on "
             f"{cores} cores with {workers} warm workers"
         )

@@ -15,14 +15,14 @@ Architecture
   open :func:`register_rule` registry (same idiom as
   ``register_policy`` / ``register_strategy``).
 * :mod:`repro.analysis.rules` — the per-file built-ins (``no-wallclock``,
-  ``seeded-rng``, ``lease-clock``, ``lock-discipline``,
-  ``serialization-safety``, ``no-deprecated-imports``) and the
+  ``seeded-rng``, ``lease-clock``, ``serialization-safety``,
+  ``no-deprecated-imports``, ``telemetry-side-channel``) and the
   whole-program rules (``transitive-wallclock``, ``transitive-rng``,
-  ``lock-order``, ``spec-schema-drift``).
+  ``spec-schema-drift``).
 * :mod:`repro.analysis.symbols` / :mod:`~repro.analysis.callgraph` /
   :mod:`~repro.analysis.dataflow` — the interprocedural layer: per-file
   module summaries, the registry-aware project call graph, and the
-  taint / lock-order analyses over it.
+  determinism-taint analysis over it.
 * :mod:`repro.analysis.engine` — one parse per file, zone-matched rule
   dispatch, statement-span ``# repro-lint: ignore[rule] -- reason``
   pragmas, and the project pass.

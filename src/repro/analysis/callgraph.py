@@ -34,7 +34,6 @@ class Edge:
     caller: str
     callee: str
     line: int  # call-site line in the caller's file
-    held: tuple[str, ...] = ()  # locks held at the call site
     via: str = "call"  # "call" | "registry:<family>"
 
 
@@ -80,12 +79,7 @@ class CallGraph:
                 callee = graph.resolve_call(summary, info.cls, site)
                 if callee is not None:
                     graph._add(
-                        Edge(
-                            caller=qualname,
-                            callee=callee,
-                            line=site.line,
-                            held=site.held,
-                        )
+                        Edge(caller=qualname, callee=callee, line=site.line)
                     )
             for family in info.registry_reads:
                 for target in graph.registry_targets.get(family, ()):

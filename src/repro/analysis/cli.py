@@ -33,7 +33,6 @@ from pathlib import Path
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.dataflow import build_lock_graph, lock_graph_dot
 from repro.analysis.engine import analyze_paths, iter_python_files
 from repro.analysis.incremental import AnalysisCache, resolve_cache
 from repro.analysis.registry import (
@@ -148,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--graph",
-        choices=("dot", "lock-dot"),
+        choices=("dot",),
         default=None,
         help=(
-            "instead of linting, dump the project call graph (dot) or the "
-            "lock-order graph (lock-dot) in GraphViz format and exit"
+            "instead of linting, dump the project call graph in GraphViz "
+            "format and exit"
         ),
     )
     return parser
@@ -169,7 +168,7 @@ def _print_rules(out) -> None:
         print(f"{rule_id:24s} [{scope}] {rule.summary}", file=out)
 
 
-def _dump_graph(kind: str, paths, root, zone, out) -> int:
+def _dump_graph(paths, root, zone, out) -> int:
     """Summarize the project and print a GraphViz graph (no linting)."""
     import ast
 
@@ -198,12 +197,8 @@ def _dump_graph(kind: str, paths, root, zone, out) -> int:
                 waivers=build_waivers(tree, lines),
             )
         )
-    table = SymbolTable(summaries)
-    graph = CallGraph.build(table)
-    if kind == "lock-dot":
-        print(lock_graph_dot(build_lock_graph(table, graph)), end="", file=out)
-    else:
-        print(graph.to_dot(), end="", file=out)
+    graph = CallGraph.build(SymbolTable(summaries))
+    print(graph.to_dot(), end="", file=out)
     return 0
 
 
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
         parser.error("no paths given and none of the default roots exist")
     zone = Zone(args.zone) if args.zone else None
     if args.graph is not None:
-        return _dump_graph(args.graph, paths, args.root, zone, out)
+        return _dump_graph(paths, args.root, zone, out)
     if args.no_cache:
         cache = None
     elif args.cache is not None:

@@ -1,24 +1,15 @@
-"""Interprocedural dataflow over the call graph.
+"""Interprocedural determinism taint over the call graph.
 
-Two analyses live here, both pure functions of a
-:class:`~repro.analysis.symbols.SymbolTable` and a
-:class:`~repro.analysis.callgraph.CallGraph`:
-
-* **Determinism taint** — a nondeterminism source (clock read, unseeded
-  RNG) in a *free*-zone function taints every free-zone function that
-  can reach it; a deterministic-zone function with an edge into a
-  tainted free function is a **boundary violation**.  Findings anchor at
-  the boundary (the one place a fix — injecting a clock, passing a seed
-  — belongs) and carry the full shortest call chain down to the source.
-  Sources *inside* deterministic or distributed zones are deliberately
-  not seeds: the per-file rules already flag those lines directly, and
-  the distributed zone reads clocks as its job.
-
-* **Lock order** — every lock acquisition is recorded with the lexical
-  stack of locks already held; calls made under a lock propagate to the
-  callee's transitive acquisitions.  The resulting held→acquired graph
-  must be acyclic: a strongly-connected component means two code paths
-  can take the same locks in opposite orders, i.e. a potential deadlock.
+A pure function of a :class:`~repro.analysis.symbols.SymbolTable` and a
+:class:`~repro.analysis.callgraph.CallGraph`: a nondeterminism source
+(clock read, unseeded RNG) in a *free*-zone function taints every
+free-zone function that can reach it; a deterministic-zone function with
+an edge into a tainted free function is a **boundary violation**.
+Findings anchor at the boundary (the one place a fix — injecting a
+clock, passing a seed — belongs) and carry the full shortest call chain
+down to the source.  Sources *inside* deterministic or distributed zones
+are deliberately not seeds: the per-file rules already flag those lines
+directly, and the distributed zone reads clocks as its job.
 """
 
 from __future__ import annotations
@@ -30,14 +21,7 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.symbols import SourceSite, SymbolTable
 from repro.analysis.zones import Zone
 
-__all__ = [
-    "LockCycle",
-    "TaintChain",
-    "build_lock_graph",
-    "compute_taint",
-    "lock_cycles",
-    "lock_graph_dot",
-]
+__all__ = ["TaintChain", "compute_taint"]
 
 
 @dataclass(frozen=True)
@@ -138,156 +122,3 @@ def compute_taint(table: SymbolTable, graph: CallGraph) -> list[TaintChain]:
                     )
                 )
     return results
-
-
-# -- lock order --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LockCycle:
-    """One strongly-connected component of the held→acquired graph."""
-
-    locks: tuple[str, ...]  # sorted members of the cycle
-    #: (held→acquired arrow, witnessing function, line) for each edge
-    #: of the cycle, one witness per edge.
-    witnesses: tuple[tuple[str, str, int], ...]
-
-
-def _transitive_acquires(
-    table: SymbolTable, graph: CallGraph
-) -> dict[str, frozenset[str]]:
-    """Locks each function may acquire, directly or via any callee."""
-    acquires: dict[str, set[str]] = {
-        qual: {site.lock for site in info.locks}
-        for qual, (_, info) in table.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for caller, edges in graph.edges.items():
-            mine = acquires.setdefault(caller, set())
-            for edge in edges:
-                theirs = acquires.get(edge.callee)
-                if theirs and not theirs <= mine:
-                    mine |= theirs
-                    changed = True
-    return {qual: frozenset(locks) for qual, locks in acquires.items()}
-
-
-def build_lock_graph(
-    table: SymbolTable, graph: CallGraph
-) -> dict[tuple[str, str], list[tuple[str, int]]]:
-    """held→acquired edges with ``(function, line)`` witnesses."""
-    edges: dict[tuple[str, str], list[tuple[str, int]]] = {}
-
-    def witness(held: str, acquired: str, qual: str, line: int) -> None:
-        if held == acquired:
-            return
-        edges.setdefault((held, acquired), []).append((qual, line))
-
-    acquires = _transitive_acquires(table, graph)
-    for qual in sorted(table.functions):
-        _, info = table.functions[qual]
-        for site in info.locks:
-            for held in site.held:
-                witness(held, site.lock, qual, site.line)
-        for edge in graph.edges.get(qual, ()):
-            if not edge.held:
-                continue
-            for held in edge.held:
-                for lock in sorted(acquires.get(edge.callee, ())):
-                    witness(held, lock, qual, edge.line)
-    return edges
-
-
-def lock_cycles(
-    lock_graph: dict[tuple[str, str], list[tuple[str, int]]]
-) -> list[LockCycle]:
-    """Every cycle (SCC with ≥2 locks, or a self-loop) in the graph."""
-    adjacency: dict[str, set[str]] = {}
-    for held, acquired in lock_graph:
-        adjacency.setdefault(held, set()).add(acquired)
-        adjacency.setdefault(acquired, set())
-
-    # Tarjan's SCC, iterative to dodge recursion limits on deep graphs.
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adjacency[root])))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = lowlink[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(adjacency[child]))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    cycles: list[LockCycle] = []
-    for component in sccs:
-        members = sorted(component)
-        is_cycle = len(members) > 1 or (
-            members[0] in adjacency.get(members[0], ())
-        )
-        if not is_cycle:
-            continue
-        member_set = set(members)
-        witnesses = []
-        for (held, acquired), sites in sorted(lock_graph.items()):
-            if held in member_set and acquired in member_set:
-                qual, line = sites[0]
-                witnesses.append((f"{held} -> {acquired}", qual, line))
-        cycles.append(
-            LockCycle(locks=tuple(members), witnesses=tuple(witnesses))
-        )
-    return sorted(cycles, key=lambda c: c.locks)
-
-
-def lock_graph_dot(
-    lock_graph: dict[tuple[str, str], list[tuple[str, int]]]
-) -> str:
-    """GraphViz rendering of the held→acquired graph."""
-    lines = ["digraph lockorder {", "  rankdir=LR;"]
-    nodes: set[str] = set()
-    for held, acquired in lock_graph:
-        nodes.update((held, acquired))
-    for node in sorted(nodes):
-        lines.append(f'  "{node}";')
-    for (held, acquired), sites in sorted(lock_graph.items()):
-        qual, line = sites[0]
-        lines.append(
-            f'  "{held}" -> "{acquired}" [label="{qual}:{line}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

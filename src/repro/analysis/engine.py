@@ -5,7 +5,7 @@ zone set contains the file's zone runs over the shared tree, and the
 same tree is summarized for the project pass.  Project pass: the module
 summaries are stitched into a symbol table and call graph, and every
 registered :class:`~repro.analysis.registry.ProjectRule` (transitive
-taint, lock order, schema drift) runs once over the whole program.
+taint, schema drift) runs once over the whole program.
 
 Findings can be suppressed inline with a pragma anywhere in the
 *enclosing statement* (or on a comment line directly above it)::

@@ -10,8 +10,6 @@ sure the module is imported before the analyzer runs.
 
 from repro.analysis.rules.clocks import LeaseClockRule, NoWallclockRule
 from repro.analysis.rules.imports import DeprecatedImportRule
-from repro.analysis.rules.lockorder import LockOrderRule
-from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.rng import SeededRngRule
 from repro.analysis.rules.schema import SpecSchemaDriftRule
 from repro.analysis.rules.serialization import SerializationSafetyRule
@@ -24,8 +22,6 @@ from repro.analysis.rules.transitive import (
 __all__ = [
     "DeprecatedImportRule",
     "LeaseClockRule",
-    "LockDisciplineRule",
-    "LockOrderRule",
     "NoWallclockRule",
     "SeededRngRule",
     "SerializationSafetyRule",

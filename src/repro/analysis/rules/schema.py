@@ -69,7 +69,6 @@ class SpecSchemaDriftRule(ProjectRule):
         "payload classes (key_payload/to_payload/from_payload) must "
         "reference every field consistently and elide only true defaults"
     )
-    incremental = True
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
         for qualname in sorted(ctx.table.classes):

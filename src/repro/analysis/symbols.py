@@ -1,9 +1,9 @@
 """Per-module symbol extraction: the unit of interprocedural analysis.
 
 One parse of one file produces one :class:`ModuleSummary` — every
-function with its outgoing call references, nondeterminism sources, lock
-acquisitions (with the locks lexically held at each), registry
-registrations and reads, plus class layouts and payload-schema facts.
+function with its outgoing call references, nondeterminism sources,
+registry registrations and reads, plus class layouts and payload-schema
+facts.
 Summaries are plain data (JSON-round-trippable via ``to_payload`` /
 ``from_payload``) precisely so the incremental cache can persist them:
 a warm run rebuilds the project call graph from cached summaries without
@@ -34,7 +34,6 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "LockSite",
     "ModuleSummary",
     "Registration",
     "SourceSite",
@@ -80,23 +79,15 @@ class CallSite:
     ``kind`` says how ``target`` should be resolved: ``"abs"`` is an
     alias-resolved absolute dotted path, ``"local"`` a bare name looked
     up in the caller's module, ``"self"`` a method name resolved through
-    the enclosing class (then its bases).  ``held`` is the lexical stack
-    of canonical lock names held at the call — the hook the lock-order
-    analysis hangs interprocedural edges on.
+    the enclosing class (then its bases).
     """
 
     kind: str
     target: str
     line: int
-    held: tuple[str, ...] = ()
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "line": self.line,
-            "held": list(self.held),
-        }
+        return {"kind": self.kind, "target": self.target, "line": self.line}
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "CallSite":
@@ -104,7 +95,6 @@ class CallSite:
             kind=payload["kind"],
             target=payload["target"],
             line=payload["line"],
-            held=tuple(payload["held"]),
         )
 
 
@@ -132,26 +122,6 @@ class SourceSite:
             target=payload["target"],
             line=payload["line"],
             detail=payload["detail"],
-        )
-
-
-@dataclass(frozen=True)
-class LockSite:
-    """One lock acquisition, with the locks already held at that point."""
-
-    lock: str  # canonical lock name, e.g. "repro.sweep.backends.tcp.TcpTransport._lock"
-    line: int
-    held: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {"lock": self.lock, "line": self.line, "held": list(self.held)}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "LockSite":
-        return cls(
-            lock=payload["lock"],
-            line=payload["line"],
-            held=tuple(payload["held"]),
         )
 
 
@@ -195,7 +165,6 @@ class FunctionInfo:
     cls: str = ""  # enclosing class path within the module, "" for free fns
     calls: tuple[CallSite, ...] = ()
     sources: tuple[SourceSite, ...] = ()
-    locks: tuple[LockSite, ...] = ()
     registry_reads: tuple[str, ...] = ()  # registry families dispatched on
 
     def to_payload(self) -> dict:
@@ -206,7 +175,6 @@ class FunctionInfo:
             "cls": self.cls,
             "calls": [c.to_payload() for c in self.calls],
             "sources": [s.to_payload() for s in self.sources],
-            "locks": [s.to_payload() for s in self.locks],
             "registry_reads": list(self.registry_reads),
         }
 
@@ -221,7 +189,6 @@ class FunctionInfo:
             sources=tuple(
                 SourceSite.from_payload(p) for p in payload["sources"]
             ),
-            locks=tuple(LockSite.from_payload(p) for p in payload["locks"]),
             registry_reads=tuple(payload["registry_reads"]),
         )
 
@@ -336,10 +303,6 @@ def _absolutize(target: str, package: str) -> str:
     return f"{'.'.join(parts)}.{rest}" if rest else ".".join(parts)
 
 
-def _is_lockish(name: str) -> bool:
-    return "lock" in name.rsplit(".", 1)[-1].lower()
-
-
 class _Extractor:
     """One recursive walk of a module tree, scope-aware."""
 
@@ -363,10 +326,8 @@ class _Extractor:
         self.registrations: list[Registration] = []
         self._path: list[str] = []  # mixed class/function name stack
         self._class: list[str] = []  # enclosing class paths
-        self._held: list[str] = []  # lexical lock stack
         self._calls: list[CallSite] = []
         self._sources: list[SourceSite] = []
-        self._locks: list[LockSite] = []
         self._reads: set[str] = set()
 
     # -- scope plumbing ------------------------------------------------
@@ -384,10 +345,9 @@ class _Extractor:
             cls=cls,
             calls=tuple(self._calls),
             sources=tuple(self._sources),
-            locks=tuple(self._locks),
             registry_reads=tuple(sorted(self._reads)),
         )
-        self._calls, self._sources, self._locks = [], [], []
+        self._calls, self._sources = [], []
         self._reads = set()
 
     def run(self, tree: ast.Module) -> None:
@@ -403,9 +363,6 @@ class _Extractor:
             return
         if isinstance(node, ast.ClassDef):
             self._visit_class(node)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            self._visit_with(node)
             return
         if isinstance(node, ast.Call):
             self._record_call(node)
@@ -428,11 +385,9 @@ class _Extractor:
                 self._visit(default)
         funcpath = ".".join([*self._path, node.name])
         cls = self._class[-1] if self._class else ""
-        outer = (self._calls, self._sources, self._locks, self._reads)
-        held = self._held
-        self._calls, self._sources, self._locks = [], [], []
+        outer = (self._calls, self._sources, self._reads)
+        self._calls, self._sources = [], []
         self._reads = set()
-        self._held = []
         self._path.append(node.name)
         try:
             for stmt in node.body:
@@ -442,8 +397,7 @@ class _Extractor:
             self._flush(
                 funcpath, node.lineno, self._line_code(node.lineno), cls
             )
-            self._calls, self._sources, self._locks, self._reads = outer
-            self._held = held
+            self._calls, self._sources, self._reads = outer
 
     def _visit_class(self, node: ast.ClassDef) -> None:
         for deco in node.decorator_list:
@@ -483,30 +437,6 @@ class _Extractor:
         finally:
             self._path.pop()
             self._class.pop()
-
-    def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        pushed = 0
-        for item in node.items:
-            self._visit(item.context_expr)
-            if item.optional_vars is not None:
-                self._visit(item.optional_vars)
-            lock = self._lock_name(item.context_expr)
-            if lock is not None:
-                self._locks.append(
-                    LockSite(
-                        lock=lock,
-                        line=item.context_expr.lineno,
-                        held=tuple(self._held),
-                    )
-                )
-                self._held.append(lock)
-                pushed += 1
-        try:
-            for stmt in node.body:
-                self._visit(stmt)
-        finally:
-            for _ in range(pushed):
-                self._held.pop()
 
     # -- expression facts ----------------------------------------------
 
@@ -564,22 +494,9 @@ class _Extractor:
         ref = self._expr_ref(node.func)
         if ref is not None and ref[0] != "opaque":
             self._calls.append(
-                CallSite(
-                    kind=ref[0],
-                    target=ref[1],
-                    line=node.lineno,
-                    held=tuple(self._held),
-                )
+                CallSite(kind=ref[0], target=ref[1], line=node.lineno)
             )
         self._record_sources(node)
-        if raw is not None and raw.endswith(".acquire"):
-            lock = self._lock_name(node.func.value)  # type: ignore[union-attr]
-            if lock is not None:
-                self._locks.append(
-                    LockSite(
-                        lock=lock, line=node.lineno, held=tuple(self._held)
-                    )
-                )
 
     def _record_sources(self, node: ast.Call) -> None:
         waived = self.waivers.get(node.lineno, frozenset())
@@ -603,21 +520,6 @@ class _Extractor:
                     detail=f"{rng[0]}() draws nondeterministic randomness",
                 )
             )
-
-    def _lock_name(self, expr: ast.expr) -> str | None:
-        path = dotted(expr)
-        if path is None or not _is_lockish(path):
-            return None
-        parts = path.split(".")
-        if parts[0] == "self":
-            rest = ".".join(parts[1:])
-            cls = self._class[-1] if self._class else "self"
-            return f"{self.module}.{cls}.{rest}"
-        if parts[0] in self.exports:
-            base = self.exports[parts[0]]
-            rest = parts[1:]
-            return ".".join([base, *rest]) if rest else base
-        return f"{self.module}.{path}"
 
 
 def _schema_facts(node: ast.ClassDef) -> dict[str, dict]:

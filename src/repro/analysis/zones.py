@@ -3,10 +3,10 @@
 The repo's correctness story is not uniform.  The simulation, search,
 and experiment layers promise *bit-reproducible* results — any clock or
 unseeded RNG read there is a latent nondeterminism bug.  The distributed
-broker/worker layer deliberately reads clocks and sockets, but must obey
-the lease-clock and lock disciplines that PR 6 established the hard way.
-Figures, scripts, and benchmarks time things on purpose and answer to
-neither contract.
+broker/worker layer deliberately reads clocks, but must obey the
+lease-clock discipline: lease ages are monotonic dwell, never wall-clock
+arithmetic.  Figures, scripts, and benchmarks time things on purpose
+and answer to neither contract.
 
 ``zone_for`` maps a file path onto one of three zones by longest
 directory-fragment match, so a rule can say "I apply in deterministic
@@ -27,8 +27,8 @@ class Zone(str, Enum):
     #: Results must be bit-identical across backends, hosts, and reruns:
     #: no ambient clocks, no unseeded randomness.
     DETERMINISTIC = "deterministic"
-    #: Broker/worker code: clocks and sockets are the job, but lease ages
-    #: must be monotonic dwell and shared state must respect the lock.
+    #: Broker/worker code: clocks are the job, but lease ages must be
+    #: monotonic dwell.
     DISTRIBUTED = "distributed"
     #: Presentation, tooling, and benchmarks: timing and I/O at will.
     FREE = "free"

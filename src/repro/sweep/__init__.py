@@ -13,11 +13,9 @@ This package makes that grid a first-class object:
 * :mod:`repro.sweep.backends` — pluggable execution backends: inline
   (:class:`SerialBackend`), local process fan-out
   (:class:`ProcessBackend`), and a fault-tolerant broker/worker queue
-  (:class:`DistributedBackend`) over a pluggable
-  :class:`BrokerTransport` — a shared filesystem spool
-  (:class:`JobSpool`) or an asyncio TCP broker (:class:`TcpBroker`,
-  spool spec ``tcp://host:port``) — with chunked leases that claim ~1s
-  of work at a time,
+  (:class:`DistributedBackend`) over a shared filesystem spool
+  (:class:`JobSpool`) with chunked leases that claim ~1s of work at a
+  time,
 * :mod:`repro.sweep.engine` — :class:`SweepEngine`, the facade that
   probes the cache and hands misses to a backend, plus the policy
   registry (:func:`register_policy`),
@@ -31,17 +29,13 @@ order, placement, or wall-clock time.
 """
 
 from repro.sweep.backends import (
-    BrokerTransport,
     DistributedBackend,
     ExecutionBackend,
     JobSpool,
     ProcessBackend,
     SerialBackend,
-    TcpBroker,
-    TcpTransport,
     backend_from_env,
     run_worker,
-    transport_from_spec,
 )
 from repro.sweep.cache import (
     CacheStats,
@@ -61,7 +55,6 @@ from repro.sweep.engine import (
 from repro.sweep.grid import Scenario, SweepGrid
 
 __all__ = [
-    "BrokerTransport",
     "CacheStats",
     "DistributedBackend",
     "ExecutionBackend",
@@ -74,8 +67,6 @@ __all__ = [
     "SweepEngine",
     "SweepGrid",
     "SweepOutcome",
-    "TcpBroker",
-    "TcpTransport",
     "backend_from_env",
     "default_sweep_cache_dir",
     "register_policy",
@@ -84,5 +75,4 @@ __all__ = [
     "run_scenario",
     "run_worker",
     "stable_hash",
-    "transport_from_spec",
 ]

@@ -6,15 +6,9 @@ guarantee the *what* is identical everywhere:
 
 * :class:`SerialBackend` — inline, in-process (the reference),
 * :class:`ProcessBackend` — fan-out across local cores,
-* :class:`DistributedBackend` — broker/worker queue over a shared spool
-  and the content-addressed result cache (multi-host).
-
-The distributed backend itself speaks a pluggable
-:class:`~repro.sweep.backends.base.BrokerTransport` — the zero-daemon
-filesystem :class:`JobSpool`, or the asyncio TCP broker
-(:class:`~repro.sweep.backends.tcp.TcpBroker` /
-:class:`~repro.sweep.backends.tcp.TcpTransport`) selected with
-``tcp://host:port`` spool specs.
+* :class:`DistributedBackend` — broker/worker queue over a shared
+  filesystem spool (:class:`JobSpool`) and the content-addressed result
+  cache (multi-host).
 
 :func:`backend_from_env` lets any driver (figure benchmarks, examples,
 CLI) be re-pointed at a different execution substrate with environment
@@ -22,8 +16,8 @@ variables alone:
 
 ========================  =============================================
 ``REPRO_SWEEP_BACKEND``   ``serial`` | ``process`` | ``distributed``
-``REPRO_SWEEP_SPOOL``     spool directory or ``tcp://host:port``
-                          (distributed only, required)
+``REPRO_SWEEP_SPOOL``     shared spool directory (distributed only,
+                          required)
 ``REPRO_SWEEP_WORKERS``   local workers to spawn (distributed, default 0)
 ========================  =============================================
 """
@@ -32,25 +26,18 @@ from __future__ import annotations
 
 import os
 
-from repro.sweep.backends.base import (
-    BrokerTransport,
-    ExecutionBackend,
-    SpoolJob,
-    SpoolStatus,
-    timed_run,
-    transport_from_spec,
-)
+from repro.sweep.backends.base import ExecutionBackend, timed_run
 from repro.sweep.backends.distributed import (
     DistributedBackend,
     JobSpool,
+    SpoolJob,
+    SpoolStatus,
     default_worker_id,
     run_worker,
 )
 from repro.sweep.backends.local import ProcessBackend, SerialBackend
-from repro.sweep.backends.tcp import TcpBroker, TcpTransport
 
 __all__ = [
-    "BrokerTransport",
     "DistributedBackend",
     "ExecutionBackend",
     "JobSpool",
@@ -58,13 +45,10 @@ __all__ = [
     "SerialBackend",
     "SpoolJob",
     "SpoolStatus",
-    "TcpBroker",
-    "TcpTransport",
     "backend_from_env",
     "default_worker_id",
     "run_worker",
     "timed_run",
-    "transport_from_spec",
 ]
 
 
@@ -87,7 +71,7 @@ def backend_from_env(environ=None) -> ExecutionBackend | None:
         if not spool:
             raise ValueError(
                 "REPRO_SWEEP_BACKEND=distributed needs REPRO_SWEEP_SPOOL "
-                "to name the shared spool directory or tcp://host:port broker"
+                "to name the shared spool directory"
             )
         workers = int(env.get("REPRO_SWEEP_WORKERS", "0") or 0)
         return DistributedBackend(spool, local_workers=workers)

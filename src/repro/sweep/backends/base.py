@@ -1,4 +1,4 @@
-"""The execution-backend and broker-transport protocols.
+"""The execution-backend protocol.
 
 A backend answers exactly one question: given scenarios that missed the
 cache, produce their results.  Everything else — cache probing, grid
@@ -8,24 +8,12 @@ backend.  Because scenario results are a pure function of the scenario
 config (bit-reproducible seeding, see :mod:`repro.rng`), *where* a
 scenario runs can never change *what* it returns — backends only trade
 wall-clock, fault tolerance, and locality.
-
-The distributed backend is further split along a second seam:
-:class:`BrokerTransport` is the submit / claim / heartbeat / done
-contract between submitters and workers, with two interchangeable
-implementations — the zero-daemon filesystem spool
-(:class:`~repro.sweep.backends.distributed.JobSpool`) and the asyncio
-TCP broker client (:class:`~repro.sweep.backends.tcp.TcpTransport`).
-Every transport operation is *chunked*: a single claim leases up to
-``max_jobs`` scenarios, one heartbeat covers a whole chunk, and the
-submitter polls completion for all outstanding jobs in one call, so
-per-scenario broker overhead amortizes K-fold.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -54,134 +42,6 @@ def timed_run(scenario: "Scenario") -> tuple["ColocationResult", float]:
         result = run_scenario(scenario)
         duration = time.perf_counter() - start
     return result, duration
-
-
-@dataclass(frozen=True)
-class SpoolJob:
-    """One claimed unit of work."""
-
-    job_id: str
-    scenario: "Scenario"
-
-
-@dataclass(frozen=True)
-class SpoolStatus:
-    """Point-in-time census of a spool or broker.
-
-    ``done`` counts every job with a completion marker, including the
-    ``failed`` ones (a failed job is drained — it will not be retried
-    until explicitly re-queued).
-    """
-
-    total: int
-    done: int
-    running: int
-    expired: int
-    pending: int
-    failed: int = 0
-
-    def to_payload(self) -> dict:
-        return {
-            "total": self.total,
-            "done": self.done,
-            "running": self.running,
-            "expired": self.expired,
-            "pending": self.pending,
-            "failed": self.failed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SpoolStatus":
-        return cls(**{k: int(payload.get(k, 0)) for k in (
-            "total", "done", "running", "expired", "pending", "failed")})
-
-
-class BrokerTransport(ABC):
-    """The submit / claim / heartbeat / done contract of a job broker.
-
-    Implementations share the lease semantics documented on
-    :class:`~repro.sweep.backends.distributed.JobSpool`: claims are
-    exclusive, heartbeats keep a lease alive, a lease whose heartbeats
-    stop for ``lease_ttl`` seconds is presumed dead and reassigned, and
-    completion markers drain a job permanently (per-scenario *results*
-    travel through the shared :class:`~repro.sweep.cache.SweepCache`,
-    never through the broker).  Liveness must be judged on the broker
-    side from heartbeat *deltas* on a monotonic clock — never by
-    comparing another host's wall-clock timestamps against the local
-    one, which clock skew would falsify.
-    """
-
-    lease_ttl: float = 30.0
-
-    @property
-    def spec(self) -> str:
-        """The ``--spool`` string that reconnects to this transport."""
-        raise NotImplementedError
-
-    @abstractmethod
-    def submit_many(self, scenarios: Sequence["Scenario"]) -> list[str]:
-        """Enqueue scenarios (idempotent); returns content-addressed ids."""
-
-    @abstractmethod
-    def claim_chunk(self, worker_id: str, max_jobs: int = 1) -> list[SpoolJob]:
-        """Lease up to ``max_jobs`` runnable jobs to ``worker_id`` at once."""
-
-    @abstractmethod
-    def heartbeat_many(self, job_ids: Sequence[str]) -> None:
-        """Refresh the leases of a whole in-flight chunk."""
-
-    @abstractmethod
-    def release_many(self, job_ids: Sequence[str]) -> None:
-        """Drop leases without completing (worker shutting down)."""
-
-    @abstractmethod
-    def mark_done(
-        self, job_id: str, key: str, duration: float, worker_id: str
-    ) -> None:
-        """Record success: the result lives in the cache under ``key``."""
-
-    @abstractmethod
-    def mark_failed(self, job_id: str, error: str, worker_id: str) -> None:
-        """Record a permanent failure (the job is drained, not re-queued)."""
-
-    @abstractmethod
-    def done_info_many(self, job_ids: Sequence[str]) -> dict[str, dict]:
-        """Completion payloads for every finished id in ``job_ids``."""
-
-    @abstractmethod
-    def reset_job(self, job_id: str) -> None:
-        """Forget a completion (e.g. its cache entry was pruned) so it re-runs."""
-
-    @abstractmethod
-    def status(self) -> SpoolStatus:
-        """Census: pending / running / expired / done / failed."""
-
-    @abstractmethod
-    def all_done(self) -> bool:
-        """True when every submitted job has a completion marker."""
-
-
-def transport_from_spec(
-    spec, lease_ttl: float = 30.0
-) -> BrokerTransport:
-    """A transport from a ``--spool`` value.
-
-    ``tcp://host:port`` connects a
-    :class:`~repro.sweep.backends.tcp.TcpTransport` to a running broker
-    (``python -m repro.sweep broker``); anything else is a filesystem
-    spool directory.  A :class:`BrokerTransport` instance passes through
-    untouched.
-    """
-    if isinstance(spec, BrokerTransport):
-        return spec
-    text = str(spec)
-    if text.startswith("tcp://"):
-        from repro.sweep.backends.tcp import TcpTransport
-
-        return TcpTransport(text, lease_ttl=lease_ttl)
-    from repro.sweep.backends.distributed import JobSpool
-
-    return JobSpool(text, lease_ttl=lease_ttl)
 
 
 class ExecutionBackend(ABC):

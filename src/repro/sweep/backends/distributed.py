@@ -1,22 +1,12 @@
-"""Fault-tolerant broker/worker execution over a pluggable transport.
+"""Fault-tolerant broker/worker execution over a shared filesystem spool.
 
 The distributed backend turns a sweep into datacenter-shaped work: the
-submitting host enqueues scenario jobs with a **broker**, stateless
-**workers** claim jobs in *chunks* via leases, execute them, and publish
-results into the shared content-addressed
-:class:`~repro.sweep.cache.SweepCache`; the submitter polls done markers
-and reads results back by config hash.
-
-Two interchangeable transports implement the
-:class:`~repro.sweep.backends.base.BrokerTransport` contract:
-
-* :class:`JobSpool` (this module) — a directory on storage every
-  participant can reach; zero daemons, every operation a small atomic
-  filesystem action.
-* :class:`~repro.sweep.backends.tcp.TcpTransport` — a client of the
-  asyncio line-protocol broker (``python -m repro.sweep broker``),
-  selected with ``tcp://host:port`` spool specs; one round trip per
-  chunk instead of four filesystem round trips per job.
+submitting host enqueues scenario jobs in a :class:`JobSpool` — a
+directory on storage every participant can reach, zero daemons, every
+operation a small atomic filesystem action — stateless **workers** claim
+jobs in *chunks* via leases, execute them, and publish results into the
+shared content-addressed :class:`~repro.sweep.cache.SweepCache`; the
+submitter polls done markers and reads results back by config hash.
 
 Spool layout (all writes atomic: tmp + rename, or ``O_CREAT|O_EXCL``)::
 
@@ -57,18 +47,12 @@ import sys
 import threading
 import time
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from repro.cas import atomic_write_bytes, stable_hash
-from repro.sweep.backends.base import (
-    BrokerTransport,
-    ExecutionBackend,
-    SpoolJob,
-    SpoolStatus,
-    timed_run,
-    transport_from_spec,
-)
+from repro.sweep.backends.base import ExecutionBackend, timed_run
 from repro.sweep.cache import SweepCache
 from repro.sweep.grid import Scenario
 from repro.telemetry import flush as telemetry_flush
@@ -97,17 +81,61 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class JobSpool(BrokerTransport):
+@dataclass(frozen=True)
+class SpoolJob:
+    """One claimed unit of work."""
+
+    job_id: str
+    scenario: Scenario
+
+
+@dataclass(frozen=True)
+class SpoolStatus:
+    """Point-in-time census of a spool.
+
+    ``done`` counts every job with a completion marker, including the
+    ``failed`` ones (a failed job is drained — it will not be retried
+    until explicitly re-queued).
+    """
+
+    total: int
+    done: int
+    running: int
+    expired: int
+    pending: int
+    failed: int = 0
+
+    def to_payload(self) -> dict:
+        return {
+            "total": self.total,
+            "done": self.done,
+            "running": self.running,
+            "expired": self.expired,
+            "pending": self.pending,
+            "failed": self.failed,
+        }
+
+
+class JobSpool:
     """Filesystem broker: submit, claim, heartbeat, complete.
 
     Every operation is a small atomic filesystem action, so any number of
     submitters and workers can share one spool with no coordinator
     process.  Job ids are content-addressed (a stable hash of the
     scenario payload), which dedupes identical scenarios across
-    submitters for free.
+    submitters for free.  Every claim is *chunked* — one directory scan
+    leases up to ``max_jobs`` scenarios, one heartbeat pass covers the
+    whole chunk — so per-scenario spool overhead amortizes K-fold.
     """
 
     def __init__(self, root: Path | str, lease_ttl: float = 30.0) -> None:
+        if "://" in str(root):
+            # Path() would silently fold "scheme://host" into a
+            # "scheme:/host" directory under the working directory.
+            raise ValueError(
+                f"spool {str(root)!r} is a URL: TCP spools were removed; "
+                "use a directory every submitter and worker can reach"
+            )
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         self._root = Path(root)
@@ -123,10 +151,6 @@ class JobSpool(BrokerTransport):
     @property
     def root(self) -> Path:
         return self._root
-
-    @property
-    def spec(self) -> str:
-        return str(self._root)
 
     # -- paths -----------------------------------------------------------
 
@@ -375,9 +399,9 @@ class _LeaseHeartbeat:
     """
 
     def __init__(
-        self, transport: BrokerTransport, job_ids: set[str], interval: float
+        self, spool: JobSpool, job_ids: set[str], interval: float
     ) -> None:
-        self._transport = transport
+        self._spool = spool
         self._job_ids = job_ids
         self._interval = interval
         self._stop = threading.Event()
@@ -389,7 +413,7 @@ class _LeaseHeartbeat:
         while not self._stop.wait(self._interval):
             beat = sorted(self._job_ids)  # snapshot: the worker mutates the set
             if beat:
-                self._transport.heartbeat_many(beat)
+                self._spool.heartbeat_many(beat)
 
     def __enter__(self) -> "_LeaseHeartbeat":
         self._thread.start()
@@ -401,7 +425,7 @@ class _LeaseHeartbeat:
 
 
 def run_worker(
-    spool: BrokerTransport | Path | str,
+    spool: JobSpool | Path | str,
     cache: SweepCache | None = None,
     lease_ttl: float = 30.0,
     heartbeat_interval: float | None = None,
@@ -412,12 +436,12 @@ def run_worker(
     chunk_target: float = DEFAULT_CHUNK_TARGET,
     chunk_max: int = DEFAULT_CHUNK_MAX,
 ) -> int:
-    """Serve a broker: claim chunks → execute → publish, until told to stop.
+    """Serve a spool: claim chunks → execute → publish, until told to stop.
 
     Returns the number of jobs this worker executed.  ``spool`` is a
-    transport, a spool directory, or a ``tcp://host:port`` broker
-    address.  Each lease claims up to ``chunk_max`` jobs sized so a chunk
-    holds roughly ``chunk_target`` seconds of work (an EWMA of measured
+    :class:`JobSpool` or its directory.  Each lease claims up to
+    ``chunk_max`` jobs sized so a chunk holds roughly ``chunk_target``
+    seconds of work (an EWMA of measured
     per-scenario cost decides K — the first claim takes a single job to
     get a measurement).  ``exit_when_idle`` makes the worker exit once
     every spooled job has a done marker (it keeps waiting while other
@@ -425,11 +449,8 @@ def run_worker(
     are stateless: killing one at any point loses nothing but the lease
     TTL and the unfinished remainder of its chunk.
     """
-    transport = (
-        spool
-        if isinstance(spool, BrokerTransport)
-        else transport_from_spec(spool, lease_ttl=lease_ttl)
-    )
+    if not isinstance(spool, JobSpool):
+        spool = JobSpool(spool, lease_ttl=lease_ttl)
     cache = cache if cache is not None else SweepCache()
     worker_id = worker_id or default_worker_id()
     if chunk_max < 1:
@@ -437,7 +458,7 @@ def run_worker(
     heartbeat = (
         heartbeat_interval
         if heartbeat_interval is not None
-        else max(transport.lease_ttl / 4.0, 0.05)
+        else max(spool.lease_ttl / 4.0, 0.05)
     )
     telemetry = get_recorder()
     if telemetry.enabled:
@@ -457,9 +478,9 @@ def run_worker(
         )
         if max_jobs is not None:
             want = min(want, max_jobs - executed)
-        chunk = transport.claim_chunk(worker_id, max_jobs=want)
+        chunk = spool.claim_chunk(worker_id, max_jobs=want)
         if not chunk:
-            if exit_when_idle and transport.all_done():
+            if exit_when_idle and spool.all_done():
                 break
             time.sleep(poll_interval)
             continue
@@ -469,7 +490,7 @@ def run_worker(
             "chunk.claimed", cat="worker", jobs=len(chunk), want=want
         )
         leased = {job.job_id for job in chunk}
-        with _LeaseHeartbeat(transport, leased, heartbeat):
+        with _LeaseHeartbeat(spool, leased, heartbeat):
             for job in chunk:
                 try:
                     result, duration = timed_run(job.scenario)
@@ -479,7 +500,7 @@ def run_worker(
                     # would crash the next worker too, one process at a
                     # time, until the fleet is dead.  Record the failure
                     # and keep serving.
-                    transport.mark_failed(
+                    spool.mark_failed(
                         job.job_id, error=f"{type(exc).__name__}: {exc}",
                         worker_id=worker_id,
                     )
@@ -493,11 +514,11 @@ def run_worker(
                     continue
                 except BaseException:
                     # Shutdown mid-chunk: hand the unfinished remainder back.
-                    transport.release_many(sorted(leased))
+                    spool.release_many(sorted(leased))
                     telemetry_flush()
                     raise
                 cache.put(cache.key(job.scenario), result)
-                transport.mark_done(
+                spool.mark_done(
                     job.job_id, key=cache.key(job.scenario), duration=duration,
                     worker_id=worker_id,
                 )
@@ -517,23 +538,21 @@ def run_worker(
 
 
 class DistributedBackend(ExecutionBackend):
-    """Execute scenarios through a shared broker and worker fleet.
+    """Execute scenarios through a shared spool and worker fleet.
 
     ``execute`` submits jobs, optionally spawns ``local_workers`` worker
-    processes (``python -m repro.sweep worker``) against the broker, then
+    processes (``python -m repro.sweep worker``) against the spool, then
     polls done markers and reads each result back from the shared cache
-    by its config hash.  ``spool`` names the transport: a filesystem
-    spool directory, a ``tcp://host:port`` broker address, or an
-    explicit :class:`~repro.sweep.backends.base.BrokerTransport`.
-    Remote hosts join the same sweep by running workers against the same
-    spool/broker and cache paths — no code changes.
+    by its config hash.  ``spool`` is a :class:`JobSpool` or its
+    directory.  Remote hosts join the same sweep by running workers
+    against the same spool and cache paths — no code changes.
     """
 
     name = "distributed"
 
     def __init__(
         self,
-        spool: BrokerTransport | Path | str,
+        spool: JobSpool | Path | str,
         cache: SweepCache | None = None,
         lease_ttl: float = 30.0,
         poll_interval: float = 0.05,
@@ -541,7 +560,11 @@ class DistributedBackend(ExecutionBackend):
         local_workers: int = 0,
         import_modules: tuple[str, ...] = (),
     ) -> None:
-        self._spool_spec = spool
+        self._spool = (
+            spool
+            if isinstance(spool, JobSpool)
+            else JobSpool(spool, lease_ttl=lease_ttl)
+        )
         self._cache = cache if cache is not None else SweepCache()
         self._lease_ttl = lease_ttl
         self._poll_interval = poll_interval
@@ -556,35 +579,18 @@ class DistributedBackend(ExecutionBackend):
     def result_store(self) -> SweepCache:
         return self._cache
 
-    def transport(self) -> BrokerTransport:
-        return transport_from_spec(self._spool_spec, lease_ttl=self._lease_ttl)
-
     @property
-    def spool_spec(self) -> str:
-        """The ``--spool`` string workers reconnect with."""
-        if isinstance(self._spool_spec, BrokerTransport):
-            return self._spool_spec.spec
-        return str(self._spool_spec)
+    def spool(self) -> JobSpool:
+        return self._spool
 
     @property
     def spool_root(self) -> Path:
-        """The filesystem spool directory (filesystem transport only)."""
-        spec = self.spool_spec
-        if spec.startswith("tcp://"):
-            raise ValueError(
-                f"backend speaks {spec}: a TCP broker has no spool directory"
-            )
-        return Path(spec)
-
-    def _log_dir(self) -> Path:
-        if not self.spool_spec.startswith("tcp://"):
-            return self.spool_root / "logs"
-        return self._cache.root / "worker-logs"
+        return self._spool.root
 
     def spawn_local_worker(
         self, index: int = 0, exit_when_idle: bool = True
     ) -> subprocess.Popen:
-        """Start one worker subprocess against this backend's broker."""
+        """Start one worker subprocess against this backend's spool."""
         import repro
 
         src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -593,7 +599,7 @@ class DistributedBackend(ExecutionBackend):
         env["PYTHONPATH"] = (
             src_dir if not existing else os.pathsep.join([src_dir, existing])
         )
-        log_dir = self._log_dir()
+        log_dir = self.spool_root / "logs"
         log_dir.mkdir(parents=True, exist_ok=True)
         log_path = log_dir / f"worker-{os.getpid()}-{index}.log"
         cmd = [
@@ -601,7 +607,7 @@ class DistributedBackend(ExecutionBackend):
             "-m",
             "repro.sweep",
             "worker",
-            "--spool", self.spool_spec,
+            "--spool", str(self.spool_root),
             "--cache", str(self._cache.root),
             "--lease-ttl", str(self._lease_ttl),
             "--poll", str(max(self._poll_interval, 0.01)),
@@ -617,13 +623,12 @@ class DistributedBackend(ExecutionBackend):
         scenarios = list(scenarios)
         if not scenarios:
             return []
-        transport = self.transport()
-        job_ids = transport.submit_many(scenarios)
+        job_ids = self._spool.submit_many(scenarios)
         workers = [
             self.spawn_local_worker(i) for i in range(self._local_workers)
         ]
         try:
-            return self._collect(transport, job_ids, workers)
+            return self._collect(job_ids, workers)
         finally:
             for proc in workers:
                 if proc.poll() is None:
@@ -635,11 +640,9 @@ class DistributedBackend(ExecutionBackend):
                     proc.wait()
 
     def _collect(
-        self,
-        transport: BrokerTransport,
-        job_ids: list[str],
-        workers: list[subprocess.Popen],
+        self, job_ids: list[str], workers: list[subprocess.Popen]
     ) -> list[tuple]:
+        spool = self._spool
         deadline = (
             time.monotonic() + self._timeout if self._timeout is not None else None
         )
@@ -652,24 +655,24 @@ class DistributedBackend(ExecutionBackend):
             if telemetry.enabled and time.monotonic() >= next_gauge:
                 # Sampling the census is a full spool scan — throttle it
                 # well below the collect poll rate.
-                census = transport.status()
+                census = spool.status()
                 telemetry.gauge("broker.queue_depth", census.pending)
                 telemetry.gauge("broker.running", census.running)
                 telemetry.gauge("broker.expired", census.expired)
                 next_gauge = time.monotonic() + max(self._poll_interval, 0.5)
             waiting = [j for j in outstanding if j not in collected]
-            for job_id, info in transport.done_info_many(waiting).items():
+            for job_id, info in spool.done_info_many(waiting).items():
                 if "error" in info:
                     raise RuntimeError(
                         f"job {job_id} failed on worker "
                         f"{info.get('worker', '?')}: {info['error']} "
-                        f"(transport.reset_job({job_id!r}) re-queues it)"
+                        f"(spool.reset_job({job_id!r}) re-queues it)"
                     )
                 result = self._cache.get(info["key"], record=False)
                 if result is None:
                     # Done marker outlived its cache entry (pruned or torn):
                     # forget the completion so a worker recomputes it.
-                    transport.reset_job(job_id)
+                    spool.reset_job(job_id)
                     telemetry.count("collector.requeued")
                     telemetry.event("job.requeued", cat="collector", job=job_id)
                     continue
@@ -681,7 +684,7 @@ class DistributedBackend(ExecutionBackend):
                 raise TimeoutError(
                     f"distributed sweep timed out with {len(missing)} of "
                     f"{len(outstanding)} jobs outstanding (spool: "
-                    f"{self.spool_spec}, first missing: {missing[0]})"
+                    f"{self.spool_root}, first missing: {missing[0]})"
                 )
             if workers and all(proc.poll() is not None for proc in workers):
                 # Every locally spawned worker exited with jobs outstanding
@@ -696,13 +699,13 @@ class DistributedBackend(ExecutionBackend):
                     raise RuntimeError(
                         f"all {len(workers)} local workers exited with "
                         f"{len(missing)} jobs outstanding; see logs under "
-                        f"{self._log_dir()}"
+                        f"{self.spool_root / 'logs'}"
                     )
             time.sleep(self._poll_interval)
         return [collected[job_id] for job_id in job_ids]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DistributedBackend(spool={self.spool_spec!r}, "
+            f"DistributedBackend(spool={str(self.spool_root)!r}, "
             f"local_workers={self._local_workers})"
         )

@@ -2,31 +2,19 @@
 
 Subcommands::
 
-    submit   expand a grid or spec file into broker jobs (opt. wait)
-    worker   serve a broker: claim chunks, execute, publish to the cache
-    broker   run the asyncio TCP broker (tcp:// spools point at it)
-    status   census of a spool/broker (pending / running / expired / done)
+    submit   expand a grid or spec file into spool jobs (opt. wait)
+    worker   serve a spool: claim chunks, execute, publish to the cache
+    status   census of a spool (pending / running / expired / done)
     cache    stats | prune — inspect and bound the result cache
 
-Every ``--spool`` flag accepts either a shared spool *directory* (the
-zero-daemon filesystem transport) or ``tcp://host:port`` naming a
-running broker.  A two-host sweep over shared storage is two shell
-lines::
+Every ``--spool`` flag names a shared spool *directory* (zero daemons:
+every operation is an atomic filesystem action).  A two-host sweep over
+shared storage is two shell lines::
 
     host-a$ python -m repro.sweep submit --spool /share/spool \\
                 --services memcached --apps kmeans+canneal \\
                 --loads 0.5,0.7,0.9 --seeds 0,1 --wait --workers 2
     host-b$ python -m repro.sweep worker --spool /share/spool \\
-                --cache /share/cache --exit-when-idle
-
-and the same sweep through the TCP broker (no shared spool storage;
-the cache still has to be shared) is three::
-
-    host-a$ python -m repro.sweep broker --port 7077
-    host-a$ python -m repro.sweep submit --spool tcp://host-a:7077 \\
-                --services memcached --apps kmeans+canneal \\
-                --loads 0.5,0.7,0.9 --seeds 0,1 --wait
-    host-b$ python -m repro.sweep worker --spool tcp://host-a:7077 \\
                 --cache /share/cache --exit-when-idle
 
 Grid flags only reach the six axes ``SweepGrid`` hard-codes; ``--spec
@@ -51,16 +39,11 @@ import time
 
 from repro import telemetry
 from repro.experiment import ExperimentSpec, run_experiment
-from repro.sweep.backends import (
-    DistributedBackend,
-    run_worker,
-    transport_from_spec,
-)
+from repro.sweep.backends import DistributedBackend, JobSpool, run_worker
 from repro.sweep.backends.distributed import (
     DEFAULT_CHUNK_MAX,
     DEFAULT_CHUNK_TARGET,
 )
-from repro.sweep.backends.tcp import TcpBroker
 from repro.sweep.cache import SweepCache
 from repro.sweep.grid import Scenario, SweepGrid
 
@@ -171,16 +154,16 @@ def cmd_submit(args) -> int:
         )
     if not args.wait:
         scenarios = spec.scenarios()
-        transport = transport_from_spec(args.spool, lease_ttl=args.lease_ttl)
-        transport.submit_many(scenarios)
-        status = transport.status()
+        spool = JobSpool(args.spool, lease_ttl=args.lease_ttl)
+        spool.submit_many(scenarios)
+        status = spool.status()
         print(
-            f"spooled {len(scenarios)} scenarios into {transport.spec} "
+            f"spooled {len(scenarios)} scenarios into {spool.root} "
             f"({status.done} already done, {status.pending} pending)"
         )
         print(
             "start workers with: python -m repro.sweep worker "
-            f"--spool {transport.spec} --cache {_cache_from(args).root}"
+            f"--spool {spool.root} --cache {_cache_from(args).root}"
         )
         return 0
     cache = _cache_from(args)
@@ -245,19 +228,6 @@ def cmd_worker(args) -> int:
     return 0
 
 
-def cmd_broker(args) -> int:
-    recorder = telemetry.get_recorder()
-    if recorder.enabled and recorder.process == "main":
-        recorder.process = "broker"
-    try:
-        TcpBroker(
-            host=args.host, port=args.port, lease_ttl=args.lease_ttl
-        ).serve_forever()
-    finally:
-        telemetry.flush()
-    return 0
-
-
 def _census_line(spool: str, status) -> str:
     failed = f" ({status.failed} failed)" if status.failed else ""
     return (
@@ -267,9 +237,9 @@ def _census_line(spool: str, status) -> str:
     )
 
 
-def _watch_frame(transport, spool: str, shard_dir) -> str:
-    """One ``--watch`` refresh: broker census + per-process telemetry."""
-    lines = [_census_line(spool, transport.status())]
+def _watch_frame(spool: JobSpool, shard_dir) -> str:
+    """One ``--watch`` refresh: spool census + per-process telemetry."""
+    lines = [_census_line(str(spool.root), spool.status())]
     for shard in telemetry.read_shards(shard_dir):
         meta = shard["meta"]
         counters = meta.get("counters", {})
@@ -288,7 +258,7 @@ def _watch_frame(transport, spool: str, shard_dir) -> str:
 
 
 def cmd_status(args) -> int:
-    transport = transport_from_spec(args.spool, lease_ttl=args.lease_ttl)
+    spool = JobSpool(args.spool, lease_ttl=args.lease_ttl)
     if args.watch:
         shard_dir = (
             args.telemetry_dir
@@ -297,15 +267,15 @@ def cmd_status(args) -> int:
         )
         try:
             while True:
-                print(_watch_frame(transport, args.spool, shard_dir), flush=True)
-                status = transport.status()
+                print(_watch_frame(spool, shard_dir), flush=True)
+                status = spool.status()
                 if status.total and status.done == status.total:
                     break
                 time.sleep(args.interval)
         except KeyboardInterrupt:
             pass
         return 0
-    status = transport.status()
+    status = spool.status()
     if args.json:
         print(json.dumps(status.to_payload()))
     else:
@@ -355,9 +325,8 @@ def _add_cache_arg(parser) -> None:
 
 
 def _add_spool_args(parser) -> None:
-    parser.add_argument("--spool", required=True, metavar="DIR|tcp://H:P",
-                        help="shared spool directory (jobs/leases/done) or "
-                        "tcp://host:port of a running broker")
+    parser.add_argument("--spool", required=True, metavar="DIR",
+                        help="shared spool directory (jobs/leases/done)")
     parser.add_argument("--lease-ttl", type=float, default=30.0, metavar="SEC",
                         help="heartbeats older than this mark a worker dead")
 
@@ -441,18 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="import MODULE first (custom policy registration)")
     worker.set_defaults(func=cmd_worker)
 
-    broker = sub.add_parser(
-        "broker", help="run the asyncio TCP broker in the foreground"
-    )
-    broker.add_argument("--host", default="127.0.0.1",
-                        help="bind address (0.0.0.0 for a multi-host fleet)")
-    broker.add_argument("--port", type=int, default=0, metavar="N",
-                        help="listen port (0 picks a free one and prints it)")
-    broker.add_argument("--lease-ttl", type=float, default=30.0, metavar="SEC",
-                        help="heartbeats older than this mark a worker dead")
-    broker.set_defaults(func=cmd_broker)
-
-    status = sub.add_parser("status", help="census of a spool or broker")
+    status = sub.add_parser("status", help="census of a spool")
     _add_spool_args(status)
     status.add_argument("--json", action="store_true")
     status.add_argument("--watch", action="store_true",

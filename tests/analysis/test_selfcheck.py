@@ -25,14 +25,13 @@ def repo_report():
     return analyze_paths(roots, root=REPO_ROOT)
 
 
-def test_at_least_ten_rules_ship(repo_report):
-    # Six per-file rules plus the four project-scoped (interprocedural)
-    # rules: transitive-wallclock/-rng, lock-order, spec-schema-drift.
-    assert len(registered_rules()) >= 10
+def test_at_least_nine_rules_ship(repo_report):
+    # Six per-file rules plus the three project-scoped (interprocedural)
+    # rules: transitive-wallclock/-rng, spec-schema-drift.
+    assert len(registered_rules()) >= 9
     assert {
         "transitive-wallclock",
         "transitive-rng",
-        "lock-order",
         "spec-schema-drift",
     } <= set(registered_rules())
 
@@ -50,7 +49,6 @@ def test_repo_is_clean_modulo_baseline(repo_report):
 
 def test_every_baselined_finding_is_justified(repo_report):
     baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    assert len(baseline) > 0, "expected grandfathered entries to exist"
     for entry in baseline.entries:
         assert entry.justification.strip(), entry.fingerprint
 

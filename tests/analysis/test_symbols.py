@@ -145,39 +145,7 @@ class TestSourcesAndWaivers:
         assert waived.functions["f"].sources == ()
 
 
-class TestLocksAndRegistrations:
-    def test_lock_names_are_canonicalized(self):
-        summary = summarize(
-            "import threading\n"
-            "GLOBAL_LOCK = threading.Lock()\n"
-            "class C:\n"
-            "    def f(self):\n"
-            "        with self._lock:\n"
-            "            with GLOBAL_LOCK:\n"
-            "                pass\n",
-            relpath="pkg/mod.py",
-        )
-        locks = summary.functions["C.f"].locks
-        assert [(s.lock, s.held) for s in locks] == [
-            ("pkg.mod.C._lock", ()),
-            ("pkg.mod.GLOBAL_LOCK", ("pkg.mod.C._lock",)),
-        ]
-
-    def test_calls_under_a_lock_record_the_held_stack(self):
-        summary = summarize(
-            "import threading\n"
-            "LOCK = threading.Lock()\n"
-            "def f():\n"
-            "    with LOCK:\n"
-            "        g()\n"
-            "def g():\n"
-            "    pass\n",
-            relpath="pkg/mod.py",
-        )
-        (site,) = summary.functions["f"].calls
-        assert site.target == "g"
-        assert site.held == ("pkg.mod.LOCK",)
-
+class TestRegistrations:
     def test_registration_and_registry_read(self):
         summary = summarize(
             "from repro.sweep.engine import register_policy\n"

@@ -5,7 +5,6 @@ from repro.analysis import Zone, zone_for
 
 class TestZoneFor:
     def test_backends_are_distributed(self):
-        assert zone_for("src/repro/sweep/backends/tcp.py") is Zone.DISTRIBUTED
         assert (
             zone_for("src/repro/sweep/backends/distributed.py")
             is Zone.DISTRIBUTED
@@ -32,8 +31,10 @@ class TestZoneFor:
         assert zone_for("tests/sim/test_events.py") is Zone.FREE
 
     def test_absolute_and_relative_paths_agree(self):
-        rel = zone_for("src/repro/sweep/backends/tcp.py")
-        absolute = zone_for("/anywhere/repo/src/repro/sweep/backends/tcp.py")
+        rel = zone_for("src/repro/sweep/backends/distributed.py")
+        absolute = zone_for(
+            "/anywhere/repo/src/repro/sweep/backends/distributed.py"
+        )
         assert rel is absolute is Zone.DISTRIBUTED
 
     def test_unknown_paths_are_free(self):

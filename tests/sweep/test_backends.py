@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.sweep import (
     DistributedBackend,
     JobSpool,
@@ -206,6 +207,46 @@ class TestJobSpool:
         assert {j.job_id for j in chunk} | {j.job_id for j in rest} == set(ids)
         assert spool.claim_chunk("late-worker", max_jobs=10) == []
 
+    def test_contract_round_trip(self, tmp_path):
+        """heartbeat_many, done_info_many and reset_job over a full chunk."""
+        from dataclasses import replace
+
+        spool = JobSpool(tmp_path)
+        ids = spool.submit_many([replace(BASE, seed=s) for s in range(5)])
+        chunk = spool.claim_chunk("w1", max_jobs=5)
+        assert {job.job_id for job in chunk} == set(ids)
+        spool.heartbeat_many([job.job_id for job in chunk])
+        for job in chunk:
+            spool.mark_done(
+                job.job_id, key="k" * 32, duration=0.01, worker_id="w"
+            )
+        assert spool.all_done()
+        infos = spool.done_info_many(ids)
+        assert set(infos) == set(ids)
+        assert all(info["key"] == "k" * 32 for info in infos.values())
+
+        spool.reset_job(ids[0])
+        assert not spool.all_done()
+        assert spool.status().pending == 1
+
+    def test_url_spool_fails_loudly(self, tmp_path, monkeypatch):
+        """A ``scheme://`` spool raises instead of silently creating a
+        ``tcp:/h:7077`` directory, on every way in: the Python API, the
+        backend, and REPRO_SWEEP_SPOOL."""
+        monkeypatch.chdir(tmp_path)
+        env = {
+            "REPRO_SWEEP_BACKEND": "distributed",
+            "REPRO_SWEEP_SPOOL": "tcp://h:7077",
+        }
+        for build in (
+            lambda: JobSpool("tcp://h:7077"),
+            lambda: DistributedBackend("tcp://h:7077"),
+            lambda: backend_from_env(env),
+        ):
+            with pytest.raises(ValueError, match="TCP spools were removed"):
+                build()
+        assert list(tmp_path.iterdir()) == []
+
     def test_done_job_not_claimable(self, tmp_path):
         spool = JobSpool(tmp_path)
         job_id = spool.submit(BASE)
@@ -349,6 +390,32 @@ class TestDistributedBackend:
         for a, b, c in zip(serial, process, distributed):
             assert results_identical(a.result, b.result)
             assert results_identical(a.result, c.result)
+
+    def test_32_scenario_sweep_identical_to_serial(self, tmp_path):
+        """A 32-scenario spec (2 services x 2 mixes x 2 policies x 2 loads
+        x 2 seeds, the `make sweep-smoke` grid at a short horizon) through
+        a real worker subprocess is ResultSet.identical() to serial."""
+        spec = ExperimentSpec(
+            name="spool-parity",
+            base={"horizon": 60.0},
+            axes={
+                "service": ("memcached", "mongodb"),
+                "apps": (("kmeans",), ("canneal", "snp")),
+                "policy": ("pliant", "precise"),
+                "load_fraction": (0.6, 0.85),
+                "seed": (4, 5),
+            },
+        )
+        assert len(spec.scenarios()) == 32
+        cache = SweepCache(tmp_path / "cache")
+        backend = DistributedBackend(
+            tmp_path / "spool", cache=cache, timeout=600.0, local_workers=1
+        )
+        results = run_experiment(spec, backend=backend, cache=cache)
+        assert results.identical(run_experiment(spec, backend=SerialBackend()))
+        status = backend.spool.status()
+        assert status.done == status.total == 32
+        assert status.failed == 0
 
     def test_results_read_back_through_shared_cache(self, tmp_path):
         """A second submitter with the same cache gets pure hits."""
