@@ -28,6 +28,7 @@ from repro.core.policy import PliantPolicy, RuntimePolicy
 from repro.core.runtime import ColocationResult
 from repro.sweep.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.sweep.cache import SweepCache
+from repro.sweep.digest import result_digest
 from repro.sweep.grid import Scenario, SweepGrid
 
 #: Builders from (scenario, kwargs) to a policy instance.  Keyed by the
@@ -119,49 +120,10 @@ def results_identical(a: ColocationResult, b: ColocationResult) -> bool:
     """Strict bit-level equality of two colocation results.
 
     Used to assert that serial and parallel sweeps of the same grid are
-    indistinguishable (the determinism contract of the engine).
+    indistinguishable (the determinism contract of the engine).  Compares
+    structural digests, so a field added to the result is compared too.
     """
-    import numpy as np
-
-    if (
-        a.service_name != b.service_name
-        or a.policy_name != b.policy_name
-        or a.qos != b.qos
-        or a.offered_qps != b.offered_qps
-    ):
-        return False
-    for x, y in (
-        (a.epoch_times, b.epoch_times),
-        (a.epoch_p99, b.epoch_p99),
-        (a.epoch_service_cores, b.epoch_service_cores),
-    ):
-        if not np.array_equal(x, y):
-            return False
-    for mapping_a, mapping_b in (
-        (a.epoch_app_levels, b.epoch_app_levels),
-        (a.epoch_app_cores, b.epoch_app_cores),
-    ):
-        if mapping_a.keys() != mapping_b.keys():
-            return False
-        if any(not np.array_equal(mapping_a[k], mapping_b[k]) for k in mapping_a):
-            return False
-    if len(a.intervals) != len(b.intervals) or len(a.apps) != len(b.apps):
-        return False
-    for ra, rb in zip(a.intervals, b.intervals):
-        if ra.observation != rb.observation or ra.action_summary != rb.action_summary:
-            return False
-    for oa, ob in zip(a.apps, b.apps):
-        if (
-            oa.name != ob.name
-            or oa.finish_time != ob.finish_time
-            or oa.inaccuracy_pct != ob.inaccuracy_pct
-            or oa.switches != ob.switches
-            or oa.min_cores != ob.min_cores
-            or oa.max_reclaimed != ob.max_reclaimed
-            or oa.level_trace != ob.level_trace
-        ):
-            return False
-    return True
+    return result_digest(a) == result_digest(b)
 
 
 @dataclass
