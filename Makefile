@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs sweep-smoke search-smoke lint lint-fixtures
+.PHONY: test bench bench-check bench-figs perfbench sweep-smoke search-smoke lint lint-fixtures
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
@@ -31,6 +31,14 @@ search-smoke:
 ## Full figure-reproduction drivers (Figs. 1-10, ~minutes).
 bench-figs:
 	$(PY) -m pytest benchmarks -m benchmark -q
+
+## Repo benchmark on the two epoch-loop workloads (see BENCHMARK.json);
+## prints each workload's end-to-end table and checks every result
+## against the pinned digests.  The first run in a checkout explores all
+## ladders into .perfbench_state/ (~1 min).
+perfbench:
+	python3 perfbench/run.py --workload fig5-constant
+	python3 perfbench/run.py --workload diurnal-multiapp
 
 ## Trajectory hygiene: BENCH_sweep.json parses and is monotone-appended.
 bench-check:

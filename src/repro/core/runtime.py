@@ -8,13 +8,22 @@ decision-interval boundaries (1 s by default), exactly as in the paper.
 
 Each epoch the engine:
 
-1. samples the offered load and refreshes tenant resource profiles,
-2. computes the contention pressure on the service, its service-time
-   inflation, utilization and saturation backlog,
+1. samples the offered load,
+2. derives the service's service-time inflation, utilization and
+   saturation backlog from the contention pressure on it,
 3. draws a noisy p99 latency observation for the monitor, and
 4. advances each application's logical progress at a rate set by its core
    allocation (Amdahl), active variant (measured time factor), DynamoRIO
    overhead (when instrumented) and the contention it suffers itself.
+
+Contention is recomputed only when one of its inputs changes.  Each
+ladder level's resource profile is built once, with the engine; the
+service profile, the pressure on every tenant and the apps' slowdowns
+are cached and recomputed only after the offered QPS changes, a level
+switch, a core move, or an app finishing.  A finish invalidates at once,
+so apps advanced later in the same epoch already see the finished app
+idle.  Between those events nothing on the node changes, so the cached
+values are exactly the ones a fresh computation would return.
 
 An application's final output quality is the progress-weighted mix of the
 inaccuracies of the variants it actually executed — running half the span
@@ -41,6 +50,7 @@ from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
+from repro.server.interference import PressureBreakdown
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
 from repro.server.resources import ResourceProfile
@@ -80,7 +90,6 @@ class AppSim:
     app: ApproximableApp
     ladder: ApproxLadder
     tenant: Tenant
-    instrumented: bool
     instrumentor: Instrumentor | None = None
     level: int = 0
     progress: float = 0.0
@@ -90,6 +99,22 @@ class AppSim:
     inaccuracy_integral: float = 0.0
     elided_progress: float = 0.0
     level_trace: list[tuple[float, int]] = field(default_factory=list)
+    #: Multiplier on execution time while instrumented (1.0 otherwise).
+    instrumentation_factor: float = 1.0
+    #: Per-level constants, built once from the ladder.
+    level_profiles: tuple[ResourceProfile, ...] = field(init=False, repr=False)
+    level_elides: tuple[bool, ...] = field(init=False, repr=False)
+    #: Amdahl term at the tenant's nominal (fair-share) core count.
+    amdahl_nominal: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        base = self.app.metadata.profile
+        self.level_profiles = tuple(v.scaled_profile(base) for v in self.ladder.levels)
+        self.level_elides = tuple(
+            any(value is True for value in v.spec.values()) for v in self.ladder.levels
+        )
+        p = self.app.metadata.parallel_fraction
+        self.amdahl_nominal = (1.0 - p) + p / max(self.tenant.nominal_cores, 1)
 
     @property
     def name(self) -> str:
@@ -101,10 +126,10 @@ class AppSim:
     def active_profile(self) -> ResourceProfile:
         if self.finished:
             return _IDLE_PROFILE
-        return self.variant().scaled_profile(self.app.metadata.profile)
+        return self.level_profiles[self.level]
 
     def uses_elision(self) -> bool:
-        return any(value is True for value in self.variant().spec.values())
+        return self.level_elides[self.level]
 
 
 @dataclass
@@ -293,18 +318,31 @@ class ColocationEngine:
                 instrumentor = Instrumentor(
                     FatBinary(app, ladder), self._bus, process=app.name
                 )
-            self._apps[app.name] = AppSim(
+            sim = AppSim(
                 app=app,
                 ladder=ladder,
                 tenant=tenant,
-                instrumented=policy.requires_instrumentation,
                 instrumentor=instrumentor,
+                instrumentation_factor=(
+                    self._overhead.instrumentation_factor(app.metadata)
+                    if policy.requires_instrumentation
+                    else 1.0
+                ),
             )
+            tenant.set_profile(sim.active_profile())
+            self._apps[app.name] = sim
 
         self._monitor = PerformanceMonitor(qos=service.qos)
         self._backlog = BacklogTracker()
         self._actuator = Actuator(self, overhead=self._overhead)
         self._inflation_ema = 1.0
+
+        # Contention cache: valid until `_invalidate` or a QPS change.
+        self._dirty = True
+        self._physics_qps = 0.0
+        self._service_pressure: PressureBreakdown | None = None
+        self._raw_inflation = 1.0
+        self._slowdowns: dict[str, float] = {}
 
     # -- facade used by the actuator -------------------------------------
 
@@ -347,6 +385,7 @@ class ColocationEngine:
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
+        self._invalidate()
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.level_changes")
@@ -358,6 +397,7 @@ class ColocationEngine:
             self._node.reclaim_core(name, self._service.name)
         else:
             self._node.reclaim_core(self._service.name, name)
+        self._invalidate()
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.core_moves")
@@ -451,6 +491,11 @@ class ColocationEngine:
 
     # -- internals --------------------------------------------------------
 
+    def _invalidate(self) -> None:
+        """Drop cached contention: a tenant's profile or cores changed."""
+        self._dirty = True
+        self._slowdowns.clear()
+
     def _step_epoch(
         self,
         epoch_index: int,
@@ -464,16 +509,21 @@ class ColocationEngine:
         dt = cfg.monitor_epoch
         qps = self._loadgen.qps_at(self._now)
         svc_cores = self._service_tenant.cores
-        self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-        for sim in self._apps.values():
-            sim.tenant.set_profile(sim.active_profile())
+        if self._dirty or qps != self._physics_qps:
+            self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
+            self._slowdowns.clear()
+            self._service_pressure = self._node.pressure_on(self._service.name)
+            self._raw_inflation = self._service.sensitivity.inflation(
+                self._service_pressure
+            )
+            self._physics_qps = qps
+            self._dirty = False
+        pressure = self._service_pressure
 
-        pressure = self._node.pressure_on(self._service.name)
-        raw_inflation = self._service.sensitivity.inflation(pressure)
         # Tail-latency effects of an allocation or variant change develop
         # over cache-refill / queue-drain timescales (~1 s), not instantly.
         alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
-        self._inflation_ema += alpha * (raw_inflation - self._inflation_ema)
+        self._inflation_ema += alpha * (self._raw_inflation - self._inflation_ema)
         inflation = self._inflation_ema
         capacity = self._service.saturation_qps(svc_cores) / inflation
         self._backlog.update(qps, capacity, dt)
@@ -511,30 +561,31 @@ class ColocationEngine:
             if dt <= 0:
                 return
         metadata = sim.app.metadata
-        cores = sim.tenant.cores
-        nominal = sim.tenant.nominal_cores
+        variant = sim.variant()
         p = metadata.parallel_fraction
-        amdahl_now = (1.0 - p) + p / max(cores, 1)
-        amdahl_nominal = (1.0 - p) + p / max(nominal, 1)
-        exec_time = metadata.nominal_exec_time * amdahl_now / amdahl_nominal
-        exec_time *= sim.variant().time_factor
-        if sim.instrumented:
-            exec_time *= self._overhead.instrumentation_factor(metadata)
-        pressure = self._node.pressure_on(sim.name)
-        slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
-            0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
-        )
+        amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
+        exec_time = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
+        exec_time *= variant.time_factor
+        exec_time *= sim.instrumentation_factor
+        slowdown = self._slowdowns.get(sim.name)
+        if slowdown is None:
+            pressure = self._node.pressure_on(sim.name)
+            slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
+                0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
+            )
+            self._slowdowns[sim.name] = slowdown
         exec_time *= slowdown
         dp = dt / exec_time
         dp = min(dp, 1.0 - sim.progress)
         sim.progress += dp
-        sim.inaccuracy_integral += dp * sim.variant().inaccuracy_pct
+        sim.inaccuracy_integral += dp * variant.inaccuracy_pct
         if sim.uses_elision():
             sim.elided_progress += dp
         if sim.progress >= 1.0 - 1e-12:
             sim.finished = True
             sim.finish_time = self._now + dt
             sim.tenant.set_profile(_IDLE_PROFILE)
+            self._invalidate()
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

@@ -143,3 +143,85 @@ class TestAggregates:
         result = engine_for(horizon=5.0).run()
         with pytest.raises(LookupError):
             result.app_outcome("ghost")
+
+
+class TestContentionCache:
+    """Contention is recomputed only when one of its inputs changes."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        from repro.server.node import ServerNode
+
+        counts = {"pressure_on": 0, "actions": 0}
+
+        def counting(method, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ServerNode, "pressure_on", counting(ServerNode.pressure_on, "pressure_on")
+        )
+        for name in ("apply_level", "move_core"):
+            monkeypatch.setattr(
+                ColocationEngine,
+                name,
+                counting(getattr(ColocationEngine, name), "actions"),
+            )
+        return counts
+
+    @pytest.mark.parametrize(
+        "apps", [("kmeans",), ("kmeans", "raytrace"), ("kmeans", "semphy", "raytrace")]
+    )
+    def test_pressure_calls_bounded_by_invalidations(self, counts, apps):
+        result = engine_for(apps=apps, policy=PliantPolicy(seed=5)).run()
+        finishes = sum(outcome.completed for outcome in result.apps)
+        assert counts["actions"] > 0
+        bound = (1 + len(apps)) * (1 + counts["actions"] + finishes)
+        assert counts["pressure_on"] <= bound
+        assert counts["pressure_on"] < len(result.epoch_times)
+
+    def test_precise_run_computes_contention_once(self, counts):
+        result = engine_for().run()
+        assert result.app_outcome("kmeans").completed
+        assert counts["pressure_on"] == 2  # the service's and the app's
+
+    def test_qps_change_recomputes(self, counts):
+        from repro.services.loadgen import StepLoad
+
+        engine = build_engine(
+            "memcached",
+            ["kmeans"],
+            PrecisePolicy(),
+            config=ColocationConfig(seed=5, horizon=3.0),
+            loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
+        )
+        engine.run()
+        assert counts["pressure_on"] == 2 * 3
+
+    def test_scripted_actions_match_golden_digest(self):
+        import json
+
+        from repro.sweep.digest import result_digest
+        from tests.golden.panel import DIGESTS_PATH, SCRIPTED_LABEL, scripted_result
+
+        result = scripted_result()
+        summaries = [r.action_summary for r in result.intervals if r.action_summary != "hold"]
+        assert summaries == [
+            "kmeans: level 0->2",
+            "kmeans: cores 8->7",
+            "kmeans: cores 7->8",
+            "kmeans: level 2->0",
+        ]
+        pinned = json.loads(DIGESTS_PATH.read_text())["digests"][SCRIPTED_LABEL]
+        assert result_digest(result) == pinned
+
+    def test_level_profiles_built_once(self):
+        sim = engine_for().app_sim("kmeans")
+        assert len(sim.level_profiles) == sim.ladder.max_level + 1
+        for level, variant in enumerate(sim.ladder.levels):
+            sim.level = level
+            assert sim.active_profile() == variant.scaled_profile(sim.app.metadata.profile)
+            assert sim.uses_elision() == any(v is True for v in variant.spec.values())
