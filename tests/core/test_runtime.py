@@ -218,7 +218,7 @@ class TestContentionCache:
         pinned = json.loads(DIGESTS_PATH.read_text())["digests"][SCRIPTED_LABEL]
         assert result_digest(result) == pinned
 
-    def test_level_profiles_built_once(self):
+    def test_level_lookups_match_fresh_computation(self):
         sim = engine_for().app_sim("kmeans")
         assert len(sim.level_profiles) == sim.ladder.max_level + 1
         for level, variant in enumerate(sim.ladder.levels):
