@@ -56,7 +56,7 @@ lint:
 ## against a rule silently going blind.  Single files exercise the
 ## per-file rules under a forced zone; the directories under
 ## fixtures/project/ are miniature projects exercising the cross-file
-## rules (taint chains, schema drift).
+## taint rules.
 lint-fixtures:
 	@for f in tests/analysis/fixtures/*/bad_*.py; do \
 		zone=$$(basename $$(dirname $$f)); \
@@ -71,12 +71,12 @@ lint-fixtures:
 		fi; \
 	done
 	@for d in tests/analysis/fixtures/project/bad_*/; do \
-		if $(PY) -m repro.analysis --no-baseline --no-cache --root $$d $$d >/dev/null; then \
+		if $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
 			echo "lint-fixtures: $$d unexpectedly passed"; exit 1; \
 		fi; \
 	done
 	@for d in tests/analysis/fixtures/project/good_*/; do \
-		if ! $(PY) -m repro.analysis --no-baseline --no-cache --root $$d $$d >/dev/null; then \
+		if ! $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
 			echo "lint-fixtures: $$d unexpectedly failed"; exit 1; \
 		fi; \
 	done

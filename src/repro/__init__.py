@@ -14,13 +14,13 @@ Public API tour
 ``repro.search``       -- budgeted design-space search: scenario
                           strategies (grid/random/halving/pareto) plus
                           the paper's Section 3 variant exploration
-                          (``repro.exploration`` is a deprecated front)
 ``repro.core``         -- the Pliant runtime (monitor, actuator, controller)
 ``repro.cluster``      -- colocation experiment harness and sweeps
 ``repro.experiment``   -- declarative specs, run_experiment, ResultSet
-``repro.analysis``     -- repro-lint: AST invariant checker (zones,
-                          pluggable rules, baseline; ``python -m
-                          repro.analysis``)
+``repro.analysis``     -- repro-lint: AST checker for the determinism,
+                          lease-clock and serialization invariants
+                          (zones, pluggable rules, baseline;
+                          ``python -m repro.analysis``)
 """
 
 __version__ = "1.0.0"

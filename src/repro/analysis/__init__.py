@@ -16,9 +16,8 @@ Architecture
   ``register_policy`` / ``register_strategy``).
 * :mod:`repro.analysis.rules` — the per-file built-ins (``no-wallclock``,
   ``seeded-rng``, ``lease-clock``, ``serialization-safety``,
-  ``no-deprecated-imports``, ``telemetry-side-channel``) and the
-  whole-program rules (``transitive-wallclock``, ``transitive-rng``,
-  ``spec-schema-drift``).
+  ``telemetry-side-channel``) and the whole-program rules
+  (``transitive-wallclock``, ``transitive-rng``).
 * :mod:`repro.analysis.symbols` / :mod:`~repro.analysis.callgraph` /
   :mod:`~repro.analysis.dataflow` — the interprocedural layer: per-file
   module summaries, the registry-aware project call graph, and the
@@ -26,16 +25,10 @@ Architecture
 * :mod:`repro.analysis.engine` — one parse per file, zone-matched rule
   dispatch, statement-span ``# repro-lint: ignore[rule] -- reason``
   pragmas, and the project pass.
-* :mod:`repro.analysis.incremental` — the content-hash result cache
-  that makes warm runs re-analyze only changed files and their
-  reverse-dependency cone (``REPRO_LINT_CACHE``).
 * :mod:`repro.analysis.baseline` — the committed, justification-carrying
   baseline of grandfathered findings; entries expire when fixed.
-* :mod:`repro.analysis.sarif` — findings as SARIF 2.1.0 for GitHub code
-  scanning, call chains rendered as ``codeFlows``.
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` (wired into
-  ``make lint`` and CI with ``--strict``; ``--graph dot`` dumps the
-  call graph).
+  ``make lint`` and CI with ``--strict``).
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry
@@ -48,7 +41,6 @@ from repro.analysis.engine import (
     iter_python_files,
 )
 from repro.analysis.findings import Finding, fingerprinted
-from repro.analysis.incremental import AnalysisCache, resolve_cache
 from repro.analysis.registry import (
     PROJECT_RULE_REGISTRY,
     RULE_REGISTRY,
@@ -60,7 +52,6 @@ from repro.analysis.registry import (
     register_rule,
     registered_rules,
 )
-from repro.analysis.sarif import to_sarif
 from repro.analysis.symbols import (
     ModuleSummary,
     SymbolTable,
@@ -73,7 +64,6 @@ from repro.analysis.zones import ZONE_MAP, Zone, zone_for
 from repro.analysis import rules as _builtin_rules  # noqa: F401  (registration)
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisReport",
     "Baseline",
     "BaselineEntry",
@@ -100,8 +90,6 @@ __all__ = [
     "module_name",
     "register_rule",
     "registered_rules",
-    "resolve_cache",
     "summarize_module",
-    "to_sarif",
     "zone_for",
 ]

@@ -10,8 +10,7 @@ that reads ``POLICY_REGISTRY`` dispatches to *every* target passed to
 (class targets expand to all their methods).  Calls to a class get an
 edge to its ``__init__``.
 
-The graph is what every cross-file rule walks; ``to_dot`` dumps it for
-``python -m repro.analysis --graph dot``.
+The graph is what every cross-file rule walks.
 """
 
 from __future__ import annotations
@@ -204,27 +203,6 @@ class CallGraph:
                 return found
         return None
 
-    # -- output --------------------------------------------------------
-
-    def to_dot(self) -> str:
-        """GraphViz rendering (call edges solid, registry edges dashed)."""
-        lines = ["digraph callgraph {", "  rankdir=LR;"]
-        nodes: set[str] = set()
-        for edges in self.edges.values():
-            for edge in edges:
-                nodes.update((edge.caller, edge.callee))
-        for node in sorted(nodes):
-            lines.append(f'  "{node}";')
-        for caller in sorted(self.edges):
-            for edge in sorted(
-                self.edges[caller], key=lambda e: (e.callee, e.line)
-            ):
-                attrs = f'label="{edge.via}", style=dashed' if edge.via != "call" else ""
-                suffix = f" [{attrs}]" if attrs else ""
-                lines.append(f'  "{edge.caller}" -> "{edge.callee}"{suffix};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class ProjectContext:
@@ -232,8 +210,4 @@ class ProjectContext:
 
     table: SymbolTable
     graph: CallGraph
-    #: relpaths restricted by the incremental engine this run, or None
-    #: when the whole project was (re)analyzed.  Rules may use this to
-    #: skip work, never to widen it.
-    affected: frozenset[str] | None = None
     _extra: dict = field(default_factory=dict)

@@ -32,15 +32,12 @@ import time
 from pathlib import Path
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.engine import analyze_paths, iter_python_files
-from repro.analysis.incremental import AnalysisCache, resolve_cache
+from repro.analysis.engine import analyze_paths
 from repro.analysis.registry import (
     PROJECT_RULE_REGISTRY,
     RULE_REGISTRY,
     registered_rules,
 )
-from repro.analysis.sarif import to_sarif
 from repro.analysis.zones import Zone, zone_for
 
 __all__ = ["build_parser", "main"]
@@ -64,19 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--sarif",
-        type=Path,
-        metavar="PATH",
-        default=None,
-        help=(
-            "additionally write a SARIF 2.1.0 log of the new findings to "
-            "PATH (for GitHub code scanning); does not change the exit code"
-        ),
     )
     parser.add_argument(
         "--strict",
@@ -120,21 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base directory for reported paths (default: cwd)",
     )
     parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="DIR",
-        default=None,
-        help=(
-            "incremental-cache directory (default: <root>/.repro-lint-cache, "
-            "or $REPRO_LINT_CACHE; set REPRO_LINT_CACHE=off to disable)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
@@ -144,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="print the enforcement zone of one path and exit",
-    )
-    parser.add_argument(
-        "--graph",
-        choices=("dot",),
-        default=None,
-        help=(
-            "instead of linting, dump the project call graph in GraphViz "
-            "format and exit"
-        ),
     )
     return parser
 
@@ -166,40 +129,6 @@ def _print_rules(out) -> None:
             rule = PROJECT_RULE_REGISTRY[rule_id]
             scope = "project"
         print(f"{rule_id:24s} [{scope}] {rule.summary}", file=out)
-
-
-def _dump_graph(paths, root, zone, out) -> int:
-    """Summarize the project and print a GraphViz graph (no linting)."""
-    import ast
-
-    from repro.analysis.engine import build_waivers
-    from repro.analysis.symbols import SymbolTable, summarize_module
-
-    root = Path(root) if root is not None else Path.cwd()
-    summaries = []
-    for path in iter_python_files(paths):
-        try:
-            relpath = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            relpath = path.as_posix()
-        source = path.read_text(encoding="utf-8")
-        lines = tuple(source.splitlines())
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            continue
-        summaries.append(
-            summarize_module(
-                tree,
-                relpath,
-                lines,
-                zone=zone,
-                waivers=build_waivers(tree, lines),
-            )
-        )
-    graph = CallGraph.build(SymbolTable(summaries))
-    print(graph.to_dot(), end="", file=out)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -220,16 +149,8 @@ def main(argv=None) -> int:
     if not paths:
         parser.error("no paths given and none of the default roots exist")
     zone = Zone(args.zone) if args.zone else None
-    if args.graph is not None:
-        return _dump_graph(paths, args.root, zone, out)
-    if args.no_cache:
-        cache = None
-    elif args.cache is not None:
-        cache = AnalysisCache(args.cache)
-    else:
-        cache = resolve_cache(args.root or Path.cwd())
     started = time.monotonic()
-    report = analyze_paths(paths, root=args.root, zone=zone, cache=cache)
+    report = analyze_paths(paths, root=args.root, zone=zone)
     elapsed = time.monotonic() - started
 
     baseline_path = args.baseline or Path(DEFAULT_BASELINE_NAME)
@@ -260,14 +181,6 @@ def main(argv=None) -> int:
         return 0
 
     failed = bool(new) or (args.strict and bool(expired))
-    if args.sarif is not None:
-        args.sarif.parent.mkdir(parents=True, exist_ok=True)
-        args.sarif.write_text(
-            json.dumps(to_sarif(new), indent=2) + "\n", encoding="utf-8"
-        )
-    if args.format == "sarif":
-        print(json.dumps(to_sarif(new), indent=2), file=out)
-        return 1 if failed else 0
     if args.format == "json":
         payload = {
             "findings": [finding.to_payload() for finding in new],
@@ -275,8 +188,6 @@ def main(argv=None) -> int:
             "expired": [entry.to_payload() for entry in expired],
             "files_scanned": report.files_scanned,
             "suppressed": report.suppressed,
-            "cache_hits": report.cache_hits,
-            "cache_misses": report.cache_misses,
             "wall_time_s": round(elapsed, 3),
             "rules": list(registered_rules()),
             "ok": not failed,
@@ -298,16 +209,11 @@ def main(argv=None) -> int:
             file=out,
         )
     status = "FAILED" if failed else "ok"
-    cache_note = (
-        f", cache {report.cache_hits} hit(s)/{report.cache_misses} miss(es)"
-        if cache is not None
-        else ""
-    )
     print(
         f"repro-lint: {status} — {len(new)} new finding(s), "
         f"{len(waived)} baselined, {len(expired)} expired entr(y/ies), "
         f"{report.suppressed} pragma-waived, {report.files_scanned} "
-        f"file(s) scanned in {elapsed:.2f}s{cache_note}",
+        f"file(s) scanned in {elapsed:.2f}s",
         file=out,
     )
     return 1 if failed else 0

@@ -1,11 +1,11 @@
-"""The analyzer: parse files, run rules, honor pragmas, stay warm.
+"""The analyzer: parse files, run rules, honor pragmas.
 
 Per-file pass: one parse per file; every registered per-file rule whose
 zone set contains the file's zone runs over the shared tree, and the
 same tree is summarized for the project pass.  Project pass: the module
 summaries are stitched into a symbol table and call graph, and every
 registered :class:`~repro.analysis.registry.ProjectRule` (transitive
-taint, schema drift) runs once over the whole program.
+taint) runs once over the whole program.
 
 Findings can be suppressed inline with a pragma anywhere in the
 *enclosing statement* (or on a comment line directly above it)::
@@ -19,10 +19,6 @@ everything after ``--`` is the justification, kept next to the code it
 excuses.  Grandfathered findings that should *eventually* be fixed
 belong in the baseline file instead (:mod:`repro.analysis.baseline`),
 which expires entries as they are fixed.
-
-With a cache (:mod:`repro.analysis.incremental`), unchanged files are
-never re-parsed, and a run where *nothing* changed returns the previous
-findings without even building the call graph.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.callgraph import CallGraph, ProjectContext
 from repro.analysis.findings import Finding, fingerprinted
-from repro.analysis.incremental import AnalysisCache, reverse_cone
 from repro.analysis.registry import FileContext, iter_project_rules, iter_rules
 from repro.analysis.symbols import ModuleSummary, SymbolTable, summarize_module
 from repro.analysis.zones import Zone, zone_for
@@ -62,17 +57,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0  # pragma-silenced findings
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def to_payload(self) -> dict:
-        return {
-            "findings": [finding.to_payload() for finding in self.findings],
-            "files_scanned": self.files_scanned,
-            "suppressed": self.suppressed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
 
 
 def iter_python_files(paths: Iterable[Path | str]) -> list[Path]:
@@ -229,11 +213,10 @@ def analyze_source(
 def _run_project_rules(
     summaries: list[ModuleSummary],
     waivers_by_path: Mapping[str, Mapping[int, frozenset[str]]],
-    affected: frozenset[str] | None,
 ) -> tuple[list[Finding], int]:
     table = SymbolTable(summaries)
     graph = CallGraph.build(table)
-    ctx = ProjectContext(table=table, graph=graph, affected=affected)
+    ctx = ProjectContext(table=table, graph=graph)
     kept: list[Finding] = []
     suppressed = 0
     for rule in iter_project_rules():
@@ -250,7 +233,6 @@ def analyze_paths(
     paths: Iterable[Path | str],
     root: Path | str | None = None,
     zone: Zone | None = None,
-    cache: AnalysisCache | None = None,
 ) -> AnalysisReport:
     """Analyze every Python file under ``paths``, then the whole program.
 
@@ -258,86 +240,26 @@ def analyze_paths(
     fingerprints (default: the current directory — ``make lint`` runs
     from the repo root).  ``zone`` forces a single zone for every file
     (fixture checking); by default each file's zone comes from the zone
-    map.  ``cache`` enables incremental analysis: unchanged files reuse
-    their cached findings and module summaries, and a fully-unchanged
-    run short-circuits to the previous report.
+    map.
     """
     root = Path(root) if root is not None else Path.cwd()
-    zone_tag = zone.value if zone is not None else ""
     report = AnalysisReport()
-
-    records: list[tuple[Path, str, Zone]] = []
+    collected: list[Finding] = []
+    summaries: list[ModuleSummary] = []
+    waivers_by_path: dict[str, Mapping[int, frozenset[str]]] = {}
     for path in iter_python_files(paths):
         try:
             relpath = path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             relpath = path.as_posix()
         file_zone = zone if zone is not None else zone_for(relpath)
-        records.append((path, relpath, file_zone))
-
-    data_by_path: dict[str, bytes] = {}
-    keys: dict[str, str] = {}
-    if cache is not None:
-        for path, relpath, file_zone in records:
-            data = path.read_bytes()
-            data_by_path[relpath] = data
-            keys[relpath] = cache.file_key(relpath, file_zone.value, data)
-        state = cache.load_state(root, zone_tag)
-        if state is not None and state.get("files") == keys:
-            # Nothing changed since the last clean run: the previous
-            # findings are, byte for byte, this run's findings.
-            cache.hits += len(keys)
-            report.findings = [
-                Finding.from_payload(p) for p in state["findings"]
-            ]
-            report.files_scanned = state["files_scanned"]
-            report.suppressed = state["suppressed"]
-            report.cache_hits = cache.hits
-            report.cache_misses = cache.misses
-            return report
-
-    collected: list[Finding] = []
-    summaries: list[ModuleSummary] = []
-    waivers_by_path: dict[str, Mapping[int, frozenset[str]]] = {}
-    changed: set[str] = set()
-    for path, relpath, file_zone in records:
         report.files_scanned += 1
-        entry = (
-            cache.load_entry(keys[relpath]) if cache is not None else None
-        )
-        if entry is not None:
-            collected.extend(
-                Finding.from_payload(p) for p in entry["findings"]
-            )
-            report.suppressed += entry["suppressed"]
-            if entry["summary"] is not None:
-                summaries.append(ModuleSummary.from_payload(entry["summary"]))
-            waivers_by_path[relpath] = {
-                int(lineno): frozenset(ids)
-                for lineno, ids in entry["waivers"].items()
-            }
-            continue
-        changed.add(relpath)
-        if relpath in data_by_path:
-            source = data_by_path[relpath].decode("utf-8")
-        else:
-            source = path.read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8")
         lines = tuple(source.splitlines())
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            finding = _parse_error_finding(exc, relpath, lines)
-            collected.append(finding)
-            if cache is not None:
-                cache.store_entry(
-                    keys[relpath],
-                    {
-                        "findings": [finding.to_payload()],
-                        "suppressed": 0,
-                        "summary": None,
-                        "waivers": {},
-                    },
-                )
+            collected.append(_parse_error_finding(exc, relpath, lines))
             continue
         waivers = build_waivers(tree, lines)
         waivers_by_path[relpath] = waivers
@@ -345,48 +267,20 @@ def analyze_paths(
             relpath=relpath, zone=file_zone, tree=tree, lines=lines
         )
         kept, suppressed = _analyze_tree(ctx, waivers)
-        summary = summarize_module(
-            tree, relpath, lines, zone=file_zone, waivers=waivers
-        )
         collected.extend(kept)
-        summaries.append(summary)
         report.suppressed += suppressed
-        if cache is not None:
-            cache.store_entry(
-                keys[relpath],
-                {
-                    "findings": [f.to_payload() for f in kept],
-                    "suppressed": suppressed,
-                    "summary": summary.to_payload(),
-                    "waivers": {
-                        str(lineno): sorted(ids)
-                        for lineno, ids in waivers.items()
-                    },
-                },
+        summaries.append(
+            summarize_module(
+                tree, relpath, lines, zone=file_zone, waivers=waivers
             )
+        )
 
     if summaries:
-        affected = (
-            reverse_cone(summaries, changed) if cache is not None else None
-        )
         project_findings, project_suppressed = _run_project_rules(
-            summaries, waivers_by_path, affected
+            summaries, waivers_by_path
         )
         collected.extend(project_findings)
         report.suppressed += project_suppressed
 
     report.findings = fingerprinted(collected)
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.store_state(
-            root,
-            zone_tag,
-            {
-                "files": keys,
-                "findings": [f.to_payload() for f in report.findings],
-                "files_scanned": report.files_scanned,
-                "suppressed": report.suppressed,
-            },
-        )
     return report

@@ -62,21 +62,6 @@ class Finding:
             payload["chain"] = [list(hop) for hop in self.chain]
         return payload
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Finding":
-        return cls(
-            rule=payload["rule"],
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            message=payload["message"],
-            code=payload["code"],
-            fingerprint=payload.get("fingerprint", ""),
-            chain=tuple(
-                (hop[0], hop[1], hop[2]) for hop in payload.get("chain", ())
-            ),
-        )
-
 
 def _sort_key(finding: Finding) -> tuple:
     return (finding.path, finding.line, finding.col, finding.rule)

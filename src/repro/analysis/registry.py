@@ -36,8 +36,8 @@ __all__ = [
     "registered_rules",
 ]
 
-#: Convenience for rules that apply everywhere (import hygiene and the
-#: serialization rule care about call shape, not zone).
+#: Convenience for rules that apply everywhere (the serialization rule
+#: cares about call shape, not zone).
 ALL_ZONES = frozenset(Zone)
 
 
@@ -78,7 +78,7 @@ class Rule(ABC):
 
     ``zones`` names where the invariant holds; the analyzer only calls
     :meth:`check` for files whose zone is in the set.  Rules that need
-    finer path logic (e.g. excluding the module they deprecate) apply it
+    finer path logic (e.g. exempting one module) apply it
     inside ``check`` via ``ctx.relpath``.
     """
 

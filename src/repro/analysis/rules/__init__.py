@@ -9,9 +9,7 @@ sure the module is imported before the analyzer runs.
 """
 
 from repro.analysis.rules.clocks import LeaseClockRule, NoWallclockRule
-from repro.analysis.rules.imports import DeprecatedImportRule
 from repro.analysis.rules.rng import SeededRngRule
-from repro.analysis.rules.schema import SpecSchemaDriftRule
 from repro.analysis.rules.serialization import SerializationSafetyRule
 from repro.analysis.rules.telemetry import TelemetrySideChannelRule
 from repro.analysis.rules.transitive import (
@@ -20,12 +18,10 @@ from repro.analysis.rules.transitive import (
 )
 
 __all__ = [
-    "DeprecatedImportRule",
     "LeaseClockRule",
     "NoWallclockRule",
     "SeededRngRule",
     "SerializationSafetyRule",
-    "SpecSchemaDriftRule",
     "TelemetrySideChannelRule",
     "TransitiveRngRule",
     "TransitiveWallclockRule",

@@ -2,12 +2,9 @@
 
 One parse of one file produces one :class:`ModuleSummary` — every
 function with its outgoing call references, nondeterminism sources,
-registry registrations and reads, plus class layouts and payload-schema
-facts.
-Summaries are plain data (JSON-round-trippable via ``to_payload`` /
-``from_payload``) precisely so the incremental cache can persist them:
-a warm run rebuilds the project call graph from cached summaries without
-re-parsing a single unchanged file.
+registry registrations and reads, plus class layouts (bases and
+methods).  Summaries are plain data: the project pass needs nothing
+else from a file once it has been summarized.
 
 A :class:`SymbolTable` stitches summaries together and resolves absolute
 dotted names to definitions, following re-export chains (``from x import
@@ -86,17 +83,6 @@ class CallSite:
     target: str
     line: int
 
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "target": self.target, "line": self.line}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CallSite":
-        return cls(
-            kind=payload["kind"],
-            target=payload["target"],
-            line=payload["line"],
-        )
-
 
 @dataclass(frozen=True)
 class SourceSite:
@@ -106,23 +92,6 @@ class SourceSite:
     target: str  # canonical offending call, e.g. "time.time"
     line: int
     detail: str  # why this call is nondeterministic
-
-    def to_payload(self) -> dict:
-        return {
-            "rule": self.rule,
-            "target": self.target,
-            "line": self.line,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SourceSite":
-        return cls(
-            rule=payload["rule"],
-            target=payload["target"],
-            line=payload["line"],
-            detail=payload["detail"],
-        )
 
 
 @dataclass(frozen=True)
@@ -134,25 +103,6 @@ class Registration:
     target_kind: str  # "abs" | "local" | "self" | "opaque"
     target: str
     line: int
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "name": self.name,
-            "target_kind": self.target_kind,
-            "target": self.target,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Registration":
-        return cls(
-            family=payload["family"],
-            name=payload["name"],
-            target_kind=payload["target_kind"],
-            target=payload["target"],
-            line=payload["line"],
-        )
 
 
 @dataclass(frozen=True)
@@ -167,74 +117,16 @@ class FunctionInfo:
     sources: tuple[SourceSite, ...] = ()
     registry_reads: tuple[str, ...] = ()  # registry families dispatched on
 
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "code": self.code,
-            "cls": self.cls,
-            "calls": [c.to_payload() for c in self.calls],
-            "sources": [s.to_payload() for s in self.sources],
-            "registry_reads": list(self.registry_reads),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "FunctionInfo":
-        return cls(
-            name=payload["name"],
-            line=payload["line"],
-            code=payload["code"],
-            cls=payload["cls"],
-            calls=tuple(CallSite.from_payload(p) for p in payload["calls"]),
-            sources=tuple(
-                SourceSite.from_payload(p) for p in payload["sources"]
-            ),
-            registry_reads=tuple(payload["registry_reads"]),
-        )
-
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """A class: bases, methods, and (for payload classes) schema facts.
-
-    ``schema`` is populated only for classes that define ``key_payload``
-    — the duck type the spec-schema-drift rule checks.  Each entry maps a
-    method name to the facts the rule consumes: which ``self.X``
-    attributes it reads, which sibling methods it calls through ``self``,
-    which string literals it uses as keys, and its default-elision
-    guards as ``(field, op, literal)`` triples.
-    """
+    """A class: its base references and the methods it defines."""
 
     name: str  # dotted path within the module
     line: int
     code: str
     bases: tuple[tuple[str, str], ...] = ()  # (kind, target) refs
     methods: tuple[str, ...] = ()
-    fields: tuple[tuple[str, str], ...] = ()  # (name, default or "")
-    schema: Mapping[str, dict] = field(default_factory=dict)
-
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "code": self.code,
-            "bases": [list(b) for b in self.bases],
-            "methods": list(self.methods),
-            "fields": [list(f) for f in self.fields],
-            "schema": {k: dict(v) for k, v in self.schema.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ClassInfo":
-        return cls(
-            name=payload["name"],
-            line=payload["line"],
-            code=payload["code"],
-            bases=tuple((b[0], b[1]) for b in payload["bases"]),
-            methods=tuple(payload["methods"]),
-            fields=tuple((f[0], f[1]) for f in payload["fields"]),
-            schema={k: dict(v) for k, v in payload["schema"].items()},
-        )
 
 
 @dataclass
@@ -249,44 +141,6 @@ class ModuleSummary:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     registrations: tuple[Registration, ...] = ()
-    imported_modules: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "zone": self.zone,
-            "is_package": self.is_package,
-            "exports": dict(self.exports),
-            "functions": {
-                k: v.to_payload() for k, v in self.functions.items()
-            },
-            "classes": {k: v.to_payload() for k, v in self.classes.items()},
-            "registrations": [r.to_payload() for r in self.registrations],
-            "imported_modules": list(self.imported_modules),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            relpath=payload["relpath"],
-            zone=payload["zone"],
-            is_package=payload["is_package"],
-            exports=dict(payload["exports"]),
-            functions={
-                k: FunctionInfo.from_payload(v)
-                for k, v in payload["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_payload(v)
-                for k, v in payload["classes"].items()
-            },
-            registrations=tuple(
-                Registration.from_payload(p) for p in payload["registrations"]
-            ),
-            imported_modules=tuple(payload["imported_modules"]),
-        )
 
 
 def _absolutize(target: str, package: str) -> str:
@@ -413,21 +267,12 @@ class _Extractor:
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         )
-        fields = tuple(
-            (stmt.target.id, ast.unparse(stmt.value) if stmt.value else "")
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-        )
-        schema = _schema_facts(node) if "key_payload" in methods else {}
         self.classes[classpath] = ClassInfo(
             name=classpath,
             line=node.lineno,
             code=self._line_code(node.lineno),
             bases=tuple(bases),
             methods=methods,
-            fields=fields,
-            schema=schema,
         )
         self._path.append(node.name)
         self._class.append(classpath)
@@ -522,68 +367,6 @@ class _Extractor:
             )
 
 
-def _schema_facts(node: ast.ClassDef) -> dict[str, dict]:
-    """Per-method facts for the spec-schema-drift rule."""
-    facts: dict[str, dict] = {}
-    for stmt in node.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        self_reads: set[str] = set()
-        self_calls: set[str] = set()
-        str_keys: set[str] = set()
-        guards: list[list[str]] = []
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
-                self_reads.add(sub.attr)
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id == "self"
-            ):
-                self_calls.add(sub.func.attr)
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                str_keys.add(sub.value)
-            if isinstance(sub, ast.Compare) and len(sub.ops) == 1:
-                left, op, right = sub.left, sub.ops[0], sub.comparators[0]
-                attr = None
-                lit = None
-                if (
-                    isinstance(left, ast.Attribute)
-                    and isinstance(left.value, ast.Name)
-                    and left.value.id == "self"
-                ):
-                    attr, lit = left.attr, right
-                elif (
-                    isinstance(right, ast.Attribute)
-                    and isinstance(right.value, ast.Name)
-                    and right.value.id == "self"
-                ):
-                    attr, lit = right.attr, left
-                if attr is not None and isinstance(op, (ast.Eq, ast.NotEq)):
-                    symbol = "==" if isinstance(op, ast.Eq) else "!="
-                    guards.append([attr, symbol, ast.unparse(lit)])
-            if (
-                isinstance(sub, ast.UnaryOp)
-                and isinstance(sub.op, ast.Not)
-                and isinstance(sub.operand, ast.Attribute)
-                and isinstance(sub.operand.value, ast.Name)
-                and sub.operand.value.id == "self"
-            ):
-                guards.append([sub.operand.attr, "not", ""])
-        facts[stmt.name] = {
-            "self_reads": sorted(self_reads),
-            "self_calls": sorted(self_calls),
-            "str_keys": sorted(str_keys),
-            "guards": sorted(guards),
-        }
-    return facts
-
-
 def summarize_module(
     tree: ast.Module,
     relpath: str,
@@ -600,14 +383,6 @@ def summarize_module(
         name: _absolutize(target, package)
         for name, target in aliases.names.items()
     }
-    imported: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Import):
-            imported.update(alias.name for alias in stmt.names)
-        elif isinstance(stmt, ast.ImportFrom):
-            base = "." * stmt.level + (stmt.module or "")
-            imported.add(_absolutize(base, package))
-    imported.discard("")
     extractor = _Extractor(
         module=mod,
         package=package,
@@ -626,7 +401,6 @@ def summarize_module(
         functions=extractor.functions,
         classes=extractor.classes,
         registrations=tuple(extractor.registrations),
-        imported_modules=tuple(sorted(imported)),
     )
 
 

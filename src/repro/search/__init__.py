@@ -18,7 +18,7 @@ problem into a search problem.  Two layers share one Pareto toolkit:
 * **Variant exploration** — the paper's Section 3 per-app design-space
   exploration (:class:`DesignSpaceExplorer`, :class:`ApproxLadder`,
   :func:`pareto_select`), the original budgeted search this subsystem
-  grew out of.  ``repro.exploration`` remains as a deprecated front.
+  grew out of.
 """
 
 import importlib

@@ -11,7 +11,9 @@ expanded in a deterministic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from typing import Any, Callable
 
 from repro.core.runtime import ColocationConfig
 from repro.services.loadgen import LOADGEN_SHAPES
@@ -54,6 +56,15 @@ def _jsonify(value):
     return value
 
 
+#: Field metadata flag: the axis is left out of :meth:`Scenario.key_payload`
+#: while it equals its dataclass default, so scenarios that never use it
+#: hash exactly as they did before the axis existed.
+ELIDE_AT_DEFAULT = "elide_at_default"
+#: Field metadata flag: a ``(name, value)`` pair field whose values are
+#: canonicalised with :func:`_canon` in the key (floats via ``repr``).
+CANON_VALUES = "canon_values"
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One sweep coordinate: a colocation experiment as pure data.
@@ -76,9 +87,13 @@ class Scenario:
     seed: int = 0
     stop_when_apps_done: bool = True
     exploration_seed: int = 0
-    loadgen_shape: str = "constant"
-    loadgen_params: tuple[tuple[str, object], ...] = ()
-    platform: str = "default"
+    loadgen_shape: str = field(
+        default="constant", metadata={ELIDE_AT_DEFAULT: True}
+    )
+    loadgen_params: tuple[tuple[str, object], ...] = field(
+        default=(), metadata={ELIDE_AT_DEFAULT: True, CANON_VALUES: True}
+    )
+    platform: str = field(default="default", metadata={ELIDE_AT_DEFAULT: True})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "apps", _normalize_mix(self.apps))
@@ -115,33 +130,27 @@ class Scenario:
     def key_payload(self) -> dict:
         """Canonical JSON-ready payload used for content addressing.
 
-        New axes (``loadgen_*``, ``platform``) appear **only when they
-        differ from their defaults**: a scenario that doesn't use them
-        hashes exactly as it did before the axes existed, so the
-        content-addressed cache stays hot across the API generalization.
-        Pinned by the golden-payload test in ``tests/experiment``.
+        Derived from the per-field table (:data:`_CODECS`), so every
+        field is in the key unless its metadata marks it
+        :data:`ELIDE_AT_DEFAULT` and it holds its default: a scenario
+        that doesn't use a newer axis hashes exactly as it did before
+        the axis existed, and the cache stays hot.  Pinned by the
+        golden-payload test in ``tests/experiment``.
         """
         payload = {
-            "service": self.service,
-            "apps": list(self.apps),
-            "policy": self.policy,
-            "policy_kwargs": [[k, v] for k, v in self.policy_kwargs],
-            "load_fraction": repr(float(self.load_fraction)),
-            "decision_interval": repr(float(self.decision_interval)),
-            "monitor_epoch": repr(float(self.monitor_epoch)),
-            "slack_threshold": repr(float(self.slack_threshold)),
-            "horizon": repr(float(self.horizon)),
-            "seed": int(self.seed),
-            "stop_when_apps_done": bool(self.stop_when_apps_done),
-            "exploration_seed": int(self.exploration_seed),
+            codec.name: codec.key(value)
+            for codec, value in zip(_CODECS, _field_values(self))
+            if not (codec.elide and value == codec.default)
         }
-        if not self.has_default_loadgen():
+        # The one explicit special case: the loadgen axes share a single
+        # "loadgen": [shape, params] key, present when either is set.
+        shape = payload.pop("loadgen_shape", None)
+        params = payload.pop("loadgen_params", None)
+        if shape is not None or params is not None:
             payload["loadgen"] = [
-                self.loadgen_shape,
-                [[k, _canon(v)] for k, v in self.loadgen_params],
+                _CODECS_BY_NAME["loadgen_shape"].key(self.loadgen_shape),
+                _CODECS_BY_NAME["loadgen_params"].key(self.loadgen_params),
             ]
-        if self.platform != "default":
-            payload["platform"] = self.platform
         return payload
 
     def to_payload(self) -> dict:
@@ -149,63 +158,44 @@ class Scenario:
 
         This is how scenarios travel to remote workers through a job
         spool, so ``policy_kwargs`` values must themselves be
-        JSON-serializable (tuples come back as lists — registered policy
+        JSON-serializable (tuples go out as lists — registered policy
         builders must accept either).
         """
         return {
-            "service": self.service,
-            "apps": list(self.apps),
-            "policy": self.policy,
-            "policy_kwargs": [[k, v] for k, v in self.policy_kwargs],
-            "load_fraction": float(self.load_fraction),
-            "decision_interval": float(self.decision_interval),
-            "monitor_epoch": float(self.monitor_epoch),
-            "slack_threshold": float(self.slack_threshold),
-            "horizon": float(self.horizon),
-            "seed": int(self.seed),
-            "stop_when_apps_done": bool(self.stop_when_apps_done),
-            "exploration_seed": int(self.exploration_seed),
-            "loadgen_shape": self.loadgen_shape,
-            "loadgen_params": [[k, _jsonify(v)] for k, v in self.loadgen_params],
-            "platform": self.platform,
+            codec.name: codec.wire(value)
+            for codec, value in zip(_CODECS, _field_values(self))
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Scenario":
         """Rebuild a scenario from :meth:`to_payload` output.
 
-        Strict about keys: anything this version doesn't know is an
-        error, not a silent drop — a spec naming an axis we can't honor
-        must fail loudly, never run the wrong experiment.  Keys the
-        payload *omits* keep their defaults, so pre-axis payloads load.
+        Strict about keys and types: an unknown key, a missing required
+        field or a value of the wrong type is a ``ValueError`` naming the
+        field, never a silent coercion — a spec we can't honor must fail
+        loudly, never run the wrong experiment.  Keys the payload *omits*
+        keep their defaults, so pre-axis payloads load.
         """
-        unknown = set(payload) - _SCENARIO_FIELDS
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "a scenario payload must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
+        unknown = payload.keys() - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(
                 f"unknown scenario field(s): {sorted(unknown)} "
                 f"(known: {', '.join(sorted(_SCENARIO_FIELDS))})"
             )
-        return cls(
-            service=payload["service"],
-            apps=tuple(payload["apps"]),
-            policy=payload.get("policy", "pliant"),
-            policy_kwargs=tuple(
-                (k, v) for k, v in payload.get("policy_kwargs", ())
-            ),
-            load_fraction=float(payload.get("load_fraction", 0.775)),
-            decision_interval=float(payload.get("decision_interval", 1.0)),
-            monitor_epoch=float(payload.get("monitor_epoch", 0.1)),
-            slack_threshold=float(payload.get("slack_threshold", 0.10)),
-            horizon=float(payload.get("horizon", 400.0)),
-            seed=int(payload.get("seed", 0)),
-            stop_when_apps_done=bool(payload.get("stop_when_apps_done", True)),
-            exploration_seed=int(payload.get("exploration_seed", 0)),
-            loadgen_shape=payload.get("loadgen_shape", "constant"),
-            loadgen_params=tuple(
-                (k, v) for k, v in payload.get("loadgen_params", ())
-            ),
-            platform=payload.get("platform", "default"),
-        )
+        kwargs = {}
+        for codec in _CODECS:
+            if codec.name in payload:
+                kwargs[codec.name] = codec.decode(payload[codec.name])
+            elif codec.default is MISSING:
+                raise ValueError(
+                    f"scenario payload is missing required field {codec.name!r}"
+                )
+        return cls(**kwargs)
 
     def label(self) -> str:
         """Short human-readable identifier for logs and tables."""
@@ -224,6 +214,97 @@ class Scenario:
 #: Every sweepable axis name — any :class:`Scenario` field can be an
 #: :class:`~repro.experiment.ExperimentSpec` axis or payload key.
 _SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
+
+
+def _same(value):
+    return value
+
+
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _is_names(raw) -> bool:
+    return isinstance(raw, (list, tuple)) and all(
+        isinstance(item, str) for item in raw
+    )
+
+
+def _is_pairs(raw) -> bool:
+    return isinstance(raw, (list, tuple)) and all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        for pair in raw
+    )
+
+
+def _canon_pairs(pairs) -> list:
+    return [[k, _canon(v)] for k, v in pairs]
+
+
+#: Field annotation -> (key form, wire form, accepted payload values,
+#: what the error says was expected, decoded value).  Decoded tuples
+#: and pairs are frozen by ``Scenario.__post_init__``.
+_ENCODINGS: dict[str, tuple[Callable, Callable, Callable, str, Callable]] = {
+    "str": (str, str, lambda raw: isinstance(raw, str), "a string", _same),
+    "int": (int, int, _is_int, "an integer", _same),
+    "bool": (bool, bool, lambda raw: isinstance(raw, bool), "true or false", _same),
+    "float": (lambda v: repr(float(v)), float, _is_number, "a number", float),
+    "tuple[str, ...]": (list, list, _is_names, "a list of names", _same),
+    "tuple[tuple[str, object], ...]": (
+        lambda pairs: [[k, v] for k, v in pairs],
+        lambda pairs: [[k, _jsonify(v)] for k, v in pairs],
+        _is_pairs,
+        "a list of [name, value] pairs",
+        _same,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _FieldCodec:
+    """How one :class:`Scenario` field is keyed, sent and received."""
+
+    name: str
+    default: Any  # ``MISSING`` for required fields
+    elide: bool  # left out of the key while at its default
+    key: Callable[[Any], Any]
+    wire: Callable[[Any], Any]
+    accepts: Callable[[Any], bool]
+    expected: str
+    decoded: Callable[[Any], Any]
+
+    def decode(self, raw):
+        if not self.accepts(raw):
+            raise ValueError(
+                f"scenario field {self.name!r} must be {self.expected}, "
+                f"got {raw!r}"
+            )
+        return self.decoded(raw)
+
+
+def _field_codec(f: Field) -> _FieldCodec:
+    if f.type not in _ENCODINGS:
+        raise TypeError(f"Scenario.{f.name}: no payload encoding for {f.type!r}")
+    key, *rest = _ENCODINGS[f.type]
+    if f.metadata.get(CANON_VALUES):
+        key = _canon_pairs
+    elide = bool(f.metadata.get(ELIDE_AT_DEFAULT))
+    if elide and f.default is MISSING:
+        raise TypeError(f"Scenario.{f.name}: only a defaulted field can be elided")
+    return _FieldCodec(f.name, f.default, elide, key, *rest)
+
+
+#: The per-field table behind key_payload/to_payload/from_payload, built
+#: once from the dataclass: a new field joins all three automatically.
+_CODECS = tuple(_field_codec(f) for f in fields(Scenario))
+_CODECS_BY_NAME = {codec.name: codec for codec in _CODECS}
+_field_values = operator.attrgetter(*(codec.name for codec in _CODECS))
 
 
 def scenario_field_names() -> frozenset[str]:

@@ -7,7 +7,6 @@ fixture corpus exercises end to end through the CLI.
 """
 
 import ast
-import re
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.symbols import SymbolTable, summarize_module
@@ -214,21 +213,3 @@ class TestCycles:
             }
         )
         assert edge_pairs(graph) == set()
-
-
-class TestDotOutput:
-    def test_every_line_parses_as_dot(self):
-        _, graph = build(
-            {
-                "lib/a.py": "from lib.b import g\ndef f():\n    g()\n",
-                "lib/b.py": "def g():\n    pass\n",
-            }
-        )
-        lines = graph.to_dot().splitlines()
-        assert lines[0] == "digraph callgraph {"
-        assert lines[-1] == "}"
-        body_re = re.compile(
-            r'^  (rankdir=LR;|"[^"]+";|"[^"]+" -> "[^"]+"( \[[^\]]+\])?;)$'
-        )
-        for line in lines[1:-1]:
-            assert body_re.match(line), line

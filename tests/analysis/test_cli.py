@@ -42,7 +42,6 @@ def test_bad_projects_exit_nonzero(project):
     assert (
         run(
             "--no-baseline",
-            "--no-cache",
             "--root",
             str(project),
             str(project),
@@ -56,7 +55,6 @@ def test_good_projects_exit_zero(project):
     assert (
         run(
             "--no-baseline",
-            "--no-cache",
             "--root",
             str(project),
             str(project),
@@ -96,70 +94,42 @@ def test_text_format_names_rule_and_location(capsys):
 def test_list_rules(capsys):
     assert run("--list-rules") == 0
     out = capsys.readouterr().out
-    for rule_id in (
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "lease-clock",
         "no-wallclock",
         "seeded-rng",
-        "lease-clock",
         "serialization-safety",
-        "no-deprecated-imports",
         "telemetry-side-channel",
-        "transitive-wallclock",
         "transitive-rng",
-        "spec-schema-drift",
-    ):
-        assert rule_id in out
+        "transitive-wallclock",
+    ]
     # Cross-file rules are marked with the project scope, not a zone.
     assert re.search(r"transitive-wallclock\s+\[project\]", out)
 
 
 def test_text_output_renders_the_chain(capsys):
     project = FIXTURES / "project" / "bad_taint_chain"
-    run("--no-baseline", "--no-cache", "--root", str(project), str(project))
+    run("--no-baseline", "--root", str(project), str(project))
     out = capsys.readouterr().out
     assert "chain: repro.entry.simulate (repro/entry.py:7) -> " in out
 
 
-def test_json_output_reports_cache_and_timing(tmp_path, capsys):
-    project = FIXTURES / "project" / "good_schema"
-    argv = (
-        "--no-baseline",
-        "--cache",
-        str(tmp_path / "cache"),
-        "--format",
-        "json",
-        "--root",
-        str(project),
-        str(project),
+def test_json_output_reports_timing(capsys):
+    project = FIXTURES / "project" / "good_taint_pragma"
+    assert (
+        run(
+            "--no-baseline",
+            "--format",
+            "json",
+            "--root",
+            str(project),
+            str(project),
+        )
+        == 0
     )
-    assert run(*argv) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
-    assert cold["wall_time_s"] >= 0
-    assert run(*argv) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert (warm["cache_hits"], warm["cache_misses"]) == (1, 0)
-
-
-_DOT_BODY = re.compile(
-    r'^  (rankdir=LR;|"[^"]+";|"[^"]+" -> "[^"]+"( \[[^\]]+\])?;)$'
-)
-
-
-def _assert_parses_as_dot(out: str, name: str) -> list[str]:
-    lines = out.splitlines()
-    assert lines[0] == f"digraph {name} {{"
-    assert lines[-1] == "}"
-    for line in lines[1:-1]:
-        assert _DOT_BODY.match(line), line
-    return lines
-
-
-def test_graph_dot_dumps_the_call_graph(capsys):
-    project = FIXTURES / "project" / "bad_taint_chain"
-    assert run("--graph", "dot", "--root", str(project), str(project)) == 0
-    lines = _assert_parses_as_dot(capsys.readouterr().out, "callgraph")
-    assert '  "repro.entry.simulate" -> "lib.util.helper";' in lines
-    assert '  "lib.util.helper" -> "lib.deep.now";' in lines
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert payload["wall_time_s"] >= 0
 
 
 def test_zone_of(capsys):

@@ -34,9 +34,8 @@ class TestProjectCorpusContract:
             "bad_self_method",
             "bad_registry",
             "bad_import_cycle",
-            "bad_schema_drift",
         } <= set(BAD_PROJECTS)
-        assert len(GOOD_PROJECTS) >= 2
+        assert "good_taint_pragma" in GOOD_PROJECTS
 
     @pytest.mark.parametrize("name", BAD_PROJECTS)
     def test_every_bad_project_fails(self, name):
@@ -141,17 +140,3 @@ class TestCallGraphShapes:
             "lib.beta.pong (lib/beta.py:9) -> "
             "time.time (lib/beta.py:9)"
         )
-
-
-class TestSchemaDrift:
-    def test_each_drift_shape_is_named(self):
-        findings = findings_for("bad_schema_drift")
-        assert {f.rule for f in findings} == {"spec-schema-drift"}
-        assert len(findings) == 3
-        messages = " ".join(f.message for f in findings)
-        assert "'retries' is never read in key_payload()" in messages
-        assert "'tag' never appears as a payload key in from_payload()" in messages
-        assert "compares against 'stable'" in messages
-
-    def test_consistent_payload_class_is_clean(self):
-        assert findings_for("good_schema") == []

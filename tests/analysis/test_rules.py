@@ -42,9 +42,9 @@ class TestFixtureContract:
             "bad_rng.py",
             "bad_lease_clock.py",
             "bad_serialization.py",
-            "bad_imports.py",
+            "bad_telemetry.py",
         } <= names
-        assert len([n for n in names if n.startswith("good_")]) >= 6
+        assert len([n for n in names if n.startswith("good_")]) >= 5
 
     @pytest.mark.parametrize(
         "zone_name,name",
@@ -131,20 +131,6 @@ class TestSerializationSafety:
         for zone in Zone:
             findings = analyze_source(source, "m.py", zone=zone)
             assert [f.rule for f in findings] == ["serialization-safety"], zone
-
-
-class TestDeprecatedImports:
-    def test_flags_every_import_form(self):
-        findings = analyze_fixture("deterministic", "bad_imports.py")
-        assert rule_ids(findings) == {"no-deprecated-imports"}
-        assert len(findings) == 3
-
-    def test_shim_package_is_exempt(self):
-        source = "from repro.search import frontier\nimport repro.exploration\n"
-        findings = analyze_source(
-            source, "src/repro/exploration/__init__.py"
-        )
-        assert findings == []
 
 
 class TestPragmas:
@@ -250,16 +236,14 @@ class TestPragmas:
 
 
 class TestRegistry:
-    def test_six_builtin_rules_registered(self):
+    def test_five_builtin_per_file_rules_registered(self):
         assert set(registered_rules()) >= {
             "no-wallclock",
             "seeded-rng",
             "lease-clock",
             "serialization-safety",
-            "no-deprecated-imports",
             "telemetry-side-channel",
         }
-        assert len(registered_rules()) >= 6
 
     def test_duplicate_registration_refused(self):
         class Dup(Rule):

@@ -25,15 +25,18 @@ def repo_report():
     return analyze_paths(roots, root=REPO_ROOT)
 
 
-def test_at_least_nine_rules_ship(repo_report):
-    # Six per-file rules plus the three project-scoped (interprocedural)
-    # rules: transitive-wallclock/-rng, spec-schema-drift.
-    assert len(registered_rules()) >= 9
-    assert {
+def test_exactly_the_seven_rules_ship(repo_report):
+    # Five per-file rules plus the two project-scoped (interprocedural)
+    # determinism-taint rules.
+    assert set(registered_rules()) == {
+        "no-wallclock",
+        "seeded-rng",
+        "lease-clock",
+        "serialization-safety",
+        "telemetry-side-channel",
         "transitive-wallclock",
         "transitive-rng",
-        "spec-schema-drift",
-    } <= set(registered_rules())
+    }
 
 
 def test_repo_is_clean_modulo_baseline(repo_report):

@@ -9,7 +9,6 @@ import ast
 
 from repro.analysis.symbols import (
     MODULE_BODY,
-    ModuleSummary,
     SymbolTable,
     module_name,
     summarize_module,
@@ -50,8 +49,6 @@ class TestExportsAndImports:
         )
         assert summary.exports["fn"] == "pkg.sub.other.fn"
         assert summary.exports["g"] == "pkg.top.g"
-        assert "pkg.sub.other" in summary.imported_modules
-        assert "pkg.top" in summary.imported_modules
 
     def test_zone_comes_from_the_relpath(self):
         assert summarize("x = 1\n", "repro/core/x.py").zone == "deterministic"
@@ -164,30 +161,6 @@ class TestRegistrations:
             "build",
         )
         assert summary.functions["dispatch"].registry_reads == ("policy",)
-
-
-class TestPayloadRoundTrip:
-    def test_summary_survives_to_payload_from_payload(self):
-        summary = summarize(
-            "import threading\n"
-            "import time\n"
-            "from lib.util import helper as h\n"
-            "LOCK = threading.Lock()\n"
-            "class Spec:\n"
-            "    name: str\n"
-            "    def key_payload(self):\n"
-            "        return {'name': self.name}\n"
-            "    def to_payload(self):\n"
-            "        return {'name': self.name}\n"
-            "    def from_payload(self, payload):\n"
-            "        return Spec(payload['name'])\n"
-            "def f():\n"
-            "    with LOCK:\n"
-            "        return h() + time.time()\n",
-            relpath="pkg/mod.py",
-        )
-        clone = ModuleSummary.from_payload(summary.to_payload())
-        assert clone == summary
 
 
 class TestSymbolTableResolve:

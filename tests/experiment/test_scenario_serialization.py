@@ -9,11 +9,13 @@ restore default-elision for the new axis or consciously accept a
 cache-wide invalidation (and say so in the commit).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.sweep import Scenario, SweepCache, stable_hash
+from repro.sweep.grid import ELIDE_AT_DEFAULT
 
 RICH = Scenario(
     service="memcached",
@@ -129,3 +131,89 @@ class TestGoldenCacheKeySchema:
         cache = SweepCache(tmp_path)
         base = Scenario(service="memcached", apps=("canneal",), seed=2)
         assert cache.key(base) != cache.key(RICH)
+
+
+def _payload_with(**changes):
+    payload = Scenario(service="memcached", apps=("canneal",)).to_payload()
+    payload.update(changes)
+    return payload
+
+
+_WITHOUT_SERVICE = _payload_with()
+del _WITHOUT_SERVICE["service"]
+
+
+class TestMalformedPayloads:
+    """A malformed spool payload fails naming the field; it never runs
+    a coerced, different experiment."""
+
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            pytest.param(_payload_with(apps="canneal"), "'apps'", id="apps-string"),
+            pytest.param(
+                _payload_with(stop_when_apps_done="false"),
+                "'stop_when_apps_done'",
+                id="bool-string",
+            ),
+            pytest.param(_payload_with(seed=2.7), "'seed'", id="fractional-seed"),
+            pytest.param(_WITHOUT_SERVICE, "'service'", id="missing-service"),
+            pytest.param(["service", "memcached"], "JSON object", id="not-a-dict"),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, payload, named):
+        with pytest.raises(ValueError, match=named):
+            Scenario.from_payload(payload)
+
+
+BASE = Scenario(service="memcached", apps=("canneal",))
+
+#: One non-default value per Scenario field.  A field added to Scenario
+#: must add a sample here, or every test below fails for it.
+FIELD_SAMPLES = {
+    "service": "mongodb",
+    "apps": ("kmeans", "snp"),
+    "policy": "precise",
+    "policy_kwargs": (("slack_threshold", 0.2),),
+    "load_fraction": 0.6,
+    "decision_interval": 2.0,
+    "monitor_epoch": 0.05,
+    "slack_threshold": 0.07,
+    "horizon": 60.0,
+    "seed": 9,
+    "stop_when_apps_done": False,
+    "exploration_seed": 3,
+    "loadgen_shape": "step",
+    "loadgen_params": (("high", 0.9),),
+    "platform": "half-llc",
+}
+
+
+def _varied(field) -> Scenario:
+    assert field.name in FIELD_SAMPLES, (
+        f"add a non-default sample for Scenario.{field.name} to FIELD_SAMPLES"
+    )
+    sample = FIELD_SAMPLES[field.name]
+    assert sample != getattr(BASE, field.name)
+    return dataclasses.replace(BASE, **{field.name: sample})
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(Scenario), ids=lambda field: field.name
+)
+class TestEveryFieldIsInThePayloads:
+    """What the spec-schema-drift lint rule used to check, per field."""
+
+    def test_setting_it_changes_the_cache_key(self, field, tmp_path):
+        cache = SweepCache(tmp_path)
+        assert cache.key(_varied(field)) != cache.key(BASE)
+
+    def test_it_survives_a_json_round_trip(self, field):
+        varied = _varied(field)
+        clone = Scenario.from_payload(json.loads(json.dumps(varied.to_payload())))
+        assert getattr(clone, field.name) == getattr(varied, field.name)
+        assert clone == varied
+
+    def test_elided_at_default_exactly_when_marked(self, field):
+        elided = field.metadata.get(ELIDE_AT_DEFAULT, False)
+        assert (field.name not in BASE.key_payload()) == elided

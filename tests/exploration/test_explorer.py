@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.apps import make_app
-from repro.exploration import DesignSpaceExplorer
+from repro.search.variants import DesignSpaceExplorer
 
 
 @pytest.fixture()
@@ -24,7 +24,7 @@ class TestExplore:
         assert all(v.inaccuracy_pct <= 5.0 for v in result.selected)
 
     def test_all_variants_measured(self, explorer, kmeans_app):
-        from repro.exploration.space import enumerate_variants
+        from repro.search.variants import enumerate_variants
 
         result = explorer.explore()
         assert len(result.all_variants) == len(enumerate_variants(kmeans_app))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.base import MeasuredVariant, VariantSpec
-from repro.exploration.pareto import ApproxLadder, pareto_select
+from repro.search.ladder import ApproxLadder, pareto_select
 
 
 def mv(inacc, tf, rate=1.0, name="app", knob="k", value=None):

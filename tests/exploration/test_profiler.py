@@ -1,7 +1,7 @@
 """gprof-style work profiler."""
 
 from repro.apps import make_app
-from repro.exploration.profiler import WorkProfiler
+from repro.search.profiler import WorkProfiler
 
 
 class TestProfile:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import make_app
-from repro.exploration.space import MAX_VARIANTS, enumerate_variants
+from repro.search.variants import MAX_VARIANTS, enumerate_variants
 
 
 class TestEnumeration:

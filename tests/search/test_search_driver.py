@@ -184,26 +184,3 @@ class TestQuality:
         assert any(o.scenario.horizon < 10.0 for o in searched)
         assert searched.best_scenario.horizon == 10.0
         assert all(o.scenario.horizon == 10.0 for o in searched.frontier())
-
-
-class TestDeprecatedFront:
-    def test_importing_repro_exploration_warns(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.exploration", None)
-        with pytest.warns(DeprecationWarning, match="repro.search"):
-            importlib.import_module("repro.exploration")
-
-    def test_shim_exports_the_same_objects(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.exploration as old
-        import repro.search as new
-
-        assert old.DesignSpaceExplorer is new.DesignSpaceExplorer
-        assert old.ApproxLadder is new.ApproxLadder
-        assert old.pareto_select is new.pareto_select
-        assert old.WorkProfiler is new.WorkProfiler

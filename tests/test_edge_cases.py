@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.monitor import PerformanceMonitor
 from repro.core.arbiter import AppView, ImpactAwareArbiter
-from repro.exploration.explorer import default_cache_dir
+from repro.search.variants import default_cache_dir
 
 
 class TestMonitorColdStart:
