@@ -130,28 +130,41 @@ def _horizontal_gap_closure(candidate: np.ndarray, gap: float) -> np.ndarray:
     """Vectorized closure of ``cur[j] = max(cand[j], max_k<=j cand[k]+(j-k)*gap)``.
 
     Uses the classic transform t[k] = cand[k] - k*gap, whose running maximum
-    turns the chained-gap recurrence into one ``maximum.accumulate``.
+    turns the chained-gap recurrence into one ``maximum.accumulate``.  Works
+    along the last axis, so a ``(rows, m)`` stack closes every row at once.
     """
-    positions = np.arange(len(candidate), dtype=np.float64)
+    positions = np.arange(candidate.shape[-1], dtype=np.float64)
     shifted = candidate - positions * gap
-    return np.maximum.accumulate(shifted) + positions * gap
+    return np.maximum.accumulate(shifted, axis=-1) + positions * gap
+
+
+def smith_waterman_scores(a: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Local alignment scores (no traceback) of ``a`` against each row of
+    the ``(count, m)`` stack ``windows``.
+
+    One row-vectorized recurrence step per symbol of ``a`` advances every
+    window at once; each window's score is exactly the one it would get
+    on its own.
+    """
+    count, m = windows.shape
+    previous = np.zeros((count, m + 1))
+    best = np.zeros(count)
+    candidate = np.zeros((count, m + 1))
+    for symbol in a:
+        match = np.where(windows == symbol, MATCH_SCORE, MISMATCH_SCORE)
+        np.maximum(
+            previous[:, :-1] + match, previous[:, 1:] + GAP_PENALTY, out=candidate[:, 1:]
+        )
+        np.maximum(candidate, 0.0, out=candidate)
+        current = np.maximum(_horizontal_gap_closure(candidate, GAP_PENALTY), 0.0)
+        np.maximum(best, current.max(axis=1), out=best)
+        previous = current
+    return best
 
 
 def smith_waterman_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Local alignment score (no traceback), row-vectorized."""
-    m = len(b)
-    previous = np.zeros(m + 1)
-    best = 0.0
-    for i in range(1, len(a) + 1):
-        match = np.where(b == a[i - 1], MATCH_SCORE, MISMATCH_SCORE)
-        candidate = np.empty(m + 1)
-        candidate[0] = 0.0
-        candidate[1:] = np.maximum(previous[:-1] + match, previous[1:] + GAP_PENALTY)
-        np.maximum(candidate, 0.0, out=candidate)
-        current = np.maximum(_horizontal_gap_closure(candidate, GAP_PENALTY), 0.0)
-        best = max(best, float(current.max()))
-        previous = current
-    return best
+    """Local alignment score (no traceback) of ``a`` against ``b``."""
+    return float(smith_waterman_scores(a, b[np.newaxis])[0])
 
 
 def encode_kmers(sequence: np.ndarray, k: int, alphabet: int = DNA_ALPHABET) -> np.ndarray:

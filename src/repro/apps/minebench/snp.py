@@ -102,11 +102,12 @@ class Snp(ApproximableApp):
         kept = perforated_indices(len(i_idx), keep_pairs)
         i_k, j_k = i_idx[kept], j_idx[kept]
 
-        a = genotypes[i_k]
-        b = genotypes[j_k]
-        p_a = a.mean(axis=1)
-        p_b = b.mean(axis=1)
-        p_ab = (a * b).mean(axis=1)
+        # Genotypes are 0/1, so every count below is an exact integer and
+        # dividing it by the count of individuals is exactly ``mean``.
+        frequency = genotypes.mean(axis=1)
+        p_a = frequency[i_k]
+        p_b = frequency[j_k]
+        p_ab = (genotypes @ genotypes.T)[i_k, j_k] / _N_INDIVIDUALS
         if elide_locks:
             # Lost increments under racy accumulation: each pair's joint
             # count is computed from a slightly depleted tally.

@@ -90,13 +90,20 @@ class Canneal(ApproximableApp):
         lock_bytes = 0.0 if elide_locks else _N_ELEMENTS * 8.0
         counters.note_footprint(x.nbytes + y.nbytes + nets.nbytes + lock_bytes)
 
+        # The move loop reads a handful of coordinates per move, so it runs
+        # on Python lists; coordinates are integer-valued, so every cost is
+        # an exact sum.  The refresh scans every net endpoint in numpy.
+        xs, ys, peers = x.tolist(), y.tolist(), nets.tolist()
+
         def element_cost(idx: int) -> float:
-            peers = nets[idx]
-            return float(
-                np.abs(x[idx] - x[peers]).sum() + np.abs(y[idx] - y[peers]).sum()
-            )
+            xi, yi = xs[idx], ys[idx]
+            cost = 0.0
+            for peer in peers[idx]:
+                cost += abs(xi - xs[peer]) + abs(yi - ys[peer])
+            return cost
 
         def total_cost() -> float:
+            x, y = np.array(xs), np.array(ys)
             return float(
                 np.abs(x[nets] - x[:, None]).sum() + np.abs(y[nets] - y[:, None]).sum()
             )
@@ -115,7 +122,7 @@ class Canneal(ApproximableApp):
                 temperature *= 0.80
             if step not in kept:
                 continue
-            a, b = rng.integers(0, _N_ELEMENTS, size=2)
+            a, b = rng.integers(0, _N_ELEMENTS, size=2).tolist()
             if a == b:
                 counters.add(work=_MOVE_WORK * 0.2)
                 continue
@@ -125,8 +132,8 @@ class Canneal(ApproximableApp):
                 before *= 1.0 + rng.normal(0.0, 0.05)
             else:
                 counters.add(work=_LOCK_WORK, traffic=_LOCK_TRAFFIC)
-            x[a], x[b] = x[b], x[a]
-            y[a], y[b] = y[b], y[a]
+            xs[a], xs[b] = xs[b], xs[a]
+            ys[a], ys[b] = ys[b], ys[a]
             after = element_cost(a) + element_cost(b)
             counters.add(work=_MOVE_WORK, traffic=_MOVE_TRAFFIC)
             delta = after - before
@@ -134,8 +141,8 @@ class Canneal(ApproximableApp):
                 -delta / max(temperature, 1e-9)
             )
             if not accept:
-                x[a], x[b] = x[b], x[a]
-                y[a], y[b] = y[b], y[a]
+                xs[a], xs[b] = xs[b], xs[a]
+                ys[a], ys[b] = ys[b], ys[a]
         return total_cost()
 
     def quality_loss(self, precise_output: float, approx_output: float) -> float:

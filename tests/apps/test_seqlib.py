@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.apps.bioperf._seqlib import (
+    GAP_PENALTY,
     GAP_SYMBOL,
+    MATCH_SCORE,
+    MISMATCH_SCORE,
+    PROTEIN_ALPHABET,
     _horizontal_gap_closure,
     encode_kmers,
     mutate_sequence,
@@ -13,6 +17,7 @@ from repro.apps.bioperf._seqlib import (
     random_sequence,
     sequence_family,
     smith_waterman_score,
+    smith_waterman_scores,
     sum_of_pairs_score,
 )
 from repro.rng import generator
@@ -102,6 +107,78 @@ class TestGapClosure:
         for j in range(1, len(slow)):
             slow[j] = max(slow[j], slow[j - 1] + gap)
         assert np.allclose(fast, slow)
+
+
+def _naive_smith_waterman(a, b) -> float:
+    """The textbook cell-by-cell local-alignment recurrence."""
+    previous = [0.0] * (len(b) + 1)
+    best = 0.0
+    for symbol in a:
+        current = [0.0]
+        for j, other in enumerate(b, start=1):
+            match = MATCH_SCORE if symbol == other else MISMATCH_SCORE
+            current.append(
+                max(
+                    0.0,
+                    previous[j - 1] + match,
+                    previous[j] + GAP_PENALTY,
+                    current[j - 1] + GAP_PENALTY,
+                )
+            )
+        best = max(best, *current)
+        previous = current
+    return best
+
+
+class TestSmithWatermanBatch:
+    @pytest.mark.parametrize(
+        "alphabet, count, query_len, window_len",
+        [
+            (4, 12, 48, 56),
+            (4, 1, 30, 40),  # a batch of one
+            (4, 9, 40, 17),  # windows shorter than the query
+            (PROTEIN_ALPHABET, 7, 25, 33),
+            (PROTEIN_ALPHABET, 5, 20, 6),
+        ],
+    )
+    def test_batch_equals_one_at_a_time(self, alphabet, count, query_len, window_len):
+        rng = generator(14 + count + window_len)
+        query = random_sequence(rng, query_len, alphabet)
+        windows = np.stack(
+            [
+                mutate_sequence(rng, random_sequence(rng, window_len, alphabet), 0.3,
+                                alphabet=alphabet)
+                for _ in range(count)
+            ]
+        )
+        windows[0, : min(10, window_len)] = query[: min(10, window_len)]
+        batch = smith_waterman_scores(query, windows)
+        assert batch.shape == (count,)
+        assert batch.tolist() == [smith_waterman_score(query, w) for w in windows]
+        assert batch.tolist() == [_naive_smith_waterman(query, w) for w in windows]
+
+    def test_empty_batch(self):
+        query = random_sequence(generator(15), 10)
+        assert smith_waterman_scores(query, np.empty((0, 8), dtype=np.int64)).shape == (0,)
+
+
+class TestGapClosureRows:
+    def test_rows_match_naive_recurrence_exactly(self):
+        rng = generator(16)
+        candidate = rng.integers(-20, 20, size=(6, 40)).astype(np.float64)
+        closed = _horizontal_gap_closure(candidate, GAP_PENALTY)
+        for row, got in zip(candidate, closed):
+            slow = row.copy()
+            for j in range(1, len(slow)):
+                slow[j] = max(slow[j], slow[j - 1] + GAP_PENALTY)
+            assert got.tolist() == slow.tolist()
+
+    def test_rows_match_one_dimensional_calls(self):
+        rng = generator(17)
+        candidate = rng.integers(-20, 20, size=(4, 25)).astype(np.float64)
+        closed = _horizontal_gap_closure(candidate, GAP_PENALTY)
+        for row, got in zip(candidate, closed):
+            assert got.tolist() == _horizontal_gap_closure(row, GAP_PENALTY).tolist()
 
 
 class TestKmers:
