@@ -32,13 +32,16 @@ search-smoke:
 bench-figs:
 	$(PY) -m pytest benchmarks -m benchmark -q
 
-## Repo benchmark on the two epoch-loop workloads (see BENCHMARK.json);
-## prints each workload's end-to-end table and checks every result
-## against the pinned digests.  The first run in a checkout explores all
-## ladders into .perfbench_state/ (~1 min).
+## Repo benchmark on all four workloads of BENCHMARK.json: the two
+## epoch-loop workloads, the warm-cache replay and cold ladder
+## exploration.  Prints each workload's end-to-end table and checks every
+## result against the pinned digests.  The first run in a checkout
+## explores all ladders into .perfbench_state/ (~40 s).
 perfbench:
 	python3 perfbench/run.py --workload fig5-constant
 	python3 perfbench/run.py --workload diurnal-multiapp
+	python3 perfbench/run.py --workload warm-replay
+	python3 perfbench/run.py --workload explore-cold
 
 ## Trajectory hygiene: BENCH_sweep.json parses and is monotone-appended.
 bench-check:

@@ -5,9 +5,9 @@ app's approximation-knob grid, measure quality/time/contention for every
 variant, and prune to the near-frontier ladder the runtime climbs.
 Exploration "only needs to happen once, unless the application design
 changes" (Section 4.1), so results are cached on disk keyed by the app
-name, seed, knob grid and quality threshold — the same
-content-addressed-resume idea the scenario-space strategies get from
-:class:`~repro.sweep.cache.SweepCache`.
+name, seed, knob grid, quality threshold and a fingerprint of the code
+that measures them — the same content-addressed-resume idea the
+scenario-space strategies get from :class:`~repro.sweep.cache.SweepCache`.
 """
 
 from __future__ import annotations
@@ -16,19 +16,36 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from repro.apps.base import ApproximableApp, MeasuredVariant, VariantSpec
 from repro.apps.knobs import Knob
-from repro.cas import atomic_write_bytes, stable_hash
+from repro.cas import atomic_write_bytes, source_digest, stable_hash
 from repro.search.ladder import ApproxLadder, pareto_select
 from repro.search.profiler import WorkProfiler
+from repro.telemetry import get_recorder
 
 _CACHE_ENV = "REPRO_EXPLORATION_CACHE"
 
 #: Upper bound on enumerated variants per app; grids beyond this are
 #: subsampled deterministically (every k-th combination).
 MAX_VARIANTS = 96
+
+#: The code a measured variant is a function of, below the ``repro``
+#: package: the kernels and their counters (``units`` sizes footprints),
+#: this exploration code, and the per-app seeding.
+LADDER_SOURCES = ("apps", "search", "rng.py", "units.py")
+
+
+@lru_cache(maxsize=1)
+def ladder_code_fingerprint() -> str:
+    """Digest of :data:`LADDER_SOURCES`, computed once per process.
+
+    Folded into every ladder cache key, so an edited kernel never serves
+    a ladder measured by the code before the edit.
+    """
+    return source_digest(Path(__file__).resolve().parent.parent, LADDER_SOURCES)
 
 
 def default_cache_dir() -> Path:
@@ -118,6 +135,7 @@ class DesignSpaceExplorer:
         key = (
             f"{self._app.name}-s{self._seed}-q{self._max_inaccuracy}"
             f"-p{int(self._use_profiler)}-{self._grid_fingerprint()}"
+            f"-c{ladder_code_fingerprint()}"
         )
         return self._cache_dir / f"{key}.json"
 
@@ -129,15 +147,20 @@ class DesignSpaceExplorer:
         Corrupted cache entries (truncated writes, foreign payloads) are
         deleted and remeasured instead of crashing the run.
         """
-        path = self._cache_path()
-        variants = None
-        if not force and path.exists():
-            variants = _load_variants(path, self._app.name)
-        if variants is None:
-            variants = self._measure_all()
-            _store_variants(path, variants)
-        selected = pareto_select(variants, self._max_inaccuracy)
-        ladder = ApproxLadder.from_selection(self._app.precise_variant(), selected)
+        telemetry = get_recorder()
+        with telemetry.span("search.explore", cat="search", app=self._app.name):
+            path = self._cache_path()
+            variants = None
+            if not force and path.exists():
+                variants = _load_variants(path, self._app.name)
+            if variants is None:
+                telemetry.count("search.ladder_cache.miss")
+                variants = self._measure_all()
+                _store_variants(path, variants)
+            else:
+                telemetry.count("search.ladder_cache.hit")
+            selected = pareto_select(variants, self._max_inaccuracy)
+            ladder = ApproxLadder.from_selection(self._app.precise_variant(), selected)
         return ExplorationResult(
             app_name=self._app.name,
             all_variants=variants,

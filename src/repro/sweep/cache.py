@@ -23,7 +23,6 @@ touch the entry mtime, so recently-used results survive a prune.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 import pickle
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from repro.cas import atomic_write_bytes, stable_hash
+from repro.cas import atomic_write_bytes, source_digest, stable_hash
 
 __all__ = [
     "FORMAT_VERSION",
@@ -67,12 +66,7 @@ def code_fingerprint() -> str:
     """
     import repro
 
-    package_root = Path(repro.__file__).parent
-    digest = hashlib.sha256()
-    for source in sorted(package_root.rglob("*.py")):
-        digest.update(str(source.relative_to(package_root)).encode())
-        digest.update(source.read_bytes())
-    return digest.hexdigest()[:16]
+    return source_digest(Path(repro.__file__).parent)
 
 
 @dataclass(frozen=True)
