@@ -36,7 +36,7 @@ bench-figs:
 ## epoch-loop workloads, the warm-cache replay and cold ladder
 ## exploration.  Prints each workload's end-to-end table and checks every
 ## result against the pinned digests.  The first run in a checkout
-## explores all ladders into .perfbench_state/ (~40 s).
+## explores all ladders into .perfbench_state/ (~45 s).
 perfbench:
 	python3 perfbench/run.py --workload fig5-constant
 	python3 perfbench/run.py --workload diurnal-multiapp
