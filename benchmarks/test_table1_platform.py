@@ -8,6 +8,7 @@ computation the whole runtime is built on).
 from repro import units
 from repro.config import PlatformSpec
 from repro.server import InterferenceModel, ResourceProfile
+from repro.server.interference import contribution
 from repro.server.platform import default_platform
 from repro.viz import format_table
 
@@ -37,7 +38,7 @@ def test_table1_platform(benchmark, capsys):
     model = InterferenceModel(default_platform())
     victim = ResourceProfile(llc_footprint_bytes=units.mb(24), llc_intensity=0.9)
     aggressors = [
-        (ResourceProfile(llc_footprint_bytes=units.mb(50), llc_intensity=0.8), 8)
+        contribution(ResourceProfile(llc_footprint_bytes=units.mb(50), llc_intensity=0.8), 8)
     ]
 
     benchmark(model.pressure_on, victim, 8, aggressors)

@@ -17,13 +17,18 @@ Each epoch the engine:
    overhead (when instrumented) and the contention it suffers itself.
 
 Contention is recomputed only when one of its inputs changes.  Each
-ladder level's resource profile is built once, with the engine; the
-service profile, the pressure on every tenant and the apps' slowdowns
-are cached and recomputed only after the offered QPS changes, a level
-switch, a core move, or an app finishing.  A finish invalidates at once,
-so apps advanced later in the same epoch already see the finished app
-idle.  Between those events nothing on the node changes, so the cached
-values are exactly the ones a fresh computation would return.
+ladder level's resource profile, time factor and inaccuracy are built
+once, with the engine.  Each tenant keeps its own contribution to the
+shared resources, refreshed only when its profile or cores change.  The
+pressure on the service and each app's execution time (Amdahl x time
+factor x instrumentation x contention slowdown) are cached until the
+offered QPS changes, a level switch, a core move, or an app finishing.
+A QPS change rebuilds only the service's profile and contribution; the
+pressure queries that follow re-add the cached contributions of the
+others.  A finish invalidates at once, so apps advanced later in the same
+epoch already see the finished app idle.  Between those events nothing
+on the node changes, so the cached values are exactly the ones a fresh
+computation would return.
 
 An application's final output quality is the progress-weighted mix of the
 inaccuracies of the variants it actually executed — running half the span
@@ -103,6 +108,8 @@ class AppSim:
     instrumentation_factor: float = 1.0
     #: Per-level constants, built once from the ladder.
     level_profiles: tuple[ResourceProfile, ...] = field(init=False, repr=False)
+    level_time_factors: tuple[float, ...] = field(init=False, repr=False)
+    level_inaccuracies: tuple[float, ...] = field(init=False, repr=False)
     level_elides: tuple[bool, ...] = field(init=False, repr=False)
     #: Amdahl term at the tenant's nominal (fair-share) core count.
     amdahl_nominal: float = field(init=False, repr=False)
@@ -110,6 +117,8 @@ class AppSim:
     def __post_init__(self) -> None:
         base = self.app.metadata.profile
         self.level_profiles = tuple(v.scaled_profile(base) for v in self.ladder.levels)
+        self.level_time_factors = tuple(v.time_factor for v in self.ladder.levels)
+        self.level_inaccuracies = tuple(v.inaccuracy_pct for v in self.ladder.levels)
         self.level_elides = tuple(
             any(value is True for value in v.spec.values()) for v in self.ladder.levels
         )
@@ -120,16 +129,10 @@ class AppSim:
     def name(self) -> str:
         return self.app.name
 
-    def variant(self):
-        return self.ladder.variant(self.level)
-
     def active_profile(self) -> ResourceProfile:
         if self.finished:
             return _IDLE_PROFILE
         return self.level_profiles[self.level]
-
-    def uses_elision(self) -> bool:
-        return self.level_elides[self.level]
 
 
 @dataclass
@@ -342,7 +345,7 @@ class ColocationEngine:
         self._physics_qps = 0.0
         self._service_pressure: PressureBreakdown | None = None
         self._raw_inflation = 1.0
-        self._slowdowns: dict[str, float] = {}
+        self._exec_times: dict[str, float] = {}
 
     # -- facade used by the actuator -------------------------------------
 
@@ -368,9 +371,7 @@ class ColocationEngine:
             max_level=sim.ladder.max_level,
             cores=sim.tenant.cores,
             nominal_cores=sim.tenant.nominal_cores,
-            level_inaccuracies=tuple(
-                v.inaccuracy_pct for v in sim.ladder.levels
-            ),
+            level_inaccuracies=sim.level_inaccuracies,
             level_traffic_rates=tuple(
                 v.traffic_rate_factor for v in sim.ladder.levels
             ),
@@ -413,8 +414,7 @@ class ColocationEngine:
         app_levels: dict[str, list[int]] = {n: [] for n in self._apps}
         app_cores: dict[str, list[int]] = {n: [] for n in self._apps}
         intervals: list[IntervalRecord] = []
-        min_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
-        max_reclaimed = {n: 0 for n in self._apps}
+        start_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
 
         # Phase timings (monitor epochs vs. policy decisions vs. actuator
         # work) are the profile that justifies the tensorization refactor.
@@ -433,11 +433,6 @@ class ColocationEngine:
             self._step_epoch(epoch_index, times, p99s, service_cores, app_levels, app_cores)
             if instrumented:
                 monitor_spent += telemetry.now() - tick
-            for name, sim in self._apps.items():
-                min_cores[name] = min(min_cores[name], sim.tenant.cores)
-                max_reclaimed[name] = max(
-                    max_reclaimed[name], sim.tenant.reclaimed_cores
-                )
             epoch_index += 1
             if epoch_index % epochs_per_interval == 0:
                 if instrumented:
@@ -461,6 +456,9 @@ class ColocationEngine:
             ):
                 break
 
+        # Every epoch records each app's cores after it ran, so the fewest
+        # cores an app held is the least of those and its start allocation.
+        min_cores = {n: min([start_cores[n], *app_cores[n]]) for n in self._apps}
         outcomes = [
             AppOutcome(
                 name=name,
@@ -470,7 +468,7 @@ class ColocationEngine:
                     sim.instrumentor.switches if sim.instrumentor is not None else 0
                 ),
                 min_cores=min_cores[name],
-                max_reclaimed=max_reclaimed[name],
+                max_reclaimed=max(0, sim.tenant.nominal_cores - min_cores[name]),
                 level_trace=list(sim.level_trace),
             )
             for name, sim in self._apps.items()
@@ -494,7 +492,7 @@ class ColocationEngine:
     def _invalidate(self) -> None:
         """Drop cached contention: a tenant's profile or cores changed."""
         self._dirty = True
-        self._slowdowns.clear()
+        self._exec_times.clear()
 
     def _step_epoch(
         self,
@@ -511,7 +509,7 @@ class ColocationEngine:
         svc_cores = self._service_tenant.cores
         if self._dirty or qps != self._physics_qps:
             self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-            self._slowdowns.clear()
+            self._exec_times.clear()
             self._service_pressure = self._node.pressure_on(self._service.name)
             self._raw_inflation = self._service.sensitivity.inflation(
                 self._service_pressure
@@ -560,26 +558,25 @@ class ColocationEngine:
             dt -= consumed
             if dt <= 0:
                 return
-        metadata = sim.app.metadata
-        variant = sim.variant()
-        p = metadata.parallel_fraction
-        amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
-        exec_time = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
-        exec_time *= variant.time_factor
-        exec_time *= sim.instrumentation_factor
-        slowdown = self._slowdowns.get(sim.name)
-        if slowdown is None:
+        level = sim.level
+        exec_time = self._exec_times.get(sim.name)
+        if exec_time is None:
+            metadata = sim.app.metadata
+            p = metadata.parallel_fraction
+            amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
+            exec_time = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
+            exec_time *= sim.level_time_factors[level]
+            exec_time *= sim.instrumentation_factor
             pressure = self._node.pressure_on(sim.name)
-            slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
+            exec_time *= 1.0 + _APP_PRESSURE_SENSITIVITY * (
                 0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
             )
-            self._slowdowns[sim.name] = slowdown
-        exec_time *= slowdown
+            self._exec_times[sim.name] = exec_time
         dp = dt / exec_time
         dp = min(dp, 1.0 - sim.progress)
         sim.progress += dp
-        sim.inaccuracy_integral += dp * variant.inaccuracy_pct
-        if sim.uses_elision():
+        sim.inaccuracy_integral += dp * sim.level_inaccuracies[level]
+        if sim.level_elides[level]:
             sim.elided_progress += dp
         if sim.progress >= 1.0 - 1e-12:
             sim.finished = True

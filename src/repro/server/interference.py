@@ -27,12 +27,17 @@ Pressures are *marginal*: the victim's own contribution is subtracted,
 because each service's latency curve is calibrated against isolation runs.
 Core contention is absent by construction — tenants are pinned to disjoint
 physical cores, as in the paper.
+
+Each tenant's :class:`Contribution` to the four shared resources is built
+once per change of its profile or cores (:func:`contribution`), so a
+pressure query only sums the aggressors' contributions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro.server.platform import Platform
 from repro.server.resources import ResourceProfile
@@ -45,9 +50,13 @@ _REFERENCE_CORES = 8
 _OVERLOAD_KNEE = 0.60
 
 
-@dataclass(frozen=True)
-class PressureBreakdown:
-    """Per-resource marginal contention pressure felt by one tenant."""
+class PressureBreakdown(NamedTuple):
+    """Per-resource marginal contention pressure felt by one tenant.
+
+    Immutable, so one breakdown can be cached and shared until the node
+    changes; a named tuple is also several times cheaper to build than a
+    frozen dataclass, which matters on the per-epoch path.
+    """
 
     llc: float = 0.0
     membw_linear: float = 0.0
@@ -73,51 +82,76 @@ def _overload(utilization: float, knee: float = _OVERLOAD_KNEE) -> float:
     return ((utilization - knee) / (1.0 - knee)) ** 2
 
 
+class Contribution(NamedTuple):
+    """What one tenant puts on the shared resources.
+
+    ``llc_demand`` is the tenant's cache-pollution rate in bytes (footprint
+    x access intensity, scaled by the square root of its cores relative to
+    :data:`_REFERENCE_CORES`); the others are bytes/s.  An idle tenant
+    (no cores) contributes nothing.
+    """
+
+    llc_demand: float
+    membw: float
+    disk_bw: float
+    network_bw: float
+
+
+_IDLE = Contribution(0.0, 0.0, 0.0, 0.0)
+
+
+def contribution(profile: ResourceProfile, cores: int) -> Contribution:
+    """The contention ``profile`` running on ``cores`` cores adds."""
+    if cores <= 0:
+        return _IDLE
+    rate_scale = math.sqrt(cores / _REFERENCE_CORES)
+    return Contribution(
+        llc_demand=profile.llc_footprint_bytes * profile.llc_intensity * rate_scale,
+        membw=profile.total_membw(cores),
+        disk_bw=profile.disk_bw,
+        network_bw=profile.network_bw,
+    )
+
+
 class InterferenceModel:
     """Computes contention pressures for tenants sharing a platform."""
 
     def __init__(self, platform: Platform) -> None:
-        self._platform = platform
-
-    def llc_pollution(self, aggressors: list[tuple[ResourceProfile, int]]) -> float:
-        """Aggregate cache-pollution rate of ``aggressors`` (fraction of LLC)."""
-        llc = self._platform.llc_bytes
-        if llc <= 0:
-            return 0.0
-        demand = 0.0
-        for profile, cores in aggressors:
-            if cores <= 0:
-                continue
-            rate_scale = math.sqrt(cores / _REFERENCE_CORES)
-            demand += profile.llc_footprint_bytes * profile.llc_intensity * rate_scale
-        return min(1.5, demand / llc)
+        # Platforms are frozen: read the capacities once.
+        self._llc_bytes = platform.llc_bytes
+        self._memory_bandwidth = platform.memory_bandwidth
+        self._disk_bandwidth = platform.disk_bandwidth
+        self._network_bandwidth = platform.network_bandwidth
 
     def pressure_on(
         self,
         victim: ResourceProfile,
         victim_cores: int,
-        aggressors: list[tuple[ResourceProfile, int]],
+        aggressors: Iterable[Contribution],
     ) -> PressureBreakdown:
         """Marginal pressure the ``aggressors`` exert on ``victim``."""
-        llc = self.llc_pollution(aggressors) * victim.llc_intensity
+        llc_demand = membw = disk_bw = network_bw = 0.0
+        for llc_d, bw, disk_d, network_d in aggressors:
+            llc_demand += llc_d
+            membw += bw
+            disk_bw += disk_d
+            network_bw += network_d
 
-        capacity = self._platform.memory_bandwidth
+        llc_bytes = self._llc_bytes
+        # Aggregate cache-pollution rate as a fraction of the LLC, capped.
+        pollution = min(1.5, llc_demand / llc_bytes) if llc_bytes > 0 else 0.0
+        llc = pollution * victim.llc_intensity
+
+        capacity = self._memory_bandwidth
         own_bw = victim.total_membw(victim_cores)
-        aggressor_bw = sum(p.total_membw(c) for p, c in aggressors if c > 0)
-        total_util = (own_bw + aggressor_bw) / capacity if capacity > 0 else 0.0
+        total_util = (own_bw + membw) / capacity if capacity > 0 else 0.0
         own_util = own_bw / capacity if capacity > 0 else 0.0
         membw_linear = max(0.0, total_util - own_util)
         membw_overload = max(0.0, _overload(total_util) - _overload(own_util))
 
-        disk = self._bw_pressure(
-            victim.disk_bw,
-            sum(p.disk_bw for p, c in aggressors if c > 0),
-            self._platform.disk_bandwidth,
-        )
+        disk = self._bw_pressure(victim.disk_bw, disk_bw, self._disk_bandwidth)
         network = self._bw_pressure(
-            victim.network_bw,
-            sum(p.network_bw for p, c in aggressors if c > 0),
-            self._platform.network_bandwidth,
+            victim.network_bw, network_bw, self._network_bandwidth
         )
         return PressureBreakdown(
             llc=llc,

@@ -79,11 +79,10 @@ class ServerNode:
     def pressure_on(self, name: str) -> PressureBreakdown:
         """Contention pressure the other tenants exert on tenant ``name``."""
         victim = self.tenant(name)
-        aggressors = [
-            (t.profile, t.cores) for t in self._tenants if t.name != name
-        ]
         return self._interference.pressure_on(
-            victim.profile, victim.cores, aggressors
+            victim.profile,
+            victim.cores,
+            [t.contribution for t in self._tenants if t is not victim],
         )
 
     def fair_allocation(self, approx_apps: int) -> list[int]:

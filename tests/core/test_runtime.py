@@ -201,6 +201,39 @@ class TestContentionCache:
         engine.run()
         assert counts["pressure_on"] == 2 * 3
 
+    def test_qps_change_refreshes_only_the_service(self, monkeypatch):
+        from repro.server import tenant as tenant_module
+        from repro.server.tenant import Tenant
+        from repro.services.loadgen import StepLoad
+
+        engine = build_engine(
+            "memcached",
+            ["kmeans"],
+            PrecisePolicy(),
+            config=ColocationConfig(seed=5, horizon=3.0),
+            loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
+        )
+        refreshed: list[str] = []
+        computed = []
+        original = tenant_module.contribution
+
+        def counting(profile, cores):
+            computed.append(cores)
+            return original(profile, cores)
+
+        monkeypatch.setattr(tenant_module, "contribution", counting)
+        for method in ("set_profile", "give_core", "take_core"):
+
+            def recording(self, *args, _method=getattr(Tenant, method)):
+                refreshed.append(self.name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(Tenant, method, recording)
+        engine.run()
+        # One refresh per distinct QPS, all of them the service's.
+        assert refreshed == ["memcached"] * 3
+        assert len(computed) == 3
+
     def test_scripted_actions_match_golden_digest(self):
         import json
 
@@ -224,4 +257,6 @@ class TestContentionCache:
         for level, variant in enumerate(sim.ladder.levels):
             sim.level = level
             assert sim.active_profile() == variant.scaled_profile(sim.app.metadata.profile)
-            assert sim.uses_elision() == any(v is True for v in variant.spec.values())
+            assert sim.level_elides[level] == any(v is True for v in variant.spec.values())
+            assert sim.level_time_factors[level] == variant.time_factor
+            assert sim.level_inaccuracies[level] == variant.inaccuracy_pct

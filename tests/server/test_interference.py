@@ -3,7 +3,12 @@
 import pytest
 
 from repro import units
-from repro.server.interference import InterferenceModel, PressureBreakdown, _overload
+from repro.server.interference import (
+    InterferenceModel,
+    PressureBreakdown,
+    _overload,
+    contribution,
+)
 from repro.server.platform import default_platform
 from repro.server.resources import ResourceProfile
 
@@ -36,27 +41,29 @@ class TestMarginality:
 
     def test_idle_aggressor_no_pressure(self, model):
         pressure = model.pressure_on(
-            victim_profile(), 8, [(aggressor_profile(), 0)]
+            victim_profile(), 8, [contribution(aggressor_profile(), 0)]
         )
         assert pressure.total == pytest.approx(0.0)
 
 
 class TestMonotonicity:
     def test_more_aggressor_bandwidth_more_pressure(self, model):
-        light = model.pressure_on(victim_profile(), 8, [(aggressor_profile(bw=3), 8)])
-        heavy = model.pressure_on(victim_profile(), 8, [(aggressor_profile(bw=8), 8)])
+        light = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(bw=3), 8)])
+        heavy = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(bw=8), 8)])
         assert heavy.membw_linear > light.membw_linear
 
     def test_more_aggressor_cores_more_pressure(self, model):
-        few = model.pressure_on(victim_profile(), 8, [(aggressor_profile(), 4)])
-        many = model.pressure_on(victim_profile(), 8, [(aggressor_profile(), 8)])
+        few = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(), 4)])
+        many = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(), 8)])
         assert many.membw_linear > few.membw_linear
         assert many.llc > few.llc
 
     def test_two_aggressors_exceed_one(self, model):
-        one = model.pressure_on(victim_profile(), 8, [(aggressor_profile(), 8)])
+        one = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(), 8)])
         two = model.pressure_on(
-            victim_profile(), 8, [(aggressor_profile(), 4), (aggressor_profile(), 4)]
+            victim_profile(),
+            8,
+            [contribution(aggressor_profile(), 4), contribution(aggressor_profile(), 4)],
         )
         # Same total cores split across two apps doubles the LLC footprints.
         assert two.llc > one.llc
@@ -64,18 +71,19 @@ class TestMonotonicity:
 
 class TestLLC:
     def test_victim_intensity_weights_pressure(self, model):
-        hot = model.pressure_on(victim_profile(), 8, [(aggressor_profile(), 8)])
+        hot = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(), 8)])
         cold_victim = ResourceProfile(
             llc_footprint_bytes=units.mb(24), llc_intensity=0.1
         )
-        cold = model.pressure_on(cold_victim, 8, [(aggressor_profile(), 8)])
+        cold = model.pressure_on(cold_victim, 8, [contribution(aggressor_profile(), 8)])
         assert cold.llc < hot.llc
 
     def test_pollution_capped(self, model):
         huge = ResourceProfile(
             llc_footprint_bytes=units.mb(500), llc_intensity=1.0
         )
-        assert model.llc_pollution([(huge, 16)]) <= 1.5
+        hot_victim = ResourceProfile(llc_intensity=1.0)
+        assert model.pressure_on(hot_victim, 8, [contribution(huge, 16)]).llc <= 1.5
 
 
 class TestOverload:
@@ -89,8 +97,8 @@ class TestOverload:
         assert _overload(0.8) == pytest.approx(0.25)
 
     def test_overload_pressure_appears_near_saturation(self, model):
-        low = model.pressure_on(victim_profile(), 8, [(aggressor_profile(bw=4), 8)])
-        high = model.pressure_on(victim_profile(), 8, [(aggressor_profile(bw=9), 8)])
+        low = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(bw=4), 8)])
+        high = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(bw=9), 8)])
         assert low.membw_overload == pytest.approx(0.0, abs=0.01)
         assert high.membw_overload > 0.05
 
@@ -99,8 +107,8 @@ class TestApproximationRelief:
     def test_scaled_profile_reduces_pressure(self, model):
         precise = aggressor_profile()
         relieved = precise.scaled(traffic_factor=0.5)
-        p_precise = model.pressure_on(victim_profile(), 8, [(precise, 8)])
-        p_relieved = model.pressure_on(victim_profile(), 8, [(relieved, 8)])
+        p_precise = model.pressure_on(victim_profile(), 8, [contribution(precise, 8)])
+        p_relieved = model.pressure_on(victim_profile(), 8, [contribution(relieved, 8)])
         assert p_relieved.total < p_precise.total
 
 

@@ -16,7 +16,8 @@ class TestNominalCores:
 
     def test_explicit_nominal(self):
         tenant = Tenant("x", TenantKind.APPROXIMATE, ResourceProfile(), 4, nominal_cores=8)
-        assert tenant.reclaimed_cores == 4
+        assert tenant.nominal_cores == 8
+        assert tenant.cores == 4
 
 
 class TestCoreMovement:
@@ -24,21 +25,20 @@ class TestCoreMovement:
         tenant = make_tenant(8)
         tenant.take_core()
         assert tenant.cores == 7
-        assert tenant.reclaimed_cores == 1
+        assert tenant.nominal_cores == 8
         tenant.give_core()
         assert tenant.cores == 8
-        assert tenant.reclaimed_cores == 0
 
     def test_cannot_drop_below_one(self):
         tenant = make_tenant(1)
         with pytest.raises(ValueError):
             tenant.take_core()
 
-    def test_extra_cores(self):
+    def test_give_beyond_nominal(self):
         tenant = make_tenant(8)
         tenant.give_core()
-        assert tenant.extra_cores == 1
-        assert tenant.reclaimed_cores == 0
+        assert tenant.cores == 9
+        assert tenant.nominal_cores == 8
 
     def test_negative_cores_rejected(self):
         with pytest.raises(ValueError):
@@ -51,3 +51,4 @@ class TestProfile:
         new = ResourceProfile(llc_intensity=0.9)
         tenant.set_profile(new)
         assert tenant.profile is new
+
