@@ -38,10 +38,10 @@ bench-figs:
 ## result against the pinned digests.  The first run in a checkout
 ## explores all ladders into .perfbench_state/ (~45 s).
 perfbench:
-	python3 perfbench/run.py --workload fig5-constant
-	python3 perfbench/run.py --workload diurnal-multiapp
-	python3 perfbench/run.py --workload warm-replay
-	python3 perfbench/run.py --workload explore-cold
+	$(PY) perfbench/run.py --workload fig5-constant
+	$(PY) perfbench/run.py --workload diurnal-multiapp
+	$(PY) perfbench/run.py --workload warm-replay
+	$(PY) perfbench/run.py --workload explore-cold
 
 ## Trajectory hygiene: BENCH_sweep.json parses and is monotone-appended.
 bench-check:

@@ -1,0 +1,151 @@
+"""Alternating parent/change pairs of one perfbench workload.
+
+    python scripts/perfbench_pairs.py --workload diurnal-multiapp --pairs 10 --seed 1
+
+Compares the working tree (uncommitted edits included) against a parent
+revision (``--parent``, default ``HEAD``), which is checked out into a
+temporary ``git worktree`` and removed afterwards.  Before every run both
+sides lose their ``__pycache__`` directories, since bytecode left by one
+side (``make lint`` compiles everything) speeds up its imports and skews
+``setup_s``.  Each side first does one untimed warm-up run: the first run
+after a ``src/`` edit explores all ladders into
+``.perfbench_state/ladders-<fingerprint>`` in-process, which inflates that
+run's times and ``peak_rss_mb``.  The pairs then alternate which side runs
+first.
+
+Prints, per end-to-end metric, each side's median and quartiles and the
+number of pairs the change won, and whether a gain could be claimed under
+the benchmark's rule: the change wins at least nine tenths of the pairs
+(ties count for neither) and the medians differ by more than the parent's
+interquartile range.  A run that reports ``correct: false`` or failures
+stops the script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def clear_bytecode(tree: Path) -> None:
+    for cache in tree.rglob("__pycache__"):
+        if ".git" not in cache.parts:
+            shutil.rmtree(cache, ignore_errors=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``; its metrics by name."""
+    clear_bytecode(tree)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"run in {tree} failed ({proc.returncode}):\n{proc.stderr[-2000:]}")
+    report = json.loads(lines[-1])
+    if not report["correct"] or report["failed"]:
+        sys.exit(f"run in {tree} is not correct:\n" + "\n".join(lines[:-1]))
+    return {name: entry["value"] for name, entry in report["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+    needed = math.ceil(0.9 * len(pairs))
+    print(
+        f"{'metric':22s} {'parent median [q1, q3]':>32s} "
+        f"{'change median [q1, q3]':>32s} {'wins':>6s}  claim"
+    )
+    for name in [n for n in better if n in pairs[0][0]]:
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = -1.0 if better[name] == "lower" else 1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        p1, p2, p3 = quartiles(parent)
+        c1, c2, c3 = quartiles(change)
+        gain = sign * (c2 - p2)
+        claim = "yes" if wins >= needed and gain > p3 - p1 else "no"
+        print(
+            f"{name:22s} {p2:12.5g} [{p1:8.5g}, {p3:8.5g}] "
+            f"{c2:12.5g} [{c1:8.5g}, {c3:8.5g}] {wins:3d}/{len(pairs):<2d}  {claim}"
+        )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
+    args = parser.parse_args(argv)
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+    temp = Path(tempfile.mkdtemp(prefix="perfbench-pairs-"))
+    parent_tree = temp / "parent"
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
+        cwd=ROOT, check=True, capture_output=True,
+    )
+    try:
+        sides = {"parent": parent_tree, "change": ROOT}
+        for side, tree in sides.items():
+            print(f"warm-up: {side}", file=sys.stderr, flush=True)
+            run_once(tree, args.workload, args.seed, args.seconds)
+        pairs = []
+        for index in range(args.pairs):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            result = {}
+            for side in order:
+                result[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
+            pairs.append((result["parent"], result["change"]))
+            print(
+                f"pair {index + 1}/{args.pairs} ({order[0]} first): "
+                + ", ".join(
+                    f"{name} {result['parent'][name]:.4g} -> {result['change'][name]:.4g}"
+                    for name in ("epoch_us_p50", "scenarios_per_s", "setup_s")
+                    if name in result["parent"]
+                ),
+                file=sys.stderr,
+                flush=True,
+            )
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(parent_tree)],
+            cwd=ROOT, capture_output=True,
+        )
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(temp, ignore_errors=True)
+
+    print(
+        f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
+        f"parent={args.parent} pairs={len(pairs)} (a claim needs "
+        f"{math.ceil(0.9 * len(pairs))} wins and a median gap above the parent's IQR)"
+    )
+    summarize(pairs, better)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,17 +18,27 @@ Each epoch the engine:
 
 Contention is recomputed only when one of its inputs changes.  Each
 ladder level's resource profile, time factor and inaccuracy are built
-once, with the engine.  Each tenant keeps its own contribution to the
-shared resources, refreshed only when its profile or cores change.  The
-pressure on the service and each app's execution time (Amdahl x time
-factor x instrumentation x contention slowdown) are cached until the
-offered QPS changes, a level switch, a core move, or an app finishing.
-A QPS change rebuilds only the service's profile and contribution; the
-pressure queries that follow re-add the cached contributions of the
-others.  A finish invalidates at once, so apps advanced later in the same
-epoch already see the finished app idle.  Between those events nothing
-on the node changes, so the cached values are exactly the ones a fresh
-computation would return.
+once, with the engine, as are the inflation smoothing factor and the list
+of app simulations the loop walks.  Each tenant keeps its own
+contribution to the shared resources, refreshed only when its profile or
+cores change.  The pressure on the service, its saturation throughput and
+each app's execution time (Amdahl x time factor x instrumentation x
+contention slowdown) are cached until the offered QPS changes, a level
+switch, a core move, or an app finishing.  A QPS change rebuilds only the
+service's profile and contribution; the queries that follow re-add the
+cached contributions of the others.  The service asks for the full
+five-term pressure breakdown, which its inflation reads; an app asks only
+for the memory-hierarchy term that slows it
+(:meth:`ServerNode.app_pressure`).  A finish invalidates at once, so apps
+advanced later in the same epoch already see the finished app idle, and
+finished apps are skipped.  Between those events nothing on the node
+changes, so the cached values are exactly the ones a fresh computation
+would return.
+
+All randomness comes from one seeded generator, drawn as blocks of
+standard normals: the epoch's latency noise is ``exp(-sigma**2/2 +
+sigma * z)`` and the elision noise ``sigma * z`` over successive draws
+``z``, the same values scalar ``lognormal`` and ``normal`` calls return.
 
 An application's final output quality is the progress-weighted mix of the
 inaccuracies of the variants it actually executed — running half the span
@@ -39,7 +49,10 @@ paper's canneal+memcached 5.4 % worst case).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -78,6 +91,10 @@ _ELISION_QUALITY_SIGMA = 0.35
 #: interval, long enough that mid-interval changes blur realistically.
 _INFLATION_TIME_CONSTANT = 0.5
 
+#: Standard-normal draws fetched from the engine's generator at a time.
+#: A block yields exactly the values that as many scalar draws would.
+_NORMAL_BLOCK = 256
+
 _IDLE_PROFILE = ResourceProfile(
     cpu_fraction=0.0,
     llc_footprint_bytes=0.0,
@@ -86,6 +103,17 @@ _IDLE_PROFILE = ResourceProfile(
     disk_bw=0.0,
     network_bw=0.0,
 )
+
+
+def _standard_normals(rng: np.random.Generator) -> Iterator[float]:
+    """Endless stream of ``rng``'s standard-normal draws, fetched in blocks.
+
+    numpy's ``lognormal(m, s)`` is ``exp(m + s * z)`` and ``normal(0, s)``
+    is ``0 + s * z`` over the same ``z`` this yields, so consumers that
+    apply those formulas see the values scalar sampler calls would return.
+    """
+    while True:
+        yield from rng.standard_normal(_NORMAL_BLOCK).tolist()
 
 
 @dataclass
@@ -113,6 +141,9 @@ class AppSim:
     level_elides: tuple[bool, ...] = field(init=False, repr=False)
     #: Amdahl term at the tenant's nominal (fair-share) core count.
     amdahl_nominal: float = field(init=False, repr=False)
+    #: Cached execution time at the current level, cores and contention;
+    #: ``None`` once any of those changed.
+    exec_time: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         base = self.app.metadata.profile
@@ -248,6 +279,31 @@ class ColocationResult:
         return total
 
 
+#: Run knobs that must be finite and > 0; ``slack_threshold`` may be 0.
+_POSITIVE_KNOBS = ("load_fraction", "decision_interval", "monitor_epoch", "horizon")
+
+
+def check_run_knobs(knobs) -> None:
+    """Raise ``ValueError`` naming the first malformed run knob of ``knobs``.
+
+    ``knobs`` is anything with :class:`ColocationConfig`'s timing and load
+    attributes (a config or a sweep scenario).  A NaN horizon would run no
+    epoch and report QoS met, and a zero epoch divides by zero mid-run, so
+    both must fail where the experiment is declared.
+    """
+    for name in _POSITIVE_KNOBS:
+        value = getattr(knobs, name)
+        if not (_is_real(value) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    value = knobs.slack_threshold
+    if not (_is_real(value) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"slack_threshold must be finite and >= 0, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ColocationConfig:
     """Knobs of one colocation experiment."""
@@ -259,6 +315,9 @@ class ColocationConfig:
     horizon: float = 400.0
     seed: int = 0
     stop_when_apps_done: bool = True
+
+    def __post_init__(self) -> None:
+        check_run_knobs(self)
 
     @classmethod
     def from_defaults(cls, defaults: RuntimeDefaults) -> "ColocationConfig":
@@ -289,7 +348,9 @@ class ColocationEngine:
         self._config = config or ColocationConfig()
         self._platform = platform or default_platform()
         self._node = ServerNode(self._platform)
-        self._rng = child_generator(self._config.seed, f"engine/{service.name}")
+        self._normals = _standard_normals(
+            child_generator(self._config.seed, f"engine/{service.name}")
+        )
         self._overhead = OverheadModel()
         self._bus = SignalBus()
         self._now = 0.0
@@ -334,18 +395,25 @@ class ColocationEngine:
             )
             tenant.set_profile(sim.active_profile())
             self._apps[app.name] = sim
+        self._sims = list(self._apps.values())
 
         self._monitor = PerformanceMonitor(qos=service.qos)
         self._backlog = BacklogTracker()
         self._actuator = Actuator(self, overhead=self._overhead)
         self._inflation_ema = 1.0
+        # Tail-latency effects of an allocation or variant change develop
+        # over cache-refill / queue-drain timescales (~1 s), not instantly.
+        self._inflation_alpha = min(
+            1.0, self._config.monitor_epoch / _INFLATION_TIME_CONSTANT
+        )
 
-        # Contention cache: valid until `_invalidate` or a QPS change.
+        # Contention cache: valid until `_invalidate` or a QPS change; the
+        # apps' share of it is `AppSim.exec_time`.
         self._dirty = True
         self._physics_qps = 0.0
         self._service_pressure: PressureBreakdown | None = None
         self._raw_inflation = 1.0
-        self._exec_times: dict[str, float] = {}
+        self._saturation_qps = 0.0
 
     # -- facade used by the actuator -------------------------------------
 
@@ -413,6 +481,9 @@ class ColocationEngine:
         service_cores: list[int] = []
         app_levels: dict[str, list[int]] = {n: [] for n in self._apps}
         app_cores: dict[str, list[int]] = {n: [] for n in self._apps}
+        app_traces = [
+            (sim, app_levels[n], app_cores[n]) for n, sim in self._apps.items()
+        ]
         intervals: list[IntervalRecord] = []
         start_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
 
@@ -430,7 +501,7 @@ class ColocationEngine:
         while self._now < cfg.horizon:
             if instrumented:
                 tick = telemetry.now()
-            self._step_epoch(epoch_index, times, p99s, service_cores, app_levels, app_cores)
+            self._step_epoch(epoch_index, times, p99s, service_cores, app_traces)
             if instrumented:
                 monitor_spent += telemetry.now() - tick
             epoch_index += 1
@@ -451,9 +522,7 @@ class ColocationEngine:
                         "runtime.policy_phase_s", telemetry.now() - tick
                     )
                 intervals.append(IntervalRecord(observation=obs, action_summary=summary))
-            if cfg.stop_when_apps_done and all(
-                sim.finished for sim in self._apps.values()
-            ):
+            if cfg.stop_when_apps_done and all(sim.finished for sim in self._sims):
                 break
 
         # Every epoch records each app's cores after it ran, so the fewest
@@ -492,7 +561,11 @@ class ColocationEngine:
     def _invalidate(self) -> None:
         """Drop cached contention: a tenant's profile or cores changed."""
         self._dirty = True
-        self._exec_times.clear()
+        self._drop_exec_times()
+
+    def _drop_exec_times(self) -> None:
+        for sim in self._sims:
+            sim.exec_time = None
 
     def _step_epoch(
         self,
@@ -500,37 +573,35 @@ class ColocationEngine:
         times: list[float],
         p99s: list[float],
         service_cores: list[int],
-        app_levels: dict[str, list[int]],
-        app_cores: dict[str, list[int]],
+        app_traces: list[tuple[AppSim, list[int], list[int]]],
     ) -> None:
-        cfg = self._config
-        dt = cfg.monitor_epoch
+        dt = self._config.monitor_epoch
         qps = self._loadgen.qps_at(self._now)
         svc_cores = self._service_tenant.cores
         if self._dirty or qps != self._physics_qps:
             self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-            self._exec_times.clear()
+            self._drop_exec_times()
             self._service_pressure = self._node.pressure_on(self._service.name)
             self._raw_inflation = self._service.sensitivity.inflation(
                 self._service_pressure
             )
+            self._saturation_qps = self._service.saturation_qps(svc_cores)
             self._physics_qps = qps
             self._dirty = False
         pressure = self._service_pressure
 
-        # Tail-latency effects of an allocation or variant change develop
-        # over cache-refill / queue-drain timescales (~1 s), not instantly.
-        alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
-        self._inflation_ema += alpha * (self._raw_inflation - self._inflation_ema)
+        self._inflation_ema += self._inflation_alpha * (
+            self._raw_inflation - self._inflation_ema
+        )
         inflation = self._inflation_ema
-        capacity = self._service.saturation_qps(svc_cores) / inflation
+        capacity = self._saturation_qps / inflation
         self._backlog.update(qps, capacity, dt)
         penalty = self._backlog.penalty(capacity)
         sample = self._service.sample_p99(
             qps,
             svc_cores,
             pressure,
-            self._rng,
+            next(self._normals),
             dt,
             backlog_penalty=penalty,
             inflation=inflation,
@@ -538,20 +609,20 @@ class ColocationEngine:
         if self._monitor.should_sample(epoch_index):
             self._monitor.record(sample)
 
-        for sim in self._apps.values():
-            self._advance_app(sim, dt)
+        for sim in self._sims:
+            if not sim.finished:
+                self._advance_app(sim, dt)
 
         times.append(self._now)
         p99s.append(sample)
         service_cores.append(svc_cores)
-        for name, sim in self._apps.items():
-            app_levels[name].append(sim.level)
-            app_cores[name].append(sim.tenant.cores)
+        for sim, levels, cores in app_traces:
+            levels.append(sim.level)
+            cores.append(sim.tenant.cores)
         self._now += dt
 
     def _advance_app(self, sim: AppSim, dt: float) -> None:
-        if sim.finished:
-            return
+        """Advance running (not finished) app ``sim`` by ``dt`` seconds."""
         if sim.pause_remaining > 0:
             consumed = min(sim.pause_remaining, dt)
             sim.pause_remaining -= consumed
@@ -559,7 +630,7 @@ class ColocationEngine:
             if dt <= 0:
                 return
         level = sim.level
-        exec_time = self._exec_times.get(sim.name)
+        exec_time = sim.exec_time
         if exec_time is None:
             metadata = sim.app.metadata
             p = metadata.parallel_fraction
@@ -567,13 +638,14 @@ class ColocationEngine:
             exec_time = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
             exec_time *= sim.level_time_factors[level]
             exec_time *= sim.instrumentation_factor
-            pressure = self._node.pressure_on(sim.name)
-            exec_time *= 1.0 + _APP_PRESSURE_SENSITIVITY * (
-                0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
+            exec_time *= 1.0 + _APP_PRESSURE_SENSITIVITY * self._node.app_pressure(
+                sim.tenant
             )
-            self._exec_times[sim.name] = exec_time
+            sim.exec_time = exec_time
         dp = dt / exec_time
-        dp = min(dp, 1.0 - sim.progress)
+        remaining = 1.0 - sim.progress
+        if remaining < dp:
+            dp = remaining
         sim.progress += dp
         sim.inaccuracy_integral += dp * sim.level_inaccuracies[level]
         if sim.level_elides[level]:
@@ -589,7 +661,7 @@ class ColocationEngine:
         if sim.elided_progress > 0:
             # Synchronization elision is racy: the realized quality loss
             # jitters around the measured value for the elided spans.
-            noise = self._rng.normal(0.0, _ELISION_QUALITY_SIGMA)
+            noise = _ELISION_QUALITY_SIGMA * next(self._normals)
             inaccuracy += abs(noise) * sim.elided_progress
         return float(max(0.0, inaccuracy))
 

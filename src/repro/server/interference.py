@@ -137,18 +137,9 @@ class InterferenceModel:
             disk_bw += disk_d
             network_bw += network_d
 
-        llc_bytes = self._llc_bytes
-        # Aggregate cache-pollution rate as a fraction of the LLC, capped.
-        pollution = min(1.5, llc_demand / llc_bytes) if llc_bytes > 0 else 0.0
-        llc = pollution * victim.llc_intensity
-
-        capacity = self._memory_bandwidth
-        own_bw = victim.total_membw(victim_cores)
-        total_util = (own_bw + membw) / capacity if capacity > 0 else 0.0
-        own_util = own_bw / capacity if capacity > 0 else 0.0
-        membw_linear = max(0.0, total_util - own_util)
-        membw_overload = max(0.0, _overload(total_util) - _overload(own_util))
-
+        llc, membw_linear, membw_overload = self._llc_membw(
+            victim, victim_cores, llc_demand, membw
+        )
         disk = self._bw_pressure(victim.disk_bw, disk_bw, self._disk_bandwidth)
         network = self._bw_pressure(
             victim.network_bw, network_bw, self._network_bandwidth
@@ -160,6 +151,48 @@ class InterferenceModel:
             disk=disk,
             network=network,
         )
+
+    def app_pressure(
+        self,
+        victim: ResourceProfile,
+        victim_cores: int,
+        aggressors: Iterable[Contribution],
+    ) -> float:
+        """The pressure an approximate app's progress responds to.
+
+        Batch apps are slowed by the memory hierarchy only: half the LLC
+        pressure plus both memory-bandwidth terms of :meth:`pressure_on`,
+        computed by the same formula without the disk and network terms.
+        """
+        llc_demand = membw = 0.0
+        for llc_d, bw, _, _ in aggressors:
+            llc_demand += llc_d
+            membw += bw
+        llc, membw_linear, membw_overload = self._llc_membw(
+            victim, victim_cores, llc_demand, membw
+        )
+        return 0.5 * llc + membw_linear + membw_overload
+
+    def _llc_membw(
+        self,
+        victim: ResourceProfile,
+        victim_cores: int,
+        llc_demand: float,
+        membw: float,
+    ) -> tuple[float, float, float]:
+        """LLC, linear and overload bandwidth pressure from summed demands."""
+        llc_bytes = self._llc_bytes
+        # Aggregate cache-pollution rate as a fraction of the LLC, capped.
+        pollution = min(1.5, llc_demand / llc_bytes) if llc_bytes > 0 else 0.0
+        llc = pollution * victim.llc_intensity
+
+        capacity = self._memory_bandwidth
+        own_bw = victim.total_membw(victim_cores)
+        total_util = (own_bw + membw) / capacity if capacity > 0 else 0.0
+        own_util = own_bw / capacity if capacity > 0 else 0.0
+        membw_linear = max(0.0, total_util - own_util)
+        membw_overload = max(0.0, _overload(total_util) - _overload(own_util))
+        return llc, membw_linear, membw_overload
 
     @staticmethod
     def _bw_pressure(

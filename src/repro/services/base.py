@@ -19,8 +19,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.server.interference import PressureBreakdown
 from repro.server.resources import ResourceProfile
 from repro.services.latency import LatencyCurve
@@ -170,16 +168,20 @@ class InteractiveService(ABC):
         qps: float,
         cores: int,
         pressure: PressureBreakdown | None,
-        rng: np.random.Generator,
+        z: float,
         epoch: float,
         backlog_penalty: float = 0.0,
         inflation: float | None = None,
     ) -> float:
-        """One noisy epoch observation (what the monitor's client sees)."""
+        """One noisy epoch observation (what the monitor's client sees).
+
+        ``z`` is the standard-normal draw behind the observation's noise
+        (see :meth:`LatencyCurve.sample_p99`).
+        """
         utilization = self.utilization(qps, cores, pressure, inflation)
         return self.curve.sample_p99(
             utilization,
-            rng,
+            z,
             requests_observed=max(qps * epoch, 10.0),
             backlog_penalty=backlog_penalty,
         )

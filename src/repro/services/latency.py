@@ -12,7 +12,8 @@ includes interference inflation of service time, so contention shifts the
 operating point to the right along the same curve — which is how a 20 %
 service-time inflation becomes a multi-x tail-latency blowup near the knee.
 
-Epoch sampling applies lognormal noise whose magnitude shrinks with the
+Epoch sampling applies unit-mean lognormal noise, driven by a
+standard-normal draw the caller supplies, whose magnitude shrinks with the
 number of requests observed in the epoch (percentile-estimation error).
 """
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,16 @@ class LatencyCurve:
     def sample_p99(
         self,
         utilization: float,
-        rng: np.random.Generator,
+        z: float,
         requests_observed: float = 1e4,
         backlog_penalty: float = 0.0,
     ) -> float:
         """One noisy epoch observation of the tail latency.
 
+        ``z`` is a standard-normal draw; the noise factor is lognormal with
+        unit mean, ``exp(-sigma**2 / 2 + sigma * z)``, the value numpy's
+        ``Generator.lognormal(-sigma**2 / 2, sigma)`` returns for the same
+        underlying normal, so a caller may draw its normals in blocks.
         ``requests_observed`` controls the estimation error of the p99 (few
         samples -> noisier percentile).  ``backlog_penalty`` (seconds) adds
         queue-drain latency accumulated while the service was saturated.
@@ -95,5 +98,4 @@ class LatencyCurve:
         base = self.p99(utilization) + backlog_penalty
         n = max(requests_observed, 10.0)
         sigma = self._params.noise_sigma * (1.0 + 30.0 / math.sqrt(n))
-        noise = rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma)
-        return base * noise
+        return base * math.exp(-0.5 * sigma * sigma + sigma * z)

@@ -15,7 +15,7 @@ import operator
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Any, Callable
 
-from repro.core.runtime import ColocationConfig
+from repro.core.runtime import ColocationConfig, check_run_knobs
 from repro.services.loadgen import LOADGEN_SHAPES
 
 
@@ -110,6 +110,7 @@ class Scenario:
                 f"unknown loadgen shape {self.loadgen_shape!r} "
                 f"(expected one of {', '.join(LOADGEN_SHAPES)})"
             )
+        check_run_knobs(self)
 
     def has_default_loadgen(self) -> bool:
         """True when the scenario uses the legacy constant-load default."""
@@ -184,7 +185,7 @@ class Scenario:
         unknown = payload.keys() - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(
-                f"unknown scenario field(s): {sorted(unknown)} "
+                f"unknown scenario field(s): {sorted(unknown, key=repr)} "
                 f"(known: {', '.join(sorted(_SCENARIO_FIELDS))})"
             )
         kwargs = {}

@@ -152,7 +152,7 @@ class TestContentionCache:
     def counts(self, monkeypatch):
         from repro.server.node import ServerNode
 
-        counts = {"pressure_on": 0, "actions": 0}
+        counts = {"queries": 0, "actions": 0}
 
         def counting(method, key):
             def wrapper(*args, **kwargs):
@@ -161,9 +161,11 @@ class TestContentionCache:
 
             return wrapper
 
-        monkeypatch.setattr(
-            ServerNode, "pressure_on", counting(ServerNode.pressure_on, "pressure_on")
-        )
+        # The service's query and the apps' queries.
+        for name in ("pressure_on", "app_pressure"):
+            monkeypatch.setattr(
+                ServerNode, name, counting(getattr(ServerNode, name), "queries")
+            )
         for name in ("apply_level", "move_core"):
             monkeypatch.setattr(
                 ColocationEngine,
@@ -180,13 +182,13 @@ class TestContentionCache:
         finishes = sum(outcome.completed for outcome in result.apps)
         assert counts["actions"] > 0
         bound = (1 + len(apps)) * (1 + counts["actions"] + finishes)
-        assert counts["pressure_on"] <= bound
-        assert counts["pressure_on"] < len(result.epoch_times)
+        assert counts["queries"] <= bound
+        assert counts["queries"] < len(result.epoch_times)
 
     def test_precise_run_computes_contention_once(self, counts):
         result = engine_for().run()
         assert result.app_outcome("kmeans").completed
-        assert counts["pressure_on"] == 2  # the service's and the app's
+        assert counts["queries"] == 2  # the service's and the app's
 
     def test_qps_change_recomputes(self, counts):
         from repro.services.loadgen import StepLoad
@@ -199,7 +201,7 @@ class TestContentionCache:
             loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
         )
         engine.run()
-        assert counts["pressure_on"] == 2 * 3
+        assert counts["queries"] == 2 * 3
 
     def test_qps_change_refreshes_only_the_service(self, monkeypatch):
         from repro.server import tenant as tenant_module

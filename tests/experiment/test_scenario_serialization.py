@@ -11,9 +11,13 @@ cache-wide invalidation (and say so in the commit).
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.runtime import ColocationConfig
 from repro.sweep import Scenario, SweepCache, stable_hash
 from repro.sweep.grid import ELIDE_AT_DEFAULT
 
@@ -164,6 +168,79 @@ class TestMalformedPayloads:
     def test_rejected_with_the_field_named(self, payload, named):
         with pytest.raises(ValueError, match=named):
             Scenario.from_payload(payload)
+
+
+#: Run knobs that used to run a wrong experiment or crash mid-run: a NaN or
+#: negative horizon ran no epoch and reported QoS met, a NaN load ran 351
+#: epochs, a zero epoch divided by zero, an infinite interval overflowed.
+MALFORMED_KNOBS = [
+    ("horizon", math.nan),
+    ("horizon", -1.0),
+    ("horizon", 0.0),
+    ("load_fraction", math.nan),
+    ("load_fraction", 0.0),
+    ("monitor_epoch", 0.0),
+    ("monitor_epoch", math.inf),
+    ("decision_interval", math.inf),
+    ("decision_interval", -1.0),
+    ("slack_threshold", -0.1),
+    ("slack_threshold", math.nan),
+]
+
+
+@pytest.mark.parametrize("name,value", MALFORMED_KNOBS)
+class TestMalformedRunKnobs:
+    """Malformed run knobs fail at construction, naming the field."""
+
+    def test_scenario(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Scenario(service="memcached", apps=("canneal",), **{name: value})
+
+    def test_payload(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Scenario.from_payload(_payload_with(**{name: value}))
+
+    def test_config(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ColocationConfig(**{name: value})
+
+
+def test_zero_slack_threshold_is_allowed():
+    assert Scenario(service="memcached", apps=("canneal",), slack_threshold=0.0)
+    assert ColocationConfig(slack_threshold=0.0)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+field_names = st.sampled_from(sorted(f.name for f in dataclasses.fields(Scenario)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    changes=st.dictionaries(
+        field_names | st.text(max_size=6) | st.integers(), json_values, max_size=4
+    ),
+    dropped=st.sets(field_names, max_size=2),
+)
+def test_fuzzed_payload_loads_or_raises_value_error(changes, dropped):
+    """Any payload either loads or raises ``ValueError``, nothing else."""
+    payload = Scenario(service="memcached", apps=("canneal",)).to_payload()
+    for name in dropped:
+        del payload[name]
+    payload.update(changes)
+    try:
+        scenario = Scenario.from_payload(payload)
+    except ValueError:
+        return
+    assert Scenario.from_payload(scenario.to_payload()) == scenario
 
 
 BASE = Scenario(service="memcached", apps=("canneal",))

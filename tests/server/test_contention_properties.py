@@ -3,7 +3,8 @@
 Every tenant keeps its contribution to the shared resources and refreshes
 it whenever its profile or cores change.  After any sequence of those
 changes, the node's pressure on each tenant must equal — bit for bit — a
-from-scratch computation over the raw profiles and cores.
+from-scratch computation over the raw profiles and cores, and the apps'
+slowdown query must equal its terms of that breakdown.
 """
 
 import math
@@ -93,6 +94,9 @@ def assert_fresh(node):
             pressure.network,
         )
         assert got == expected, victim.name
+        # The apps' query is the same formula without disk and network.
+        expected_app = 0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
+        assert node.app_pressure(victim) == expected_app, victim.name
 
 
 @settings(max_examples=60, deadline=None)

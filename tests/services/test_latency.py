@@ -1,5 +1,7 @@
 """Calibrated latency curve."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,23 +50,76 @@ class TestInverse:
 class TestSampling:
     def test_unbiased(self, curve):
         rng = generator(1)
-        samples = [curve.sample_p99(0.7, rng) for _ in range(4000)]
+        samples = [curve.sample_p99(0.7, z) for z in rng.standard_normal(4000)]
         assert np.mean(samples) == pytest.approx(curve.p99(0.7), rel=0.02)
 
     def test_fewer_requests_noisier(self, curve):
-        rng_a, rng_b = generator(2), generator(2)
-        few = np.std([curve.sample_p99(0.7, rng_a, requests_observed=20) for _ in range(2000)])
-        many = np.std([curve.sample_p99(0.7, rng_b, requests_observed=1e6) for _ in range(2000)])
+        zs = generator(2).standard_normal(2000)
+        few = np.std([curve.sample_p99(0.7, z, requests_observed=20) for z in zs])
+        many = np.std([curve.sample_p99(0.7, z, requests_observed=1e6) for z in zs])
         assert few > many
 
     def test_backlog_penalty_adds(self, curve):
-        rng = generator(3)
-        base = np.mean([curve.sample_p99(0.5, rng) for _ in range(500)])
-        rng = generator(3)
-        loaded = np.mean(
-            [curve.sample_p99(0.5, rng, backlog_penalty=5.0) for _ in range(500)]
-        )
+        zs = generator(3).standard_normal(500)
+        base = np.mean([curve.sample_p99(0.5, z) for z in zs])
+        loaded = np.mean([curve.sample_p99(0.5, z, backlog_penalty=5.0) for z in zs])
         assert loaded > base + 4.0
+
+
+class TestNoiseIdentity:
+    """Block-drawn normals reproduce numpy's scalar samplers bit for bit.
+
+    The engine draws its standard normals in blocks and applies the
+    lognormal and normal formulas itself.  If numpy ever computes
+    ``lognormal`` or ``normal`` differently, these fail before the golden
+    digests do.
+    """
+
+    #: The services' epoch sigmas span ~0.05 (many requests) to ~0.6 (few);
+    #: 0.35 is the elision quality sigma.
+    SIGMAS = (0.0, 0.02, 0.06, 0.12, 0.35, 0.6, 1.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_lognormal_from_block(self, seed):
+        # Two blocks, the engine's 256 then the rest, so the comparison crosses
+        # a block boundary.
+        count = 600
+        for sigma in self.SIGMAS:
+            mean = -0.5 * sigma * sigma
+            scalar_rng = generator(seed)
+            scalar = [scalar_rng.lognormal(mean=mean, sigma=sigma) for _ in range(count)]
+            block_rng = generator(seed)
+            zs = block_rng.standard_normal(256).tolist() + block_rng.standard_normal(
+                count - 256
+            ).tolist()
+            assert [math.exp(mean + sigma * z) for z in zs] == scalar
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_normal_from_block(self, seed):
+        for sigma in self.SIGMAS:
+            scalar_rng = generator(seed)
+            scalar = [scalar_rng.normal(0.0, sigma) for _ in range(300)]
+            zs = generator(seed).standard_normal(300).tolist()
+            assert [sigma * z for z in zs] == scalar
+
+    def test_sample_p99_matches_scalar_lognormal(self, curve):
+        # The curve's own formula against the sampler it replaced.
+        for requests in (10.0, 200.0, 1e4, 1e6):
+            sigma = curve.params.noise_sigma * (1.0 + 30.0 / math.sqrt(requests))
+            scalar_rng, block_rng = generator(5), generator(5)
+            for z in block_rng.standard_normal(300).tolist():
+                expected = curve.p99(0.6) * scalar_rng.lognormal(
+                    mean=-0.5 * sigma * sigma, sigma=sigma
+                )
+                assert curve.sample_p99(0.6, z, requests_observed=requests) == expected
+
+    def test_engine_stream_crosses_blocks(self):
+        from repro.core.runtime import _NORMAL_BLOCK, _standard_normals
+
+        stream = _standard_normals(generator(4))
+        drawn = [next(stream) for _ in range(2 * _NORMAL_BLOCK + 5)]
+        scalar_rng = generator(4)
+        assert drawn == [scalar_rng.standard_normal() for _ in drawn]
 
 
 class TestValidation:
