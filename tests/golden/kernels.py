@@ -9,8 +9,8 @@ associative: regrouping ``counters.add`` calls moves it).  A change
 meant to alter a kernel re-pins with
 ``python scripts/pin_golden.py --reason "..."``.
 
-The panel covers the three kernels that dominate cold exploration of
-the benchmark panel, at two seeds, each under precise execution and
+The panel covers every app that the ``explore-cold`` benchmark
+workload explores, at two seeds, each under precise execution and
 every spec :func:`repro.search.variants.enumerate_variants` yields.
 """
 
@@ -25,7 +25,7 @@ from repro.sweep.digest import result_digest
 
 KERNEL_DIGESTS_PATH = Path(__file__).with_name("kernel_digests.json")
 
-KERNEL_APPS = ("blast", "snp", "canneal")
+KERNEL_APPS = ("blast", "snp", "canneal", "kmeans", "water_nsquared")
 KERNEL_SEEDS = (0, 1)
 
 
