@@ -8,6 +8,8 @@ sum-of-pairs score for multiple alignments.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 DNA_ALPHABET = 4
@@ -138,33 +140,61 @@ def _horizontal_gap_closure(candidate: np.ndarray, gap: float) -> np.ndarray:
     return np.maximum.accumulate(shifted, axis=-1) + positions * gap
 
 
-def smith_waterman_scores(a: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Local alignment scores (no traceback) of ``a`` against each row of
-    the ``(count, m)`` stack ``windows``.
+def smith_waterman_scores(
+    queries: Sequence[np.ndarray], windows: np.ndarray
+) -> np.ndarray:
+    """Local alignment scores (no traceback) of each ``queries[r]`` against
+    row ``r`` of the ``(count, m)`` stack ``windows``.
 
-    One row-vectorized recurrence step per symbol of ``a`` advances every
-    window at once; each window's score is exactly the one it would get
-    on its own.
+    One row-vectorized recurrence step per query position advances every
+    row at once; each row's score is exactly the one it would get on its
+    own.  Rows run longest query first, so the rows whose query still has
+    symbols left at any step are a prefix of the stack.
     """
     count, m = windows.shape
-    previous = np.zeros((count, m + 1))
+    if len(queries) != count:
+        raise ValueError(f"{len(queries)} queries for {count} windows")
+    lengths = np.fromiter((len(q) for q in queries), dtype=np.int64, count=count)
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths.max(initial=0))
+    symbols = np.zeros((longest, count), dtype=np.int64)
+    for row, index in enumerate(order):
+        symbols[: lengths[index], row] = queries[index]
+    # Window position runs down axis 0 and rows across axis 1, so every
+    # step's work, the gap closure included, is vectorized over the rows.
+    columns = np.ascontiguousarray(windows[order].T)
+    active_rows = (lengths[:, None] > np.arange(longest)).sum(axis=0)
+    gaps = (np.arange(m + 1, dtype=np.float64) * GAP_PENALTY)[:, None]
+    # Two DP rows, swapped every step; row 0 of each stays 0.
+    previous, current = np.zeros((2, m + 1, count))
     best = np.zeros(count)
-    candidate = np.zeros((count, m + 1))
-    for symbol in a:
-        match = np.where(windows == symbol, MATCH_SCORE, MISMATCH_SCORE)
-        np.maximum(
-            previous[:, :-1] + match, previous[:, 1:] + GAP_PENALTY, out=candidate[:, 1:]
+    for step, active in enumerate(active_rows.tolist()):
+        diagonal = np.where(
+            columns[:, :active] == symbols[step, :active], MATCH_SCORE, MISMATCH_SCORE
         )
-        np.maximum(candidate, 0.0, out=candidate)
-        current = np.maximum(_horizontal_gap_closure(candidate, GAP_PENALTY), 0.0)
-        np.maximum(best, current.max(axis=1), out=best)
-        previous = current
-    return best
+        np.add(previous[:-1, :active], diagonal, out=diagonal)
+        cells = current[:, :active]
+        np.add(previous[1:, :active], GAP_PENALTY, out=cells[1:])
+        np.maximum(diagonal, cells[1:], out=cells[1:])
+        np.maximum(cells, 0.0, out=cells)
+        # The horizontal-gap closure of _horizontal_gap_closure, its running
+        # maximum taken one window position at a time: each call spans all
+        # active rows, where maximum.accumulate would loop per row.  The
+        # closure never lowers a cell, so the cells stay non-negative.
+        np.subtract(cells, gaps, out=cells)
+        for j in range(1, m + 1):
+            np.maximum(cells[j - 1], cells[j], out=cells[j])
+        np.add(cells, gaps, out=cells)
+        np.maximum(best[:active], cells.max(axis=0), out=best[:active])
+        previous, current = current, previous
+    scores = np.empty(count)
+    scores[order] = best
+    return scores
 
 
 def smith_waterman_score(a: np.ndarray, b: np.ndarray) -> float:
     """Local alignment score (no traceback) of ``a`` against ``b``."""
-    return float(smith_waterman_scores(a, b[np.newaxis])[0])
+    return float(smith_waterman_scores([a], b[np.newaxis])[0])
 
 
 def encode_kmers(sequence: np.ndarray, k: int, alphabet: int = DNA_ALPHABET) -> np.ndarray:

@@ -98,8 +98,11 @@ class Blast(ApproximableApp):
         seed_work = _SEED_WORK * subset_kmers.shape[1]
         seed_traffic = _SEED_TRAFFIC * subset_kmers.shape[1]
         window_len = windows.shape[1]
-        best_scores = np.zeros(_N_QUERIES)
-        for q_index, query in enumerate(queries):
+        # Seed every query first; the extensions of all queries then run
+        # as one batched local alignment.  Counters are added in the order
+        # a query-by-query loop adds them.
+        extended_rows, row_queries, seed_floors = [], [], []
+        for query in queries:
             query_kmers = np.unique(encode_kmers(query, _KMER))
             # Seed pass: count k-mer hits per database sequence.
             seed_counts = np.zeros(_N_DATABASE)
@@ -114,19 +117,24 @@ class Blast(ApproximableApp):
             extended = candidates[
                 : perforated_count(max(len(candidates), 1), keep_extensions)
             ]
-            scores = smith_waterman_scores(query, windows[extended])
             for _ in extended:
                 counters.add(
                     work=_EXTEND_WORK * len(query) * window_len,
                     traffic=_EXTEND_TRAFFIC * window_len,
                 )
-            best = max([0.0, *scores.tolist()])
+            extended_rows.append(extended)
+            row_queries.extend([query] * len(extended))
+            # Skipped candidates contribute their (conservative) seed
+            # score — always a lower bound on the extended score.
             skipped = candidates[len(extended):]
-            if len(skipped):
-                # Skipped candidates contribute their (conservative) seed
-                # score — always a lower bound on the extended score.
-                best = max(best, float(seed_counts[skipped].max()) * 1.0)
-            best_scores[q_index] = best
+            seed_floors.append(float(seed_counts[skipped].max()) if len(skipped) else 0.0)
+        scores = smith_waterman_scores(row_queries, windows[np.concatenate(extended_rows)])
+        splits = np.cumsum([len(rows) for rows in extended_rows])[:-1]
+        best_scores = np.zeros(_N_QUERIES)
+        for q_index, (query_scores, floor) in enumerate(
+            zip(np.split(scores, splits), seed_floors)
+        ):
+            best_scores[q_index] = max(0.0, *query_scores.tolist(), floor)
         return best_scores
 
     def quality_loss(

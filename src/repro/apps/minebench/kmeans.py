@@ -47,6 +47,12 @@ _LOCK_TRAFFIC = 64.0
 _LOCK_WORK = 0.08
 
 
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(n, k)`` squared distances, each difference squared in place."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.square(diff, out=diff).sum(axis=2)
+
+
 class KMeans(ApproximableApp):
     """Lloyd's k-means (MineBench)."""
 
@@ -97,10 +103,9 @@ class KMeans(ApproximableApp):
         labels = np.zeros(_N_POINTS, dtype=np.int64)
         iters = perforated_count(_ITERS, keep_iters)
         sampled = perforated_indices(_N_POINTS, keep_points)
+        subset = points[sampled]
         for _ in range(iters):
-            subset = points[sampled]
-            dists = ((subset[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            labels[sampled] = dists.argmin(axis=1)
+            labels[sampled] = _squared_distances(subset, centroids).argmin(axis=1)
             counters.add(
                 work=_ASSIGN_WORK * len(sampled) * _N_CLUSTERS,
                 traffic=_POINT_TRAFFIC * len(sampled),
@@ -110,17 +115,17 @@ class KMeans(ApproximableApp):
                     work=_LOCK_WORK * len(sampled),
                     traffic=_LOCK_TRAFFIC * len(sampled),
                 )
-            contributors = sampled
+            contributors, contributor_labels = subset, labels[sampled]
             if async_update:
                 survived = rng.random(len(sampled)) >= _LOST_UPDATE_RATE
-                contributors = sampled[survived]
+                contributors = subset[survived]
+                contributor_labels = contributor_labels[survived]
             for j in range(_N_CLUSTERS):
-                members = points[contributors][labels[contributors] == j]
+                members = contributors[contributor_labels == j]
                 if len(members):
                     centroids[j] = members.mean(axis=0)
 
-        final = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return float(final.min(axis=1).sum())
+        return float(_squared_distances(points, centroids).min(axis=1).sum())
 
     def quality_loss(self, precise_output: float, approx_output: float) -> float:
         return cost_increase_pct(approx_output, precise_output)

@@ -1,8 +1,11 @@
 """Per-app behaviors the paper's narrative depends on."""
 
+import numpy as np
 import pytest
 
 from repro.apps import VariantSpec, make_app
+from repro.apps.knobs import perforated_indices
+from repro.apps.splash2.water_nsquared import pair_force_bins, sum_pair_forces
 
 
 class TestCanneal:
@@ -49,6 +52,45 @@ class TestWaterSpatial:
             name: make_app(name).metadata.dynrio_overhead for name in ALL_APP_NAMES
         }
         assert max(overheads, key=overheads.get) == "water_spatial"
+
+
+def _add_at_reference(i_k, j_k, pair_force, n_atoms):
+    """The per-atom force sum as water_nsquared first computed it."""
+    out = np.zeros((n_atoms, 3))
+    np.add.at(out, i_k, pair_force)
+    np.add.at(out, j_k, -pair_force)
+    return out
+
+
+class TestWaterNSquaredForceSum:
+    """One bincount adds exactly what the two ``np.add.at`` calls added."""
+
+    @pytest.mark.parametrize("keep", [1.0, 0.8, 0.5, 0.35])
+    def test_perforated_pairs(self, keep):
+        n_atoms = 60
+        i_upper, j_upper = np.triu_indices(n_atoms, k=1)
+        kept = perforated_indices(len(i_upper), keep)
+        self._check(i_upper[kept], j_upper[kept], n_atoms, seed=int(keep * 100))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unordered_endpoints(self, seed):
+        rng = np.random.default_rng(seed)
+        n_atoms = 25
+        i_k, j_k = rng.integers(0, n_atoms, size=(2, 900))
+        self._check(i_k, j_k, n_atoms, seed)
+
+    @staticmethod
+    def _check(i_k, j_k, n_atoms, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes over twelve decades, so any regrouped sum rounds
+        # differently somewhere.
+        pair_force = rng.normal(size=(len(i_k), 3)) * 10.0 ** rng.integers(
+            -6, 6, size=(len(i_k), 1)
+        )
+        got = sum_pair_forces(pair_force_bins(i_k, j_k), pair_force, n_atoms)
+        expected = _add_at_reference(i_k, j_k, pair_force, n_atoms)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRaytrace:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.knobs import (
     Knob,
@@ -115,3 +117,24 @@ class TestPerforatedIndices:
     def test_count_close_to_fraction(self):
         idx = perforated_indices(1000, 0.4)
         assert len(idx) == pytest.approx(400, abs=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=100_000),
+    keep=st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_perforated_indices_match_the_unique_reference(n, keep):
+    """The neighbour mask gives exactly what ``np.unique`` of the rounded
+    linspace gave: the same strictly increasing indices, one per kept
+    iteration."""
+    got = perforated_indices(n, keep)
+    kept = perforated_count(n, keep)
+    if kept:
+        reference = np.unique(np.linspace(0, n - 1, kept).round().astype(np.int64))
+    else:
+        reference = np.empty(0, dtype=np.int64)
+    assert got.dtype == reference.dtype
+    assert np.array_equal(got, reference)
+    assert np.all(np.diff(got) > 0)
+    assert len(got) == kept

@@ -152,14 +152,39 @@ class TestSmithWatermanBatch:
             ]
         )
         windows[0, : min(10, window_len)] = query[: min(10, window_len)]
-        batch = smith_waterman_scores(query, windows)
+        batch = smith_waterman_scores([query] * count, windows)
         assert batch.shape == (count,)
         assert batch.tolist() == [smith_waterman_score(query, w) for w in windows]
         assert batch.tolist() == [_naive_smith_waterman(query, w) for w in windows]
 
+    @pytest.mark.parametrize("alphabet, seed", [(4, 0), (4, 1), (PROTEIN_ALPHABET, 2)])
+    def test_one_query_per_row(self, alphabet, seed):
+        # Queries of mixed lengths, ties included, in no particular order:
+        # rows finish at different steps and must come back in input order.
+        rng = generator(30 + seed)
+        window_len = 24
+        lengths = [12, 31, 1, 31, 7, 0, 19, 12, 40]
+        queries = [random_sequence(rng, n, alphabet) for n in lengths]
+        windows = np.stack(
+            [random_sequence(rng, window_len, alphabet) for _ in queries]
+        )
+        windows[1, 3:15] = queries[1][:12]  # one strong local match
+        batch = smith_waterman_scores(queries, windows)
+        assert batch.tolist() == [
+            smith_waterman_score(q, w) for q, w in zip(queries, windows)
+        ]
+        assert batch.tolist() == [
+            _naive_smith_waterman(q, w) for q, w in zip(queries, windows)
+        ]
+        assert batch[1] >= 2.0 * 12
+
     def test_empty_batch(self):
+        assert smith_waterman_scores([], np.empty((0, 8), dtype=np.int64)).shape == (0,)
+
+    def test_one_query_per_window_required(self):
         query = random_sequence(generator(15), 10)
-        assert smith_waterman_scores(query, np.empty((0, 8), dtype=np.int64)).shape == (0,)
+        with pytest.raises(ValueError, match="queries"):
+            smith_waterman_scores([query], np.zeros((2, 8), dtype=np.int64))
 
 
 class TestGapClosureRows:
