@@ -49,9 +49,12 @@ bench-check:
 
 ## Import/syntax floor plus repro-lint: byte-compile everything, then
 ## enforce the determinism/lease-clock/serialization invariants
-## (strict: stale baseline entries fail too).
+## (strict: stale baseline entries fail too).  The bytecode goes to a
+## throwaway prefix, so lint leaves no __pycache__/ in the tree.
 lint:
-	$(PY) -m compileall -q src tests benchmarks examples scripts
+	@prefix=$$(mktemp -d); \
+	PYTHONPYCACHEPREFIX=$$prefix $(PY) -m compileall -q src tests benchmarks examples scripts; \
+	status=$$?; rm -rf $$prefix; exit $$status
 	$(PY) -m repro.analysis --strict
 
 ## Sanity-check the lint fixture corpus: every bad fixture must still

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.sweep.grid import (
+    _CODECS_BY_NAME,
     Scenario,
     SweepGrid,
     _freeze,
@@ -47,12 +48,43 @@ def _normalize_value(field: str, value):
     return _freeze(value)
 
 
-def _as_pairs(mapping_or_pairs) -> list[tuple[str, object]]:
+def _as_pairs(what: str, mapping_or_pairs) -> list[tuple[str, object]]:
     if mapping_or_pairs is None:
         return []
     if isinstance(mapping_or_pairs, dict):
-        return list(mapping_or_pairs.items())
-    return [(k, v) for k, v in mapping_or_pairs]
+        pairs = list(mapping_or_pairs.items())
+    else:
+        try:
+            pairs = [(k, v) for k, v in mapping_or_pairs]
+        except (TypeError, ValueError):
+            pairs = None
+    if pairs is None or not all(isinstance(k, str) for k, _ in pairs):
+        raise ValueError(
+            f"spec {what} must map field names to values (an object or "
+            f"[name, value] pairs), got {mapping_or_pairs!r}"
+        )
+    return pairs
+
+
+#: The required fields of a scenario that :func:`_checked_value` builds
+#: around the one value it checks.
+_PROBE = {"service": "probe", "apps": ("probe",)}
+
+
+def _checked_value(field: str, value):
+    """``value`` in canonical form, or a ``ValueError`` naming ``field``.
+
+    The value is tried in a scenario of its own.  No scenario check
+    involves two fields, so every point of a spec whose values all pass
+    constructs: a malformed value fails when the spec is built, not when
+    it expands.
+    """
+    try:
+        value = _normalize_value(field, value)
+        Scenario(**{**_PROBE, field: value})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec field {field!r} = {value!r}: {exc}") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,9 +123,14 @@ class ExperimentSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for label in ("name", "description"):
+            if not isinstance(getattr(self, label), str):
+                raise ValueError(
+                    f"spec {label} must be a string, got {getattr(self, label)!r}"
+                )
         known = scenario_field_names()
-        base_pairs = _as_pairs(self.base)
-        axis_pairs = _as_pairs(self.axes)
+        base_pairs = _as_pairs("base", self.base)
+        axis_pairs = _as_pairs("axes", self.axes)
 
         unknown = [k for k, _ in base_pairs + axis_pairs if k not in known]
         if unknown:
@@ -101,6 +138,9 @@ class ExperimentSpec:
                 f"unknown scenario field(s): {sorted(set(unknown))} "
                 f"(sweepable fields: {', '.join(sorted(known))})"
             )
+        base_names = [k for k, _ in base_pairs]
+        if len(base_names) != len(set(base_names)):
+            raise ValueError(f"duplicate base field in {base_names}")
         axis_names = [k for k, _ in axis_pairs]
         if len(axis_names) != len(set(axis_names)):
             raise ValueError(f"duplicate axis name in {axis_names}")
@@ -135,13 +175,13 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "base",
-            tuple((k, _normalize_value(k, v)) for k, v in base_pairs),
+            tuple((k, _checked_value(k, v)) for k, v in base_pairs),
         )
         object.__setattr__(
             self,
             "axes",
             tuple(
-                (k, tuple(_normalize_value(k, v) for v in values))
+                (k, tuple(_checked_value(k, v) for v in values))
                 for k, values in axis_pairs
             ),
         )
@@ -163,6 +203,11 @@ class ExperimentSpec:
         objective = self.objective
         if isinstance(objective, str):
             objective = (objective,)
+        if not isinstance(objective, (list, tuple)):
+            raise ValueError(
+                f"objective must be a metric string or a list of them, "
+                f"got {objective!r}"
+            )
         objective = tuple(objective)
         for entry in objective:
             if not isinstance(entry, str) or not entry:
@@ -176,8 +221,9 @@ class ExperimentSpec:
                     f"objective {entry!r} must look like 'metric', "
                     "'min:metric' or 'max:metric'"
                 )
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
+            raise ValueError(f"rng_seed must be an int, got {self.rng_seed!r}")
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
     @property
     def search_requested(self) -> bool:
@@ -341,16 +387,24 @@ class ExperimentSpec:
                 f"unsupported spec format {version!r} (this build reads "
                 f"format {SPEC_FORMAT})"
             )
-        return cls(
-            axes=[(k, tuple(v)) for k, v in payload.get("axes", [])],
+        spec = cls(
+            axes=payload.get("axes", []),
             base=payload.get("base", {}),
             name=payload.get("name", ""),
             description=payload.get("description", ""),
             strategy=payload.get("strategy", "grid"),
             budget=payload.get("budget"),
-            objective=tuple(payload.get("objective", ())),
+            objective=payload.get("objective", ()),
             rng_seed=payload.get("rng_seed", 0),
         )
+        # A file is held to the value types of a scenario payload, as
+        # Scenario.from_payload holds a spooled scenario.
+        for field, value in spec.base:
+            _CODECS_BY_NAME[field].decode(value)
+        for field, values in spec.axes:
+            for value in values:
+                _CODECS_BY_NAME[field].decode(value)
+        return spec
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -111,13 +111,13 @@ class DesignSpaceExplorer:
         seed: int = 0,
         max_inaccuracy_pct: float = 5.0,
         use_profiler_hints: bool = False,
-        cache_dir: Path | None = None,
+        cache_dir: str | os.PathLike[str] | None = None,
     ) -> None:
         self._app = app
         self._seed = seed
         self._max_inaccuracy = max_inaccuracy_pct
         self._use_profiler = use_profiler_hints
-        self._cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
+        self._cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
     # -- cache keys -----------------------------------------------------------
 

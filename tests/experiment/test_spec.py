@@ -1,8 +1,12 @@
 """ExperimentSpec: validation, expansion order, JSON round trip."""
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiment import ExperimentSpec
 from repro.sweep import Scenario, SweepGrid
@@ -240,3 +244,119 @@ class TestSearchFields:
 
     def test_budget_alone_requests_search(self):
         assert demo_spec().with_search(budget=3).search_requested
+
+
+def _demo_payload(**changes):
+    payload = demo_spec().to_dict()
+    payload.update(changes)
+    return payload
+
+
+class TestMalformedJson:
+    """A malformed spec file fails to load with a ``ValueError`` naming the
+    field; it never loads and then fails when it expands."""
+
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            pytest.param(_demo_payload(axes=5), "axes", id="axes-scalar"),
+            pytest.param(
+                _demo_payload(axes=[["load_fraction", 5]]),
+                "'load_fraction'",
+                id="axis-values-scalar",
+            ),
+            pytest.param(
+                _demo_payload(axes=[["apps", "kmeans"]], base={"service": "nginx"}),
+                "'apps'",
+                id="axis-values-string",
+            ),
+            pytest.param(_demo_payload(base=[1, 2]), "base", id="base-list"),
+            pytest.param(
+                _demo_payload(base={**BASE, "apps": 3}), "'apps'", id="apps-int"
+            ),
+            pytest.param(
+                _demo_payload(base={**BASE, "policy_kwargs": 3}),
+                "'policy_kwargs'",
+                id="policy-kwargs-int",
+            ),
+            pytest.param(_demo_payload(objective=5), "objective", id="objective-int"),
+            pytest.param(_demo_payload(rng_seed=[1]), "rng_seed", id="rng-seed-list"),
+            pytest.param(_demo_payload(name=7), "name", id="name-int"),
+            pytest.param(
+                _demo_payload(base={**BASE, "load_fraction": "x"}),
+                "'load_fraction'",
+                id="load-fraction-string",
+            ),
+            pytest.param(
+                _demo_payload(base={**BASE, "horizon": math.nan}),
+                "'horizon'",
+                id="horizon-nan",
+            ),
+            pytest.param(
+                _demo_payload(axes=[["slack_threshold", [0.1, -0.1]]]),
+                "'slack_threshold'",
+                id="axis-value-negative",
+            ),
+            pytest.param(
+                _demo_payload(base={**BASE, "seed": 2.5}), "'seed'", id="seed-float"
+            ),
+            pytest.param(
+                _demo_payload(base=[["seed", 1], ["seed", 2], *BASE.items()]),
+                "duplicate base field",
+                id="base-duplicate",
+            ),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, payload, named):
+        with pytest.raises(ValueError, match=named):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    def test_bad_run_knob_fails_when_built(self):
+        with pytest.raises(ValueError, match="horizon"):
+            ExperimentSpec(base={**BASE, "horizon": -1.0})
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+scenario_fields = st.sampled_from(
+    sorted(f.name for f in dataclasses.fields(Scenario))
+)
+spec_keys = st.sampled_from(
+    ["format", "name", "description", "base", "axes", "strategy", "budget",
+     "objective", "rng_seed"]
+)
+#: Mostly numbers, the type of most scenario fields, so that many fuzzed
+#: payloads get past the key checks to the value checks.
+field_values = st.integers() | st.floats(allow_nan=True, allow_infinity=True) | json_values
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    changes=st.dictionaries(spec_keys | st.just("bogus"), json_values, max_size=2),
+    base_changes=st.dictionaries(
+        scenario_fields | st.just("bogus"), field_values, max_size=3
+    ),
+    axis=st.none() | st.tuples(scenario_fields, st.lists(field_values, max_size=3)),
+)
+def test_fuzzed_spec_loads_or_raises_value_error(changes, base_changes, axis):
+    """Any payload either loads into a spec that expands, or raises
+    ``ValueError``, nothing else."""
+    payload = _demo_payload()
+    payload["base"].update(base_changes)
+    if axis is not None:
+        payload["axes"].append(list(axis))
+    payload.update(changes)
+    try:
+        spec = ExperimentSpec.from_dict(payload)
+    except ValueError:
+        return
+    spec.scenarios()
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec

@@ -64,6 +64,13 @@ def test_key_carries_the_code_fingerprint(tmp_path):
     assert path.stem.endswith(f"-c{variants.ladder_code_fingerprint()}")
 
 
+def test_str_cache_dir_resolves_like_path(tmp_path):
+    as_str = DesignSpaceExplorer(make_app(APP), seed=0, cache_dir=str(tmp_path))
+    assert as_str._cache_path() == _explorer(tmp_path)._cache_path()
+    as_str.explore()
+    assert len(list(tmp_path.glob(f"{APP}-*.json"))) == 1
+
+
 def test_warm_ladder_for_reads_no_source(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_EXPLORATION_CACHE", str(tmp_path))
     colocation.ladder_for.cache_clear()
