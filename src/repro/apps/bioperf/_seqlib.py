@@ -165,7 +165,8 @@ def smith_waterman_scores(
     columns = np.ascontiguousarray(windows[order].T)
     active_rows = (lengths[:, None] > np.arange(longest)).sum(axis=0)
     gaps = (np.arange(m + 1, dtype=np.float64) * GAP_PENALTY)[:, None]
-    # Two DP rows, swapped every step; row 0 of each stays 0.
+    # The DP at the previous and at the current query position, swapped
+    # every step; window position 0 stays 0 in both.
     previous, current = np.zeros((2, m + 1, count))
     best = np.zeros(count)
     for step, active in enumerate(active_rows.tolist()):
