@@ -10,8 +10,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PY) -m pytest -x -q
 
-## Sweep-engine benchmark: measures parallel/cached/vectorized speedups and
-## the distributed-vs-serial gap; appends trajectory entries to
+## Sweep-engine benchmark: measures parallel/cached speedups and the
+## distributed-vs-serial gap; appends trajectory entries to
 ## BENCH_sweep.json.
 bench:
 	$(PY) -m pytest benchmarks/test_sweep_engine.py benchmarks/test_adaptive_search.py -m benchmark -q

@@ -1,6 +1,6 @@
 """Sweep-engine speedup benchmark (the tentpole's measured claims).
 
-Runs a Fig. 8-style load sweep three ways and appends the measurements to
+Runs a Fig. 8-style load sweep two ways and appends the measurements to
 ``BENCH_sweep.json``:
 
 * **serial vs parallel** — the same grid through 1 worker and through one
@@ -8,10 +8,6 @@ Runs a Fig. 8-style load sweep three ways and appends the measurements to
   the parallel pass must be >= 4x faster.
 * **cold vs warm cache** — a second pass over an already-populated result
   cache must cost < 10% of the cold pass.
-* **scalar vs vectorized** — the request-level load sweep through the
-  event-driven :class:`QueueSimulator` (one run per load) vs the batched
-  Kiefer-Wolfowitz recursion (all loads at once), equal request counts;
-  the vectorized hot path must be >= 4x faster on any host.
 """
 
 from __future__ import annotations
@@ -20,12 +16,8 @@ import os
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
-from repro.sim.analytic import mmc_tail_latency, mmc_tail_latency_batch
-from repro.sim.distributions import Exponential
-from repro.sim.queueing import QueueSimulator, batch_load_sweep
 from repro.sweep import (
     DistributedBackend,
     ProcessBackend,
@@ -85,32 +77,6 @@ def test_sweep_engine_speedup(capsys):
     warm_hits = sum(1 for o in warm if o.from_cache)
     warm_fraction = t_warm / t_cold if t_cold > 0 else float("inf")
 
-    # -- scalar vs vectorized request-level sweep ------------------------
-    service = Exponential(0.02)
-    rates = np.linspace(30.0, 90.0, 7)
-    n_requests = 50_000
-
-    def scalar_queue_sweep():
-        return [
-            QueueSimulator(2, service, float(rate), seed=3).run(n_requests / rate)
-            for rate in rates
-        ]
-
-    _, t_scalar_q = _timed(scalar_queue_sweep)
-    _, t_batch_q = _timed(
-        lambda: batch_load_sweep(2, service, rates, n_requests, seed=3)
-    )
-    vectorized_speedup = t_scalar_q / t_batch_q if t_batch_q > 0 else float("inf")
-
-    # -- scalar vs vectorized analytic surface ---------------------------
-    lam = np.linspace(10.0, 780.0, 4000)
-    svc = np.full_like(lam, 0.01)
-    _, t_scalar_a = _timed(
-        lambda: [mmc_tail_latency(l, 0.01, 8) for l in lam]
-    )
-    _, t_batch_a = _timed(lambda: mmc_tail_latency_batch(lam, svc, 8))
-    analytic_speedup = t_scalar_a / t_batch_a if t_batch_a > 0 else float("inf")
-
     record_bench(
         "sweep_engine_speedup",
         {
@@ -124,8 +90,6 @@ def test_sweep_engine_speedup(capsys):
             "warm_s": round(t_warm, 3),
             "warm_fraction": round(warm_fraction, 4),
             "warm_cache_hits": warm_hits,
-            "vectorized_queueing_speedup": round(vectorized_speedup, 2),
-            "vectorized_analytic_speedup": round(analytic_speedup, 2),
         },
     )
 
@@ -137,15 +101,10 @@ def test_sweep_engine_speedup(capsys):
               f"({parallel_speedup:.2f}x)  identical: {identical}")
         print(f"cold {t_cold:.2f}s  warm {t_warm:.3f}s "
               f"({100 * warm_fraction:.1f}% of cold, {warm_hits} hits)")
-        print(f"vectorized queueing sweep: {vectorized_speedup:.1f}x; "
-              f"vectorized analytic surface: {analytic_speedup:.1f}x")
 
     assert identical, "serial and parallel sweeps must be bit-identical"
     assert warm_hits == len(grid)
     assert warm_fraction < 0.10, f"warm cache cost {warm_fraction:.1%} of cold"
-    assert vectorized_speedup >= 4.0, (
-        f"vectorized queueing sweep only {vectorized_speedup:.1f}x faster"
-    )
     if cores >= 4:
         assert parallel_speedup >= 4.0, (
             f"parallel sweep only {parallel_speedup:.1f}x on {cores} cores"

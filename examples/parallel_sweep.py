@@ -4,21 +4,14 @@ Declares a multi-axis experiment as an :class:`ExperimentSpec` (services
 x apps x loads x policies), fans it out across every core through
 ``run_experiment`` with the memoizing sweep engine, and queries the
 returned :class:`ResultSet` for the per-scenario QoS outcome plus
-cache/parallelism provenance.  Also shows the vectorized request-level
-load sweep: one batched Kiefer-Wolfowitz pass over a whole grid of
-arrival rates.
+cache/parallelism provenance.
 
 Usage:  python examples/parallel_sweep.py [workers]
 """
 
 import sys
 
-import numpy as np
-
 from repro.experiment import ExperimentSpec, run_experiment
-from repro.sim.analytic import mmc_tail_latency_batch
-from repro.sim.distributions import Exponential
-from repro.sim.queueing import batch_load_sweep
 from repro.sweep import SweepCache, SweepEngine
 from repro.viz import format_table
 
@@ -64,17 +57,7 @@ def main() -> None:
         f"QoS met (fraction of scenarios): "
         + ", ".join(f"{k}={v:.2f}" for k, v in met.items())
     )
-    print(f"(results cached under {engine.cache.root}; rerun to see hits)\n")
-
-    print("== vectorized request-level load sweep (G/G/2, one batch pass) ==")
-    rates = np.linspace(30.0, 90.0, 7)
-    metrics = batch_load_sweep(2, Exponential(0.02), rates, 40_000, seed=1)
-    analytic = mmc_tail_latency_batch(rates, np.full_like(rates, 0.02), 2)
-    rows = [
-        [f"{rate:.0f}", f"{m.p99 * 1e3:.1f}", f"{a * 1e3:.1f}"]
-        for rate, m, a in zip(rates, metrics, analytic)
-    ]
-    print(format_table(["QPS", "sim p99 (ms)", "analytic p99 (ms)"], rows))
+    print(f"(results cached under {engine.cache.root}; rerun to see hits)")
 
 
 if __name__ == "__main__":

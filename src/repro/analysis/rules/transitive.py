@@ -3,7 +3,7 @@
 The per-file ``no-wallclock`` and ``seeded-rng`` rules catch a direct
 violation on the line it happens.  What they cannot see is a
 deterministic-zone function laundering nondeterminism through helpers:
-``repro.sim`` calling into a free-zone utility module whose helper's
+``repro.core`` calling into a free-zone utility module whose helper's
 helper reads ``time.time()``.  These rules flag exactly that — the
 finding anchors at the deterministic function that crosses the zone
 boundary (where the fix belongs: inject the value, pass the seed) and

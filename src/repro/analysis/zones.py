@@ -50,8 +50,8 @@ ZONE_MAP: dict[str, Zone] = {
     # telemetry-side-channel rule polices the consumers, not this module).
     "repro/telemetry": Zone.FREE,
     # Everything else under the package computes (or feeds) results that
-    # must reproduce bit-identically: sim, search, experiment, core,
-    # apps, services, server, cluster, sweep's cache/engine/grid, rng.
+    # must reproduce bit-identically: search, experiment, core, apps,
+    # services, server, cluster, sweep's cache/engine/grid, rng.
     "repro": Zone.DETERMINISTIC,
     "benchmarks": Zone.FREE,
     "examples": Zone.FREE,

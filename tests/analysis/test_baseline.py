@@ -10,7 +10,7 @@ BAD = "import time\n\ndef f():\n    return time.time()\n"
 
 
 def findings_for(source: str):
-    return analyze_source(source, "src/repro/sim/m.py", zone=Zone.DETERMINISTIC)
+    return analyze_source(source, "src/repro/core/runtime.py", zone=Zone.DETERMINISTIC)
 
 
 class TestFingerprints:

@@ -135,7 +135,7 @@ def test_json_output_reports_timing(capsys):
 def test_zone_of(capsys):
     assert run("--zone-of", "src/repro/sweep/backends/distributed.py") == 0
     assert capsys.readouterr().out.strip() == "distributed"
-    assert run("--zone-of", "src/repro/sim/events.py") == 0
+    assert run("--zone-of", "src/repro/core/runtime.py") == 0
     assert capsys.readouterr().out.strip() == "deterministic"
 
 

@@ -25,7 +25,7 @@ def summarize(source: str, relpath: str = "lib/mod.py", **kwargs):
 
 class TestModuleName:
     def test_plain_module(self):
-        assert module_name("repro/sim/events.py") == ("repro.sim.events", False)
+        assert module_name("repro/core/runtime.py") == ("repro.core.runtime", False)
 
     def test_leading_src_is_stripped(self):
         assert module_name("src/repro/rng.py") == ("repro.rng", False)

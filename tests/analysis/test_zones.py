@@ -18,7 +18,7 @@ class TestZoneFor:
         assert zone_for("src/repro/sweep/engine.py") is Zone.DETERMINISTIC
 
     def test_named_deterministic_zones(self):
-        for module in ("sim", "search", "experiment", "core", "cluster"):
+        for module in ("services", "search", "experiment", "core", "cluster"):
             path = f"src/repro/{module}/x.py"
             assert zone_for(path) is Zone.DETERMINISTIC, path
 
@@ -28,7 +28,7 @@ class TestZoneFor:
         assert zone_for("benchmarks/_common.py") is Zone.FREE
         assert zone_for("examples/quickstart.py") is Zone.FREE
         assert zone_for("scripts/bench_check.py") is Zone.FREE
-        assert zone_for("tests/sim/test_events.py") is Zone.FREE
+        assert zone_for("tests/core/test_runtime.py") is Zone.FREE
 
     def test_absolute_and_relative_paths_agree(self):
         rel = zone_for("src/repro/sweep/backends/distributed.py")

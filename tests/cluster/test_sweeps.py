@@ -1,138 +1,8 @@
-"""Sweep helpers: load and decision-interval sweeps."""
+"""Sweep helpers: Fig. 10 outcome breakdown."""
 
 import pytest
 
-from repro.cluster.sweeps import OutcomeBreakdown, interval_sweep, load_sweep
-from repro.core.runtime import ColocationConfig
-
-
-class TestLoadSweep:
-    def test_points_cover_requested_loads(self):
-        points = load_sweep(
-            "mongodb",
-            ("kmeans",),
-            load_fractions=(0.4, 0.8),
-            base_config=ColocationConfig(seed=4),
-        )
-        assert [p.value for p in points] == [0.4, 0.8]
-
-    def test_latency_grows_with_load(self):
-        points = load_sweep(
-            "mongodb",
-            ("kmeans",),
-            load_fractions=(0.4, 0.95),
-            base_config=ColocationConfig(seed=4),
-        )
-        assert points[0].result.qos_ratio < points[1].result.qos_ratio
-
-    def test_custom_policy_factory(self):
-        # Deprecated path: the factory is routed through register_policy
-        # so it still runs through the engine (fan-out, seeding, caching).
-        from repro.core import PrecisePolicy
-
-        with pytest.warns(DeprecationWarning, match="register_policy"):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4),
-            )
-        assert points[0].result.policy_name == "precise"
-
-    def test_configured_policy_factory_arguments_respected(self):
-        # A factory may close over constructor arguments the declarative
-        # registry path cannot reconstruct; they must take effect.
-        from repro.core import StaticLevelPolicy
-
-        with pytest.warns(DeprecationWarning):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=lambda: StaticLevelPolicy({"kmeans": 0}),
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-            )
-        assert points[0].result.policy_name == "static-level"
-
-    def test_factory_rejected_on_distributed_backend(self, tmp_path):
-        # The transient registration can't reach remote workers; failing
-        # at submit time beats a fleet of "unknown policy" job failures.
-        from repro.core import PrecisePolicy
-        from repro.sweep import DistributedBackend
-
-        with pytest.raises(ValueError, match="distributed"):
-            load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=PrecisePolicy,
-                backend=DistributedBackend(tmp_path / "spool"),
-            )
-
-    def test_factory_sweep_runs_through_the_engine(self, tmp_path):
-        # The deprecated factory path must no longer bypass the engine:
-        # results land in the cache like any other sweep.
-        from repro.core import PrecisePolicy
-        from repro.sweep import SweepCache, SweepEngine
-
-        engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
-        with pytest.warns(DeprecationWarning):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5, 0.7),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-                engine=engine,
-            )
-        assert len(points) == 2
-        assert engine.cache.misses == 2
-        with pytest.warns(DeprecationWarning):
-            load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5, 0.7),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-                engine=engine,
-            )
-        assert engine.cache.hits == 2
-
-    def test_engine_with_cache_memoizes_points(self, tmp_path):
-        from repro.sweep import SweepCache, SweepEngine
-
-        engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
-        kwargs = dict(
-            load_fractions=(0.5, 0.7),
-            base_config=ColocationConfig(seed=4, horizon=30.0),
-            engine=engine,
-        )
-        load_sweep("mongodb", ("kmeans",), **kwargs)
-        assert engine.cache.misses == 2
-        load_sweep("mongodb", ("kmeans",), **kwargs)
-        assert engine.cache.hits == 2
-
-
-class TestIntervalSweep:
-    def test_points_cover_intervals(self):
-        points = interval_sweep(
-            "mongodb",
-            ("kmeans",),
-            intervals=(0.5, 2.0),
-            base_config=ColocationConfig(seed=4),
-        )
-        assert [p.value for p in points] == [0.5, 2.0]
-
-    def test_finer_interval_more_decisions(self):
-        points = interval_sweep(
-            "mongodb",
-            ("kmeans",),
-            intervals=(0.5, 2.0),
-            base_config=ColocationConfig(seed=4),
-        )
-        fine, coarse = points
-        assert len(fine.result.intervals) > len(coarse.result.intervals)
+from repro.cluster.sweeps import OutcomeBreakdown
 
 
 class TestOutcomeBreakdown:

@@ -66,6 +66,19 @@ class TestSubstrateResolution:
         assert result.service_name == "mongodb"
 
 
+class TestLoadAxis:
+    def test_latency_grows_with_load(self):
+        spec = ExperimentSpec(
+            name="load-axis",
+            base={"service": "mongodb", "apps": "kmeans", "seed": 4},
+            axes={"load_fraction": (0.4, 0.95)},
+        )
+        results = run_experiment(spec, workers=1)
+        low = results.lookup(load_fraction=0.4)
+        high = results.lookup(load_fraction=0.95)
+        assert low.qos_ratio < high.qos_ratio
+
+
 class TestCaching:
     def test_warm_rerun_is_fully_cached(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from repro.core.controller import PliantController
 from repro.search.ladder import pareto_select
 from repro.server.interference import _overload
 from repro.services.latency import LatencyCurve, LatencyCurveParams
-from repro.sim.analytic import mmc_erlang_c, mmc_tail_latency
 
 
 # --- perforation -----------------------------------------------------------
@@ -172,23 +169,3 @@ def test_overload_nonnegative_and_monotone(u):
     assert _overload(u) >= 0.0
     assert _overload(u + 0.1) >= _overload(u)
 
-
-# --- queueing ----------------------------------------------------------------
-
-
-@given(
-    qps=st.floats(min_value=1.0, max_value=700.0),
-    servers=st.integers(min_value=1, max_value=16),
-)
-def test_erlang_c_is_probability(qps, servers):
-    p = mmc_erlang_c(qps, 0.01, servers)
-    assert 0.0 <= p <= 1.0
-
-
-@given(
-    qps=st.floats(min_value=1.0, max_value=750.0),
-    servers=st.integers(min_value=8, max_value=16),
-)
-def test_tail_latency_at_least_service_time(qps, servers):
-    p99 = mmc_tail_latency(qps, 0.01, servers)
-    assert math.isinf(p99) or p99 >= 0.01 * 0.99
