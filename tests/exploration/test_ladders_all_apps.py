@@ -6,6 +6,7 @@ Uses the on-disk exploration cache, so after the first run these are cheap.
 import pytest
 
 from repro.apps import ALL_APP_NAMES, make_app
+from repro.search.ladder import FRONTIER_TOLERANCE
 
 
 @pytest.mark.parametrize("name", ALL_APP_NAMES)
@@ -43,6 +44,44 @@ class TestLadderContract:
         for level in range(ladder.max_level + 1):
             settings = app.materialize(ladder.variant(level).spec)
             assert set(settings) == set(app.knobs())
+
+    def test_levels_belong_to_app(self, name, ladder_cache):
+        ladder = ladder_cache(name)
+        assert ladder.app_name == name
+        assert {level.app_name for level in ladder.levels} == {name}
+
+    def test_levels_are_distinct_operating_points(self, name, ladder_cache):
+        ladder = ladder_cache(name)
+        points = [
+            (
+                round(level.inaccuracy_pct, 3),
+                round(level.time_factor, 3),
+                round(level.traffic_rate_factor, 3),
+            )
+            for level in ladder.levels
+        ]
+        assert len(set(points)) == len(points)
+        assert len(set(level.spec for level in ladder.levels)) == len(points)
+
+    def test_every_level_earns_its_slot(self, name, ladder_cache):
+        # Each approximate level sits on the time or the contention
+        # frontier, so it beats precise by more than the frontier tolerance
+        # on at least one of the two axes.
+        ladder = ladder_cache(name)
+        threshold = 1.0 - FRONTIER_TOLERANCE
+        for level in ladder.levels[1:]:
+            assert (
+                level.time_factor < threshold
+                or level.traffic_rate_factor < threshold
+            )
+
+    def test_no_level_slows_the_app(self, name, ladder_cache):
+        ladder = ladder_cache(name)
+        assert max(level.time_factor for level in ladder.levels) == 1.0
+
+    def test_no_level_grows_the_footprint(self, name, ladder_cache):
+        ladder = ladder_cache(name)
+        assert all(0.0 < level.footprint_factor <= 1.0 for level in ladder.levels)
 
 
 class TestPaperArchetypes:
