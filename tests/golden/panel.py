@@ -9,8 +9,10 @@ and says why in the same change.
 The panel spans the Fig. 5 pairs of ``test_headline_results.py`` under
 both policies, every loadgen shape, every platform, every registered
 policy, a three-app mix in which one app finishes while the others still
-run, and a scripted policy that switches a level, reclaims a core and
-returns it under a step load.
+run, moving loads on multi-app mixes of every service (so that contention
+that depends on QPS reaches every tenant, and mongodb's disk demand moves
+with it), and a scripted policy that switches a level, reclaims a core
+and returns it under a step load.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ TWO_APP_MIX = ("kmeans", "raytrace")
 #: A three-app mix whose apps finish at different times.
 THREE_APP_MIX = ("kmeans", "semphy", "raytrace")
 
+#: Moving loads on multi-app mixes: (service, apps, loadgen shape, platform).
+MOVING_LOADS = (
+    ("nginx", THREE_APP_MIX, "diurnal", "default"),
+    ("mongodb", TWO_APP_MIX, "diurnal", "default"),
+    ("memcached", TWO_APP_MIX, "bursty", "half-llc"),
+)
+
 #: The scripted run's step load and the app its policy drives.
 SCRIPTED_LOAD = ("step", (("steps", ((0.0, 0.5), (3.0, 0.9))),))
 SCRIPTED_APP = "kmeans"
@@ -99,6 +108,17 @@ def panel() -> dict[str, Scenario]:
         for policy in ("pliant", "pliant-impact", "static-most-approx", "static-level", "core-reclaim-only")
     ]
     scenarios.append(Scenario(service="memcached", apps=THREE_APP_MIX, seed=SEED))
+    scenarios += [
+        Scenario(
+            service=service,
+            apps=apps,
+            seed=SEED,
+            platform=platform,
+            loadgen_shape=shape,
+            loadgen_params=LOADGENS[shape],
+        )
+        for service, apps, shape, platform in MOVING_LOADS
+    ]
     return {scenario.label(): scenario for scenario in scenarios}
 
 
