@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs perfbench sweep-smoke search-smoke lint lint-fixtures
+.PHONY: test bench bench-check bench-figs perfbench perfbench-check sweep-smoke search-smoke lint lint-fixtures
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
@@ -42,6 +42,12 @@ perfbench:
 	$(PY) perfbench/run.py --workload diurnal-multiapp
 	$(PY) perfbench/run.py --workload warm-replay
 	$(PY) perfbench/run.py --workload explore-cold
+
+## Digest gate on the benchmark's full scenario set: warm-replay's set-up
+## runs all 216 Fig. 5 and diurnal scenarios, and the run fails unless
+## every result matches perfbench/reference.json ("correct": true).
+perfbench-check:
+	$(PY) scripts/perfbench_check.py
 
 ## Trajectory hygiene: BENCH_sweep.json parses and is monotone-appended.
 bench-check:

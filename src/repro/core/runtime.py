@@ -16,24 +16,26 @@ Each epoch the engine:
    allocation (Amdahl), active variant (measured time factor), DynamoRIO
    overhead (when instrumented) and the contention it suffers itself.
 
-Contention is recomputed only when one of its inputs changes.  Each
-ladder level's resource profile, time factor and inaccuracy are built
-once, with the engine, as are the inflation smoothing factor and the list
-of app simulations the loop walks.  Each tenant keeps its own
-contribution to the shared resources, refreshed only when its profile or
-cores change.  The pressure on the service, its saturation throughput and
-each app's execution time (Amdahl x time factor x instrumentation x
-contention slowdown) are cached until the offered QPS changes, a level
-switch, a core move, or an app finishing.  A QPS change rebuilds only the
-service's profile and contribution; the queries that follow re-add the
-cached contributions of the others.  The service asks for the full
-five-term pressure breakdown, which its inflation reads; an app asks only
-for the memory-hierarchy term that slows it
-(:meth:`ServerNode.app_pressure`).  A finish invalidates at once, so apps
-advanced later in the same epoch already see the finished app idle, and
-finished apps are skipped.  Between those events nothing on the node
-changes, so the cached values are exactly the ones a fresh computation
-would return.
+Contention follows a per-configuration plan (:class:`ContentionPlan`).
+A configuration is every tenant's profile and cores; it changes only at
+a level switch, a core move or an app finishing, while the offered QPS
+may move every epoch.  The plan is built with the engine and again
+before the next app advance after each of those events, so apps
+advanced later in the epoch an app finishes already see it idle.  It holds
+everything that does not depend on QPS: the service's saturation
+throughput, the apps' contributions as the service sees them, every LLC
+term, and each running app's execution time without contention, own
+bandwidth terms and the other apps' bandwidths.  A QPS change evaluates
+only the rest — the service's CPU share and memory, disk and network
+demand, its bandwidth pressure and inflation, and each app's execution
+time — in straight-line arithmetic, summing in the order a fresh
+:meth:`ServerNode.pressure_on` would, so results are bit-identical to
+recomputing everything every epoch.  The service tenant's profile is
+refreshed when the plan is built; between builds, the service's demand
+that depends on QPS lives in the plan, not in its tenant.  Each ladder
+level's resource profile, time factor, traffic rate and inaccuracy are
+built once, with the engine, as are the inflation smoothing factor and
+the list of app simulations the loop walks.
 
 All randomness comes from one seeded generator, drawn as blocks of
 standard normals: the epoch's latency noise is ``exp(-sigma**2/2 +
@@ -68,10 +70,17 @@ from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
-from repro.server.interference import PressureBreakdown
+from repro.server.interference import (
+    PressureBreakdown,
+    bandwidth,
+    llc_pressure,
+    marginal,
+    overload,
+    utilization,
+)
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
-from repro.server.resources import ResourceProfile
+from repro.server.resources import ResourceProfile, total_membw
 from repro.server.tenant import Tenant, TenantKind
 from repro.services.base import BacklogTracker, InteractiveService
 from repro.services.loadgen import ConstantLoad, LoadGenerator
@@ -138,18 +147,22 @@ class AppSim:
     level_profiles: tuple[ResourceProfile, ...] = field(init=False, repr=False)
     level_time_factors: tuple[float, ...] = field(init=False, repr=False)
     level_inaccuracies: tuple[float, ...] = field(init=False, repr=False)
+    level_traffic_rates: tuple[float, ...] = field(init=False, repr=False)
     level_elides: tuple[bool, ...] = field(init=False, repr=False)
     #: Amdahl term at the tenant's nominal (fair-share) core count.
     amdahl_nominal: float = field(init=False, repr=False)
-    #: Cached execution time at the current level, cores and contention;
-    #: ``None`` once any of those changed.
-    exec_time: float | None = field(default=None, init=False, repr=False)
+    #: Execution time at the current level, cores and contention, set by
+    #: the engine's contention plan whenever the app is running.
+    exec_time: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         base = self.app.metadata.profile
         self.level_profiles = tuple(v.scaled_profile(base) for v in self.ladder.levels)
         self.level_time_factors = tuple(v.time_factor for v in self.ladder.levels)
         self.level_inaccuracies = tuple(v.inaccuracy_pct for v in self.ladder.levels)
+        self.level_traffic_rates = tuple(
+            v.traffic_rate_factor for v in self.ladder.levels
+        )
         self.level_elides = tuple(
             any(value is True for value in v.spec.values()) for v in self.ladder.levels
         )
@@ -164,6 +177,140 @@ class AppSim:
         if self.finished:
             return _IDLE_PROFILE
         return self.level_profiles[self.level]
+
+
+class ContentionPlan:
+    """The node's contention at one configuration, as a function of QPS.
+
+    A configuration is every tenant's profile and cores with the service's
+    load left open.  Building the plan computes what does not depend on
+    QPS: the service's saturation throughput, the apps' summed
+    contributions as the service sees them, every LLC term (the service's
+    LLC demand has no QPS in it) and, for each running app, its execution
+    time without contention, its own bandwidth terms and the other apps'
+    bandwidths in tenant order.  :meth:`evaluate` computes the rest in
+    straight-line arithmetic.
+
+    Sums keep the operands and order of :meth:`ServerNode.pressure_on`:
+    aggressors are added from 0.0 in tenant order, the service first when
+    the victim is an app, so every value equals a fresh computation bit
+    for bit.  ``sims`` are the apps in tenant order, and the service
+    tenant's profile must be current for its cores; its load only moves
+    the terms :meth:`evaluate` recomputes.
+    """
+
+    __slots__ = (
+        "saturation_qps",
+        "_demand",
+        "_inflation",
+        "_cores",
+        "_memory_bandwidth",
+        "_disk_bandwidth",
+        "_network_bandwidth",
+        "_llc",
+        "_apps_membw",
+        "_apps_disk",
+        "_apps_network",
+        "_apps",
+    )
+
+    def __init__(
+        self,
+        platform: Platform,
+        service: InteractiveService,
+        service_tenant: Tenant,
+        sims: list[AppSim],
+    ) -> None:
+        cores = service_tenant.cores
+        self.saturation_qps = service.saturation_qps(cores)
+        self._demand = service.demand
+        self._inflation = service.sensitivity.inflation
+        self._cores = cores
+        llc_bytes = platform.llc_bytes
+        memory_bandwidth = self._memory_bandwidth = platform.memory_bandwidth
+        self._disk_bandwidth = platform.disk_bandwidth
+        self._network_bandwidth = platform.network_bandwidth
+
+        contributions = [sim.tenant.contribution for sim in sims]
+        llc_demand = membw = disk_bw = network_bw = 0.0
+        for app_llc, app_bw, app_disk, app_network in contributions:
+            llc_demand += app_llc
+            membw += app_bw
+            disk_bw += app_disk
+            network_bw += app_network
+        self._llc = llc_pressure(llc_demand, llc_bytes, service.llc_intensity)
+        self._apps_membw = membw
+        self._apps_disk = disk_bw
+        self._apps_network = network_bw
+
+        service_llc = service_tenant.contribution.llc_demand
+        apps = []
+        for sim in sims:
+            if sim.finished:
+                continue
+            llc_demand = 0.0
+            llc_demand += service_llc
+            others = []
+            for other, contribution in zip(sims, contributions):
+                if other is not sim:
+                    llc_demand += contribution.llc_demand
+                    others.append(contribution.membw)
+            tenant = sim.tenant
+            own_bw = tenant.profile.total_membw(tenant.cores)
+            own_util = utilization(own_bw, memory_bandwidth)
+            metadata = sim.app.metadata
+            p = metadata.parallel_fraction
+            amdahl_now = (1.0 - p) + p / max(tenant.cores, 1)
+            base = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
+            base *= sim.level_time_factors[sim.level]
+            base *= sim.instrumentation_factor
+            # Batch apps are slowed by the memory hierarchy only: half the
+            # LLC pressure plus both memory-bandwidth terms.
+            half_llc = 0.5 * llc_pressure(
+                llc_demand, llc_bytes, tenant.profile.llc_intensity
+            )
+            apps.append(
+                (sim, base, half_llc, own_bw, own_util, overload(own_util), tuple(others))
+            )
+        self._apps = tuple(apps)
+
+    def evaluate(self, qps: float) -> tuple[PressureBreakdown, float]:
+        """The pressure on the service and its raw inflation at ``qps``;
+        sets each running app's ``exec_time``."""
+        cores = self._cores
+        cpu_fraction, membw_per_core, disk_bw, network_bw = self._demand(
+            qps, cores, self.saturation_qps
+        )
+        service_bw = total_membw(membw_per_core, cores, cpu_fraction)
+        memory_bandwidth = self._memory_bandwidth
+        membw_linear, membw_overload = bandwidth(
+            service_bw, self._apps_membw, memory_bandwidth
+        )
+        disk_linear, disk_overload = bandwidth(
+            disk_bw, self._apps_disk, self._disk_bandwidth
+        )
+        network_linear, network_overload = bandwidth(
+            network_bw, self._apps_network, self._network_bandwidth
+        )
+        pressure = PressureBreakdown(
+            self._llc,
+            membw_linear,
+            membw_overload,
+            disk_linear + disk_overload,
+            network_linear + network_overload,
+        )
+        for sim, base, half_llc, own_bw, own_util, own_overload, others in self._apps:
+            membw = 0.0
+            membw += service_bw
+            for other_bw in others:
+                membw += other_bw
+            linear, overloaded = marginal(
+                own_util, own_overload, utilization(own_bw + membw, memory_bandwidth)
+            )
+            sim.exec_time = base * (
+                1.0 + _APP_PRESSURE_SENSITIVITY * (half_llc + linear + overloaded)
+            )
+        return pressure, self._inflation(pressure)
 
 
 @dataclass
@@ -407,13 +554,12 @@ class ColocationEngine:
             1.0, self._config.monitor_epoch / _INFLATION_TIME_CONSTANT
         )
 
-        # Contention cache: valid until `_invalidate` or a QPS change; the
-        # apps' share of it is `AppSim.exec_time`.
-        self._dirty = True
-        self._physics_qps = 0.0
-        self._service_pressure: PressureBreakdown | None = None
-        self._raw_inflation = 1.0
-        self._saturation_qps = 0.0
+        # The contention plan of the current configuration (`None` once a
+        # level switch, core move or finish changed it), evaluated at
+        # `_physics_qps` into `_service_pressure`, `_raw_inflation` and each
+        # running app's `AppSim.exec_time`.
+        self._plan: ContentionPlan | None = None
+        self._build_plan(self._loadgen.qps_at(self._now))
 
     # -- facade used by the actuator -------------------------------------
 
@@ -440,9 +586,7 @@ class ColocationEngine:
             cores=sim.tenant.cores,
             nominal_cores=sim.tenant.nominal_cores,
             level_inaccuracies=sim.level_inaccuracies,
-            level_traffic_rates=tuple(
-                v.traffic_rate_factor for v in sim.ladder.levels
-            ),
+            level_traffic_rates=sim.level_traffic_rates,
         )
 
     def apply_level(self, name: str, level: int) -> None:
@@ -454,7 +598,7 @@ class ColocationEngine:
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
-        self._invalidate()
+        self._plan = None
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.level_changes")
@@ -466,7 +610,7 @@ class ColocationEngine:
             self._node.reclaim_core(name, self._service.name)
         else:
             self._node.reclaim_core(self._service.name, name)
-        self._invalidate()
+        self._plan = None
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.core_moves")
@@ -558,14 +702,18 @@ class ColocationEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        """Drop cached contention: a tenant's profile or cores changed."""
-        self._dirty = True
-        self._drop_exec_times()
+    def _build_plan(self, qps: float) -> None:
+        """Plan the current configuration and evaluate it at ``qps``."""
+        service_tenant = self._service_tenant
+        service_tenant.set_profile(self._service.profile(qps, service_tenant.cores))
+        self._plan = ContentionPlan(
+            self._platform, self._service, service_tenant, self._sims
+        )
+        self._evaluate(qps)
 
-    def _drop_exec_times(self) -> None:
-        for sim in self._sims:
-            sim.exec_time = None
+    def _evaluate(self, qps: float) -> None:
+        self._service_pressure, self._raw_inflation = self._plan.evaluate(qps)
+        self._physics_qps = qps
 
     def _step_epoch(
         self,
@@ -578,23 +726,17 @@ class ColocationEngine:
         dt = self._config.monitor_epoch
         qps = self._loadgen.qps_at(self._now)
         svc_cores = self._service_tenant.cores
-        if self._dirty or qps != self._physics_qps:
-            self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-            self._drop_exec_times()
-            self._service_pressure = self._node.pressure_on(self._service.name)
-            self._raw_inflation = self._service.sensitivity.inflation(
-                self._service_pressure
-            )
-            self._saturation_qps = self._service.saturation_qps(svc_cores)
-            self._physics_qps = qps
-            self._dirty = False
+        if self._plan is None:
+            self._build_plan(qps)
+        elif qps != self._physics_qps:
+            self._evaluate(qps)
         pressure = self._service_pressure
 
         self._inflation_ema += self._inflation_alpha * (
             self._raw_inflation - self._inflation_ema
         )
         inflation = self._inflation_ema
-        capacity = self._saturation_qps / inflation
+        capacity = self._plan.saturation_qps / inflation
         self._backlog.update(qps, capacity, dt)
         penalty = self._backlog.penalty(capacity)
         sample = self._service.sample_p99(
@@ -611,6 +753,9 @@ class ColocationEngine:
 
         for sim in self._sims:
             if not sim.finished:
+                if self._plan is None:
+                    # An app advanced earlier in this epoch finished.
+                    self._build_plan(qps)
                 self._advance_app(sim, dt)
 
         times.append(self._now)
@@ -630,19 +775,7 @@ class ColocationEngine:
             if dt <= 0:
                 return
         level = sim.level
-        exec_time = sim.exec_time
-        if exec_time is None:
-            metadata = sim.app.metadata
-            p = metadata.parallel_fraction
-            amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
-            exec_time = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
-            exec_time *= sim.level_time_factors[level]
-            exec_time *= sim.instrumentation_factor
-            exec_time *= 1.0 + _APP_PRESSURE_SENSITIVITY * self._node.app_pressure(
-                sim.tenant
-            )
-            sim.exec_time = exec_time
-        dp = dt / exec_time
+        dp = dt / sim.exec_time
         remaining = 1.0 - sim.progress
         if remaining < dp:
             dp = remaining
@@ -654,7 +787,7 @@ class ColocationEngine:
             sim.finished = True
             sim.finish_time = self._now + dt
             sim.tenant.set_profile(_IDLE_PROFILE)
-            self._invalidate()
+            self._plan = None
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

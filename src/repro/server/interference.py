@@ -30,7 +30,11 @@ physical cores, as in the paper.
 
 Each tenant's :class:`Contribution` to the four shared resources is built
 once per change of its profile or cores (:func:`contribution`), so a
-pressure query only sums the aggressors' contributions.
+pressure query only sums the aggressors' contributions.  The per-resource
+terms are module functions (:func:`llc_pressure`, :func:`bandwidth` and
+its parts), shared by :meth:`InterferenceModel.pressure_on` and the
+colocation engine's contention plan
+(:class:`repro.core.runtime.ContentionPlan`), so the two cannot drift.
 """
 
 from __future__ import annotations
@@ -75,11 +79,45 @@ class PressureBreakdown(NamedTuple):
         )
 
 
-def _overload(utilization: float, knee: float = _OVERLOAD_KNEE) -> float:
+def overload(share: float, knee: float = _OVERLOAD_KNEE) -> float:
     """Quadratic queueing pressure above the ``knee`` utilization."""
-    if utilization <= knee:
+    if share <= knee:
         return 0.0
-    return ((utilization - knee) / (1.0 - knee)) ** 2
+    return ((share - knee) / (1.0 - knee)) ** 2
+
+
+def llc_pressure(llc_demand: float, llc_bytes: float, victim_intensity: float) -> float:
+    """LLC pressure of the aggressors' summed ``llc_demand`` on a victim.
+
+    The aggregate pollution rate as a fraction of the LLC, capped, weighed
+    by how much the victim cares (its access intensity).
+    """
+    pollution = min(1.5, llc_demand / llc_bytes) if llc_bytes > 0 else 0.0
+    return pollution * victim_intensity
+
+
+def utilization(demand: float, capacity: float) -> float:
+    """``demand`` as a share of ``capacity`` (0 for a missing resource)."""
+    return demand / capacity if capacity > 0 else 0.0
+
+
+def marginal(own_util: float, own_overload: float, total_util: float) -> tuple[float, float]:
+    """Linear and overload pressure of the others' share of a bandwidth.
+
+    ``own_util`` and ``own_overload`` (its :func:`overload`) describe the
+    victim alone; ``total_util`` the victim and its aggressors together.
+    """
+    return (
+        max(0.0, total_util - own_util),
+        max(0.0, overload(total_util) - own_overload),
+    )
+
+
+def bandwidth(own: float, others: float, capacity: float) -> tuple[float, float]:
+    """Linear and overload pressure ``others`` bytes/s put on a victim
+    asking ``own`` bytes/s of a shared ``capacity``."""
+    own_util = utilization(own, capacity)
+    return marginal(own_util, overload(own_util), utilization(own + others, capacity))
 
 
 class Contribution(NamedTuple):
@@ -137,72 +175,19 @@ class InterferenceModel:
             disk_bw += disk_d
             network_bw += network_d
 
-        llc, membw_linear, membw_overload = self._llc_membw(
-            victim, victim_cores, llc_demand, membw
+        membw_linear, membw_overload = bandwidth(
+            victim.total_membw(victim_cores), membw, self._memory_bandwidth
         )
-        disk = self._bw_pressure(victim.disk_bw, disk_bw, self._disk_bandwidth)
-        network = self._bw_pressure(
+        disk_linear, disk_overload = bandwidth(
+            victim.disk_bw, disk_bw, self._disk_bandwidth
+        )
+        network_linear, network_overload = bandwidth(
             victim.network_bw, network_bw, self._network_bandwidth
         )
         return PressureBreakdown(
-            llc=llc,
+            llc=llc_pressure(llc_demand, self._llc_bytes, victim.llc_intensity),
             membw_linear=membw_linear,
             membw_overload=membw_overload,
-            disk=disk,
-            network=network,
+            disk=disk_linear + disk_overload,
+            network=network_linear + network_overload,
         )
-
-    def app_pressure(
-        self,
-        victim: ResourceProfile,
-        victim_cores: int,
-        aggressors: Iterable[Contribution],
-    ) -> float:
-        """The pressure an approximate app's progress responds to.
-
-        Batch apps are slowed by the memory hierarchy only: half the LLC
-        pressure plus both memory-bandwidth terms of :meth:`pressure_on`,
-        computed by the same formula without the disk and network terms.
-        """
-        llc_demand = membw = 0.0
-        for llc_d, bw, _, _ in aggressors:
-            llc_demand += llc_d
-            membw += bw
-        llc, membw_linear, membw_overload = self._llc_membw(
-            victim, victim_cores, llc_demand, membw
-        )
-        return 0.5 * llc + membw_linear + membw_overload
-
-    def _llc_membw(
-        self,
-        victim: ResourceProfile,
-        victim_cores: int,
-        llc_demand: float,
-        membw: float,
-    ) -> tuple[float, float, float]:
-        """LLC, linear and overload bandwidth pressure from summed demands."""
-        llc_bytes = self._llc_bytes
-        # Aggregate cache-pollution rate as a fraction of the LLC, capped.
-        pollution = min(1.5, llc_demand / llc_bytes) if llc_bytes > 0 else 0.0
-        llc = pollution * victim.llc_intensity
-
-        capacity = self._memory_bandwidth
-        own_bw = victim.total_membw(victim_cores)
-        total_util = (own_bw + membw) / capacity if capacity > 0 else 0.0
-        own_util = own_bw / capacity if capacity > 0 else 0.0
-        membw_linear = max(0.0, total_util - own_util)
-        membw_overload = max(0.0, _overload(total_util) - _overload(own_util))
-        return llc, membw_linear, membw_overload
-
-    @staticmethod
-    def _bw_pressure(
-        victim_demand: float, aggressor_demand: float, capacity: float
-    ) -> float:
-        """Linear + overload pressure on a simple shared-bandwidth resource."""
-        if capacity <= 0:
-            return 0.0
-        own = victim_demand / capacity
-        total = (victim_demand + aggressor_demand) / capacity
-        linear = max(0.0, total - own)
-        overload = max(0.0, _overload(total) - _overload(own))
-        return linear + overload

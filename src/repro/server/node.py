@@ -85,18 +85,6 @@ class ServerNode:
             [t.contribution for t in self._tenants if t is not victim],
         )
 
-    def app_pressure(self, victim: Tenant) -> float:
-        """The contention term that slows approximate tenant ``victim``.
-
-        See :meth:`InterferenceModel.app_pressure`; takes the tenant itself,
-        so the per-epoch caller skips the lookup by name.
-        """
-        return self._interference.app_pressure(
-            victim.profile,
-            victim.cores,
-            [t.contribution for t in self._tenants if t is not victim],
-        )
-
     def fair_allocation(self, approx_apps: int) -> list[int]:
         """Fair core split for 1 interactive + ``approx_apps`` tenants."""
         return self._platform.fair_share(1 + approx_apps)

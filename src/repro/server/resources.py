@@ -76,4 +76,10 @@ class ResourceProfile:
         """Memory bandwidth demand when running on ``cores`` cores."""
         if cores < 0:
             raise ValueError("cores must be non-negative")
-        return self.membw_per_core * cores * self.cpu_fraction
+        return total_membw(self.membw_per_core, cores, self.cpu_fraction)
+
+
+def total_membw(membw_per_core: float, cores: int, cpu_fraction: float) -> float:
+    """Memory bandwidth of ``cores`` cores each asking ``membw_per_core``
+    while busy for ``cpu_fraction`` of their cycles."""
+    return membw_per_core * cores * cpu_fraction

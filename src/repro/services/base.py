@@ -16,7 +16,7 @@ the latency spikes visible in the paper's Fig. 4 timelines.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 
 from repro.server.interference import PressureBreakdown
@@ -75,10 +75,26 @@ class InterferenceSensitivity:
 
 
 class InteractiveService(ABC):
-    """A latency-critical service colocated on the node."""
+    """A latency-critical service colocated on the node.
+
+    A subclass names itself and sets the constants of the contention it
+    generates (see :meth:`profile`).
+    """
 
     #: service identifier ("nginx", "memcached", "mongodb")
     name: str
+    #: Working set competing for the LLC, bytes.
+    llc_footprint_bytes: float
+    #: Relative rate of LLC accesses (0..1).
+    llc_intensity: float
+    #: Memory traffic per query, bytes.
+    membw_bytes_per_query: float
+    #: Disk traffic per query, bytes.
+    disk_bytes_per_query: float = 0.0
+    #: NIC traffic per query, bytes.
+    wire_bytes_per_query: float
+    #: CPU share per unit of load (offered over saturation throughput).
+    cpu_per_load: float = 1.0
 
     def __init__(
         self,
@@ -188,9 +204,37 @@ class InteractiveService(ABC):
 
     # -- contention the service generates --------------------------------------
 
-    @abstractmethod
+    def demand(
+        self, qps: float, cores: int, saturation_qps: float
+    ) -> tuple[float, float, float, float]:
+        """The service's demands that move with load, at ``qps`` on ``cores``.
+
+        ``saturation_qps`` is :meth:`saturation_qps` at ``max(cores, 1)``.
+        Returns ``(cpu_fraction, membw_per_core, disk_bw, network_bw)``:
+        the share of its cores' cycles the load burns (``cpu_per_load`` per
+        unit of load, floored at 0.1), and the per-query bytes of each
+        resource times ``qps``.  Footprint and LLC intensity do not move.
+        """
+        return (
+            min(1.0, max(0.1, self.cpu_per_load * (qps / saturation_qps))),
+            qps * self.membw_bytes_per_query / max(cores, 1),
+            qps * self.disk_bytes_per_query,
+            qps * self.wire_bytes_per_query,
+        )
+
     def profile(self, qps: float, cores: int) -> ResourceProfile:
         """Resource demands of the service at the given operating point."""
+        cpu_fraction, membw_per_core, disk_bw, network_bw = self.demand(
+            qps, cores, self.saturation_qps(max(cores, 1))
+        )
+        return ResourceProfile(
+            cpu_fraction=cpu_fraction,
+            llc_footprint_bytes=self.llc_footprint_bytes,
+            llc_intensity=self.llc_intensity,
+            membw_per_core=membw_per_core,
+            disk_bw=disk_bw,
+            network_bw=network_bw,
+        )
 
 
 class BacklogTracker:

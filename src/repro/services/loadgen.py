@@ -109,19 +109,17 @@ class DiurnalLoad(LoadGenerator):
             raise ValueError("need 0 <= low_qps <= high_qps")
         if self.period <= 0:
             raise ValueError("period must be positive")
+        object.__setattr__(self, "_midpoint", (self.high_qps + self.low_qps) / 2.0)
+        object.__setattr__(self, "_amplitude", (self.high_qps - self.low_qps) / 2.0)
 
     def qps_at(self, time: float) -> float:
-        midpoint = (self.high_qps + self.low_qps) / 2.0
-        amplitude = (self.high_qps - self.low_qps) / 2.0
-        return midpoint + amplitude * math.sin(
+        return self._midpoint + self._amplitude * math.sin(
             2.0 * math.pi * (time / self.period) + self.phase
         )
 
     def qps_at_array(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        midpoint = (self.high_qps + self.low_qps) / 2.0
-        amplitude = (self.high_qps - self.low_qps) / 2.0
-        return midpoint + amplitude * np.sin(
+        return self._midpoint + self._amplitude * np.sin(
             2.0 * np.pi * (times / self.period) + self.phase
         )
 

@@ -15,24 +15,23 @@ to approximation.
 from __future__ import annotations
 
 from repro import units
-from repro.server.resources import ResourceProfile
 from repro.services.base import InteractiveService, InterferenceSensitivity
 from repro.services.latency import LatencyCurve, LatencyCurveParams
 
 #: Saturation throughput at the nominal 8-core allocation.
 SATURATION_QPS = 610_000.0
 
-#: Effective memory bytes touched per operation (item + hash probe + stack).
-_BYTES_PER_OP = 2 * units.KB
-
-#: Wire bytes per response (230 B item + protocol overhead).
-_WIRE_BYTES_PER_OP = 0.4 * units.KB
-
 
 class Memcached(InteractiveService):
     """In-memory object cache with microsecond-scale service times."""
 
     name = "memcached"
+    llc_footprint_bytes = units.mb(24)
+    llc_intensity = 0.90
+    #: Effective memory bytes touched per operation (item + hash probe + stack).
+    membw_bytes_per_query = 2 * units.KB
+    #: Wire bytes per response (230 B item + protocol overhead).
+    wire_bytes_per_query = 0.4 * units.KB
 
     def __init__(self) -> None:
         super().__init__(
@@ -57,15 +56,4 @@ class Memcached(InteractiveService):
             saturation_qps_nominal=SATURATION_QPS,
             nominal_cores=8,
             core_scaling_fraction=0.90,
-        )
-
-    def profile(self, qps: float, cores: int) -> ResourceProfile:
-        load_fraction = qps / self.saturation_qps(max(cores, 1))
-        return ResourceProfile(
-            cpu_fraction=min(1.0, max(0.1, load_fraction)),
-            llc_footprint_bytes=units.mb(24),
-            llc_intensity=0.90,
-            membw_per_core=qps * _BYTES_PER_OP / max(cores, 1),
-            disk_bw=0.0,
-            network_bw=qps * _WIRE_BYTES_PER_OP,
         )

@@ -16,27 +16,27 @@ pressure relief from even the least-approximate variant is enough.
 from __future__ import annotations
 
 from repro import units
-from repro.server.resources import ResourceProfile
 from repro.services.base import InteractiveService, InterferenceSensitivity
 from repro.services.latency import LatencyCurve, LatencyCurveParams
 
 #: Saturation throughput at the nominal 8-core allocation.
 SATURATION_QPS = 400.0
 
-#: Effective memory bytes per query (document + page-cache traffic).
-_BYTES_PER_QUERY = 1.5 * units.MB
-
-#: Disk bytes per query (index walk + documents that miss the page cache).
-_DISK_BYTES_PER_QUERY = 0.25 * units.MB
-
-#: Wire bytes per response.
-_WIRE_BYTES_PER_QUERY = 1.2 * units.KB
-
 
 class MongoDB(InteractiveService):
     """Disk-backed document store with millisecond-scale service times."""
 
     name = "mongodb"
+    llc_footprint_bytes = units.mb(30)
+    llc_intensity = 0.40
+    #: Effective memory bytes per query (document + page-cache traffic).
+    membw_bytes_per_query = 1.5 * units.MB
+    #: Disk bytes per query (index walk + documents that miss the page cache).
+    disk_bytes_per_query = 0.25 * units.MB
+    #: Wire bytes per response.
+    wire_bytes_per_query = 1.2 * units.KB
+    #: Mostly waiting on the disk: half a core's cycles per unit of load.
+    cpu_per_load = 0.5
 
     def __init__(self) -> None:
         super().__init__(
@@ -62,15 +62,4 @@ class MongoDB(InteractiveService):
             nominal_cores=8,
             core_scaling_fraction=0.35,
             max_scaleout=1.15,
-        )
-
-    def profile(self, qps: float, cores: int) -> ResourceProfile:
-        load_fraction = qps / self.saturation_qps(max(cores, 1))
-        return ResourceProfile(
-            cpu_fraction=min(1.0, max(0.1, 0.5 * load_fraction)),
-            llc_footprint_bytes=units.mb(30),
-            llc_intensity=0.40,
-            membw_per_core=qps * _BYTES_PER_QUERY / max(cores, 1),
-            disk_bw=qps * _DISK_BYTES_PER_QUERY,
-            network_bw=qps * _WIRE_BYTES_PER_QUERY,
         )

@@ -13,24 +13,23 @@ hot file set) and pushes meaningful NIC bandwidth at high load.
 from __future__ import annotations
 
 from repro import units
-from repro.server.resources import ResourceProfile
 from repro.services.base import InteractiveService, InterferenceSensitivity
 from repro.services.latency import LatencyCurve, LatencyCurveParams
 
 #: Saturation throughput at the nominal 8-core allocation.
 SATURATION_QPS = 710_000.0
 
-#: Effective bytes of memory traffic per request (file + headers + buffers).
-_BYTES_PER_REQUEST = 4 * units.KB
-
-#: Wire bytes per response (1 KB body + headers).
-_WIRE_BYTES_PER_REQUEST = 1.3 * units.KB
-
 
 class Nginx(InteractiveService):
     """Front-end web server serving static 1 KB pages."""
 
     name = "nginx"
+    llc_footprint_bytes = units.mb(18)
+    llc_intensity = 0.65
+    #: Effective bytes of memory traffic per request (file + headers + buffers).
+    membw_bytes_per_query = 4 * units.KB
+    #: Wire bytes per response (1 KB body + headers).
+    wire_bytes_per_query = 1.3 * units.KB
 
     def __init__(self) -> None:
         super().__init__(
@@ -54,15 +53,4 @@ class Nginx(InteractiveService):
             saturation_qps_nominal=SATURATION_QPS,
             nominal_cores=8,
             core_scaling_fraction=0.95,
-        )
-
-    def profile(self, qps: float, cores: int) -> ResourceProfile:
-        load_fraction = qps / self.saturation_qps(max(cores, 1))
-        return ResourceProfile(
-            cpu_fraction=min(1.0, max(0.1, load_fraction)),
-            llc_footprint_bytes=units.mb(18),
-            llc_intensity=0.65,
-            membw_per_core=qps * _BYTES_PER_REQUEST / max(cores, 1),
-            disk_bw=0.0,
-            network_bw=qps * _WIRE_BYTES_PER_REQUEST,
         )

@@ -146,51 +146,68 @@ class TestAggregates:
 
 
 class TestContentionCache:
-    """Contention is recomputed only when one of its inputs changes."""
+    """Contention is planned once per configuration, evaluated once per QPS."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        from repro.server.node import ServerNode
+        """Counts plan builds and evaluations, and checks that every build
+        answers an invalidation and no app advances on a stale plan."""
+        from repro.core.runtime import ContentionPlan
 
-        counts = {"queries": 0, "actions": 0}
+        counts = {"builds": 0, "evaluations": 0, "invalidations": 0, "stale": False}
 
-        def counting(method, key):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return method(*args, **kwargs)
+        def invalidated():
+            counts["invalidations"] += 1
+            counts["stale"] = True
 
-            return wrapper
+        def building(plan, *args, _init=ContentionPlan.__init__):
+            assert counts["stale"] or counts["builds"] == 0
+            counts["stale"] = False
+            counts["builds"] += 1
+            _init(plan, *args)
 
-        # The service's query and the apps' queries.
-        for name in ("pressure_on", "app_pressure"):
-            monkeypatch.setattr(
-                ServerNode, name, counting(getattr(ServerNode, name), "queries")
-            )
+        def evaluating(plan, qps, _evaluate=ContentionPlan.evaluate):
+            counts["evaluations"] += 1
+            return _evaluate(plan, qps)
+
+        def advancing(engine, sim, dt, _advance=ColocationEngine._advance_app):
+            assert not counts["stale"]
+            _advance(engine, sim, dt)
+            if sim.finished:
+                invalidated()
+
+        monkeypatch.setattr(ContentionPlan, "__init__", building)
+        monkeypatch.setattr(ContentionPlan, "evaluate", evaluating)
+        monkeypatch.setattr(ColocationEngine, "_advance_app", advancing)
         for name in ("apply_level", "move_core"):
-            monkeypatch.setattr(
-                ColocationEngine,
-                name,
-                counting(getattr(ColocationEngine, name), "actions"),
-            )
+
+            def acting(engine, *args, _method=getattr(ColocationEngine, name), **kwargs):
+                invalidated()
+                return _method(engine, *args, **kwargs)
+
+            monkeypatch.setattr(ColocationEngine, name, acting)
         return counts
 
     @pytest.mark.parametrize(
         "apps", [("kmeans",), ("kmeans", "raytrace"), ("kmeans", "semphy", "raytrace")]
     )
-    def test_pressure_calls_bounded_by_invalidations(self, counts, apps):
+    def test_one_build_per_invalidation(self, counts, apps):
         result = engine_for(apps=apps, policy=PliantPolicy(seed=5)).run()
-        finishes = sum(outcome.completed for outcome in result.apps)
-        assert counts["actions"] > 0
-        bound = (1 + len(apps)) * (1 + counts["actions"] + finishes)
-        assert counts["queries"] <= bound
-        assert counts["queries"] < len(result.epoch_times)
+        # Invalidations before the same app advance share one build, and
+        # those after the last advance need none.
+        assert 1 < counts["builds"] <= 1 + counts["invalidations"]
+        assert counts["builds"] < len(result.epoch_times)
+        # Constant load: each build is evaluated once, at the one QPS.
+        assert counts["evaluations"] == counts["builds"]
 
-    def test_precise_run_computes_contention_once(self, counts):
+    def test_precise_run_plans_once(self, counts):
         result = engine_for().run()
         assert result.app_outcome("kmeans").completed
-        assert counts["queries"] == 2  # the service's and the app's
+        # kmeans finishing ends the run, so nothing rebuilds after it.
+        assert counts["builds"] == 1
+        assert counts["evaluations"] == 1
 
-    def test_qps_change_recomputes(self, counts):
+    def test_qps_change_evaluates_without_rebuilding(self, counts):
         from repro.services.loadgen import StepLoad
 
         engine = build_engine(
@@ -201,9 +218,10 @@ class TestContentionCache:
             loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
         )
         engine.run()
-        assert counts["queries"] == 2 * 3
+        assert counts["builds"] == 1
+        assert counts["evaluations"] == 3  # one per distinct QPS
 
-    def test_qps_change_refreshes_only_the_service(self, monkeypatch):
+    def test_qps_change_refreshes_no_tenant(self, monkeypatch):
         from repro.server import tenant as tenant_module
         from repro.server.tenant import Tenant
         from repro.services.loadgen import StepLoad
@@ -232,9 +250,10 @@ class TestContentionCache:
 
             monkeypatch.setattr(Tenant, method, recording)
         engine.run()
-        # One refresh per distinct QPS, all of them the service's.
-        assert refreshed == ["memcached"] * 3
-        assert len(computed) == 3
+        # The service was refreshed when the engine built its plan; the
+        # QPS changes refresh no tenant.
+        assert refreshed == []
+        assert computed == []
 
     def test_scripted_actions_match_golden_digest(self):
         import json

@@ -5,7 +5,11 @@ conserved every epoch, levels stay within each app's ladder, each app's
 progress only grows and stays within [0, 1], the per-app core statistics
 in :class:`~repro.core.runtime.AppOutcome` agree with the per-epoch core
 trace they are derived from, and every full decision interval leaves one
-consistent :class:`~repro.core.runtime.IntervalRecord`.
+consistent :class:`~repro.core.runtime.IntervalRecord`.  And at every
+epoch the engine's contention — the service's pressure and raw inflation,
+each running app's execution time — equals a fresh
+:class:`~repro.server.node.ServerNode` computation over the tenants as
+they stand, the service's profile taken at the epoch's QPS.
 """
 
 from hypothesis import given, settings
@@ -13,7 +17,10 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_engine
 from repro.core import ImpactAwareArbiter, PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
+from repro.core.runtime import _APP_PRESSURE_SENSITIVITY, ColocationConfig
+from repro.server.node import ServerNode
+from repro.server.platform import registered_platforms
+from repro.server.tenant import Tenant, TenantKind
 
 #: Apps with fast kernels, so their ladders are cheap to explore once.
 APPS = ("kmeans", "semphy", "raytrace")
@@ -121,3 +128,102 @@ def test_epoch_loop_invariants(scenario):
         assert obs.qos == result.qos
         assert obs.qos_met == (obs.p99 <= obs.qos)
     assert result.qos_met == (result.aggregate_p99 <= result.qos)
+
+
+def fresh_node(engine, qps):
+    """A new node holding the engine's tenants, the service's at ``qps``."""
+    service = engine._service
+    node = ServerNode(engine._platform)
+    cores = engine.service_cores
+    node.add_tenant(
+        Tenant(service.name, TenantKind.INTERACTIVE, service.profile(qps, cores), cores)
+    )
+    for sim in engine._sims:
+        node.add_tenant(
+            Tenant(sim.name, TenantKind.APPROXIMATE, sim.active_profile(), sim.tenant.cores)
+        )
+    return node
+
+
+def check_contention_every_epoch(engine):
+    """Compare the engine's contention with :func:`fresh_node` as it runs.
+
+    The service is checked when it samples its latency, each app just
+    before it advances.  Returns counts of the checks made, among them
+    those of apps advanced after another app finished in the same epoch.
+    """
+    service = engine._service
+    checks = {"service": 0, "app": 0, "app_after_finish": 0}
+    epoch = {"qps": 0.0, "finished": False}
+    sample_p99 = service.sample_p99
+    advance_app = engine._advance_app
+
+    def checked_sample(qps, cores, pressure, *args, **kwargs):
+        epoch["qps"], epoch["finished"] = qps, False
+        fresh = fresh_node(engine, qps).pressure_on(service.name)
+        assert pressure == fresh
+        assert engine._raw_inflation == service.sensitivity.inflation(fresh)
+        checks["service"] += 1
+        return sample_p99(qps, cores, pressure, *args, **kwargs)
+
+    def checked_advance(sim, dt):
+        pressure = fresh_node(engine, epoch["qps"]).pressure_on(sim.name)
+        metadata = sim.app.metadata
+        p = metadata.parallel_fraction
+        amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
+        expected = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
+        expected *= sim.level_time_factors[sim.level]
+        expected *= sim.instrumentation_factor
+        expected *= 1.0 + _APP_PRESSURE_SENSITIVITY * (
+            0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
+        )
+        assert sim.exec_time == expected, sim.name
+        checks["app"] += 1
+        checks["app_after_finish"] += epoch["finished"]
+        advance_app(sim, dt)
+        epoch["finished"] |= sim.finished
+
+    service.sample_p99 = checked_sample
+    engine._advance_app = checked_advance
+    return checks
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    scenario=scenarios,
+    platform=st.sampled_from(registered_platforms()),
+    horizon=st.floats(min_value=1.0, max_value=45.0),
+)
+def test_contention_matches_fresh_node_every_epoch(scenario, platform, horizon):
+    engine = build_engine(
+        scenario["service"],
+        scenario["apps"],
+        POLICIES[scenario["policy"]](scenario["seed"]),
+        config=ColocationConfig(
+            seed=scenario["seed"],
+            horizon=horizon,
+            monitor_epoch=scenario["monitor_epoch"],
+            decision_interval=scenario["decision_interval"],
+        ),
+        platform=platform,
+        loadgen_spec=load_spec(scenario["shape"], scenario["fraction"], horizon),
+    )
+    checks = check_contention_every_epoch(engine)
+    result = engine.run()
+    assert checks["service"] == len(result.epoch_times)
+    assert checks["app"] >= len(result.epoch_times)
+
+
+def test_apps_after_a_finish_see_it_idle():
+    # kmeans, first in the list, finishes well before the others.
+    engine = build_engine(
+        "nginx",
+        ["kmeans", "semphy", "raytrace"],
+        PliantPolicy(seed=7),
+        config=ColocationConfig(seed=7),
+        loadgen_spec=("diurnal", {"low": 0.4, "high": 1.0, "period": 30.0}),
+    )
+    checks = check_contention_every_epoch(engine)
+    result = engine.run()
+    assert all(outcome.completed for outcome in result.apps)
+    assert checks["app_after_finish"] >= 2

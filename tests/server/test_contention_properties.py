@@ -1,23 +1,28 @@
-"""Cached tenant contributions are never stale (hypothesis).
+"""Cached tenant contributions and contention plans are never stale (hypothesis).
 
 Every tenant keeps its contribution to the shared resources and refreshes
 it whenever its profile or cores change.  After any sequence of those
 changes, the node's pressure on each tenant must equal — bit for bit — a
-from-scratch computation over the raw profiles and cores, and the apps'
-slowdown query must equal its terms of that breakdown.
+from-scratch computation over the raw profiles and cores.  A contention
+plan built after the change and evaluated at any QPS must give the
+service the node's pressure, and each app the execution time its
+memory-hierarchy terms of that breakdown imply.
 """
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.core.runtime import _APP_PRESSURE_SENSITIVITY, ContentionPlan
 from repro.server.interference import _OVERLOAD_KNEE, _REFERENCE_CORES
 from repro.server.node import ServerNode
 from repro.server.platform import make_platform, registered_platforms
 from repro.server.resources import ResourceProfile
 from repro.server.tenant import Tenant, TenantKind
+from repro.services import make_service
 
 profiles = st.builds(
     ResourceProfile,
@@ -94,9 +99,6 @@ def assert_fresh(node):
             pressure.network,
         )
         assert got == expected, victim.name
-        # The apps' query is the same formula without disk and network.
-        expected_app = 0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
-        assert node.app_pressure(victim) == expected_app, victim.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,3 +124,113 @@ def test_pressure_matches_textbook_after_every_change(platform_name, initial, ch
         elif tenant.cores > 1:
             tenant.take_core()
         assert_fresh(node)
+
+
+def fake_sim(tenant, finished, parallel_fraction, nominal_exec_time, time_factor):
+    """The parts of an ``AppSim`` a contention plan reads."""
+    p = parallel_fraction
+    return SimpleNamespace(
+        tenant=tenant,
+        finished=finished,
+        app=SimpleNamespace(
+            metadata=SimpleNamespace(
+                parallel_fraction=p, nominal_exec_time=nominal_exec_time
+            )
+        ),
+        amdahl_nominal=(1.0 - p) + p / max(tenant.nominal_cores, 1),
+        level=0,
+        level_time_factors=(time_factor,),
+        instrumentation_factor=1.0 + p / 10,
+        exec_time=0.0,
+    )
+
+
+def assert_plan_fresh(node, service, sims, build_qps, qps):
+    """A plan built at ``build_qps`` and evaluated at ``qps`` matches the node."""
+    service_tenant = node.interactive
+    cores = service_tenant.cores
+    service_tenant.set_profile(service.profile(build_qps, cores))
+    plan = ContentionPlan(node.platform, service, service_tenant, sims)
+    pressure, inflation = plan.evaluate(qps)
+
+    service_tenant.set_profile(service.profile(qps, cores))
+    assert plan.saturation_qps == service.saturation_qps(cores)
+    assert pressure == node.pressure_on(service.name)
+    assert inflation == service.sensitivity.inflation(pressure)
+    for sim in sims:
+        if sim.finished:
+            continue
+        tenant = sim.tenant
+        app = node.pressure_on(tenant.name)
+        metadata = sim.app.metadata
+        p = metadata.parallel_fraction
+        amdahl_now = (1.0 - p) + p / max(tenant.cores, 1)
+        expected = metadata.nominal_exec_time * amdahl_now / sim.amdahl_nominal
+        expected *= sim.level_time_factors[0]
+        expected *= sim.instrumentation_factor
+        # Batch apps feel half the LLC term and both memory-bandwidth terms.
+        expected *= 1.0 + _APP_PRESSURE_SENSITIVITY * (
+            0.5 * app.llc + app.membw_linear + app.membw_overload
+        )
+        assert sim.exec_time == expected, tenant.name
+
+
+apps_on_node = st.lists(
+    st.tuples(
+        profiles,
+        st.integers(1, 4),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=100.0),
+        st.floats(min_value=0.1, max_value=2.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    platform_name=st.sampled_from(registered_platforms()),
+    service_name=st.sampled_from(["nginx", "memcached", "mongodb"]),
+    service_cores=st.integers(1, 8),
+    apps=apps_on_node,
+    loads=st.lists(st.floats(min_value=0.0, max_value=1.3), min_size=2, max_size=2),
+    changes=steps,
+)
+def test_plan_matches_pressure_on_after_every_change(
+    platform_name, service_name, service_cores, apps, loads, changes
+):
+    service = make_service(service_name)
+    build_qps, qps = (load * service.saturation_qps(service_cores) for load in loads)
+    node = ServerNode(make_platform(platform_name))
+    node.add_tenant(
+        Tenant(
+            service.name,
+            TenantKind.INTERACTIVE,
+            service.profile(build_qps, service_cores),
+            service_cores,
+        )
+    )
+    sims = []
+    for index, (profile, cores, finished, p, nominal, factor) in enumerate(apps):
+        idle = ResourceProfile(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        tenant = Tenant(
+            f"app{index}", TenantKind.APPROXIMATE, idle if finished else profile, cores
+        )
+        node.add_tenant(tenant)
+        sims.append(fake_sim(tenant, finished, p, nominal, factor))
+    assert_plan_fresh(node, service, sims, build_qps, qps)
+
+    tenants = node.tenants
+    for action, index, profile in changes:
+        tenant = tenants[index % len(tenants)]
+        sim = next((sim for sim in sims if sim.tenant is tenant), None)
+        if action == "set_profile":
+            if sim is not None and not sim.finished:
+                tenant.set_profile(profile)
+        elif action == "give_core":
+            tenant.give_core()
+        elif tenant.cores > 1:
+            tenant.take_core()
+        assert_plan_fresh(node, service, sims, build_qps, qps)

@@ -6,8 +6,8 @@ from repro import units
 from repro.server.interference import (
     InterferenceModel,
     PressureBreakdown,
-    _overload,
     contribution,
+    overload,
 )
 from repro.server.platform import default_platform
 from repro.server.resources import ResourceProfile
@@ -88,13 +88,13 @@ class TestLLC:
 
 class TestOverload:
     def test_zero_below_knee(self):
-        assert _overload(0.5) == 0.0
+        assert overload(0.5) == 0.0
 
     def test_one_at_saturation(self):
-        assert _overload(1.0) == pytest.approx(1.0)
+        assert overload(1.0) == pytest.approx(1.0)
 
     def test_quadratic_shape(self):
-        assert _overload(0.8) == pytest.approx(0.25)
+        assert overload(0.8) == pytest.approx(0.25)
 
     def test_overload_pressure_appears_near_saturation(self, model):
         low = model.pressure_on(victim_profile(), 8, [contribution(aggressor_profile(bw=4), 8)])

@@ -8,7 +8,7 @@ from repro.apps.base import MeasuredVariant, VariantSpec
 from repro.apps.knobs import perforated_count, perforated_indices
 from repro.core.controller import PliantController
 from repro.search.ladder import pareto_select
-from repro.server.interference import _overload
+from repro.server.interference import overload
 from repro.services.latency import LatencyCurve, LatencyCurveParams
 
 
@@ -166,6 +166,6 @@ def test_latency_curve_monotone(base, qos_mult, u1, u2):
 
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_overload_nonnegative_and_monotone(u):
-    assert _overload(u) >= 0.0
-    assert _overload(u + 0.1) >= _overload(u)
+    assert overload(u) >= 0.0
+    assert overload(u + 0.1) >= overload(u)
 
