@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs perfbench perfbench-check sweep-smoke search-smoke lint lint-fixtures
+.PHONY: test bench bench-check bench-figs perfbench perfbench-check sweep-smoke search-smoke lint
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
@@ -54,42 +54,12 @@ bench-check:
 	$(PY) scripts/bench_check.py
 
 ## Import/syntax floor plus repro-lint: byte-compile everything, then
-## enforce the determinism/lease-clock/serialization invariants
-## (strict: stale baseline entries fail too).  The bytecode goes to a
-## throwaway prefix, so lint leaves no __pycache__/ in the tree.
+## enforce the determinism/lease-clock/serialization invariants.  The
+## bytecode goes to a throwaway prefix, so lint leaves no __pycache__/
+## in the tree.  The lint fixture corpus runs in tier-1
+## (tests/analysis/test_cli.py).
 lint:
 	@prefix=$$(mktemp -d); \
 	PYTHONPYCACHEPREFIX=$$prefix $(PY) -m compileall -q src tests benchmarks examples scripts; \
 	status=$$?; rm -rf $$prefix; exit $$status
-	$(PY) -m repro.analysis --strict
-
-## Sanity-check the lint fixture corpus: every bad fixture must still
-## fail its zone's rules, every good fixture must stay clean.  Guards
-## against a rule silently going blind.  Single files exercise the
-## per-file rules under a forced zone; the directories under
-## fixtures/project/ are miniature projects exercising the cross-file
-## taint rules.
-lint-fixtures:
-	@for f in tests/analysis/fixtures/*/bad_*.py; do \
-		zone=$$(basename $$(dirname $$f)); \
-		if $(PY) -m repro.analysis --no-baseline --zone $$zone $$f >/dev/null; then \
-			echo "lint-fixtures: $$f unexpectedly passed"; exit 1; \
-		fi; \
-	done
-	@for f in tests/analysis/fixtures/*/good_*.py; do \
-		zone=$$(basename $$(dirname $$f)); \
-		if ! $(PY) -m repro.analysis --no-baseline --zone $$zone $$f >/dev/null; then \
-			echo "lint-fixtures: $$f unexpectedly failed"; exit 1; \
-		fi; \
-	done
-	@for d in tests/analysis/fixtures/project/bad_*/; do \
-		if $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
-			echo "lint-fixtures: $$d unexpectedly passed"; exit 1; \
-		fi; \
-	done
-	@for d in tests/analysis/fixtures/project/good_*/; do \
-		if ! $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
-			echo "lint-fixtures: $$d unexpectedly failed"; exit 1; \
-		fi; \
-	done
-	@echo "lint-fixtures: ok"
+	$(PY) -m repro.analysis

@@ -19,8 +19,8 @@ Public API tour
 ``repro.experiment``   -- declarative specs, run_experiment, ResultSet
 ``repro.analysis``     -- repro-lint: AST checker for the determinism,
                           lease-clock and serialization invariants
-                          (zones, pluggable rules, baseline;
-                          ``python -m repro.analysis``)
+                          (zones, a fixed rule set, inline pragmas
+                          as the only waiver; ``python -m repro.analysis``)
 """
 
 __version__ = "1.0.0"

@@ -15,7 +15,7 @@ The graph is what every cross-file rule walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.symbols import (
     CallSite,
@@ -23,7 +23,7 @@ from repro.analysis.symbols import (
     SymbolTable,
 )
 
-__all__ = ["CallGraph", "Edge", "ProjectContext"]
+__all__ = ["CallGraph", "Edge"]
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,3 @@ class CallGraph:
                 return found
         return None
 
-
-@dataclass
-class ProjectContext:
-    """Everything a :class:`~repro.analysis.registry.ProjectRule` sees."""
-
-    table: SymbolTable
-    graph: CallGraph
-    _extra: dict = field(default_factory=dict)

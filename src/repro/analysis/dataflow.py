@@ -10,6 +10,9 @@ clock, passing a seed — belongs) and carry the full shortest call chain
 down to the source.  Sources *inside* deterministic or distributed zones
 are deliberately not seeds: the per-file rules already flag those lines
 directly, and the distributed zone reads clocks as its job.
+
+The engine computes the taint once per pass and hands it to every
+project rule inside a :class:`ProjectContext`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.symbols import SourceSite, SymbolTable
 from repro.analysis.zones import Zone
 
-__all__ = ["TaintChain", "compute_taint"]
+__all__ = ["ProjectContext", "TaintChain", "compute_taint"]
 
 
 @dataclass(frozen=True)
@@ -32,11 +35,20 @@ class TaintChain:
     boundary: str  # qualname of the deterministic-zone function
     boundary_path: str
     boundary_line: int  # the function's def line (finding anchor)
-    boundary_code: str  # stripped def line (fingerprint ingredient)
+    boundary_code: str  # stripped def line (the finding's code)
     #: (label, path, line) hops: boundary at its call site, each free
     #: function at the line it calls the next hop, then the source call.
     chain: tuple[tuple[str, str, int], ...]
     source: SourceSite
+
+
+@dataclass(frozen=True)
+class ProjectContext:
+    """Everything a :class:`~repro.analysis.rulebase.ProjectRule` sees."""
+
+    table: SymbolTable
+    graph: CallGraph
+    taint: tuple[TaintChain, ...]
 
 
 def _zone(table: SymbolTable, qualname: str) -> str:

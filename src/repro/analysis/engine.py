@@ -1,11 +1,13 @@
 """The analyzer: parse files, run rules, honor pragmas.
 
-Per-file pass: one parse per file; every registered per-file rule whose
-zone set contains the file's zone runs over the shared tree, and the
-same tree is summarized for the project pass.  Project pass: the module
-summaries are stitched into a symbol table and call graph, and every
-registered :class:`~repro.analysis.registry.ProjectRule` (transitive
-taint) runs once over the whole program.
+Per-file pass: one parse per file; every rule in
+:data:`~repro.analysis.rules.FILE_RULES` whose zone set contains the
+file's zone runs over the shared tree, and the same tree is summarized
+for the project pass.  Project pass: the module summaries are stitched
+into a symbol table and call graph, the determinism taint is computed
+once over them, and every rule in
+:data:`~repro.analysis.rules.PROJECT_RULES` runs over that
+:class:`~repro.analysis.dataflow.ProjectContext`.
 
 Findings can be suppressed inline with a pragma anywhere in the
 *enclosing statement* (or on a comment line directly above it)::
@@ -16,9 +18,8 @@ Pragma scope is the statement's span, so a pragma above a decorator
 waives the decorated ``def``, and one on the first line of a wrapped
 call waives the whole call.  The pragma names the rule id (or ``*``);
 everything after ``--`` is the justification, kept next to the code it
-excuses.  Grandfathered findings that should *eventually* be fixed
-belong in the baseline file instead (:mod:`repro.analysis.baseline`),
-which expires entries as they are fixed.
+excuses.  Pragmas are the only waiver: a finding without one fails the
+run.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.callgraph import CallGraph, ProjectContext
-from repro.analysis.findings import Finding, fingerprinted
-from repro.analysis.registry import FileContext, iter_project_rules, iter_rules
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.dataflow import ProjectContext, compute_taint
+from repro.analysis.findings import Finding, sort_findings
+from repro.analysis.rulebase import FileContext
+from repro.analysis.rules import FILE_RULES, PROJECT_RULES
 from repro.analysis.symbols import ModuleSummary, SymbolTable, summarize_module
 from repro.analysis.zones import Zone, zone_for
 
@@ -45,7 +48,7 @@ __all__ = [
 
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*ignore\[([^\]]*)\]")
 
-#: Rule id reserved for files the parser rejects (never registered — a
+#: Rule id reserved for files the parser rejects (no rule carries it — a
 #: syntactically broken file can't be rule-checked at all).
 PARSE_ERROR_RULE = "parse-error"
 
@@ -164,7 +167,7 @@ def _analyze_tree(
 ) -> tuple[list[Finding], int]:
     kept: list[Finding] = []
     suppressed = 0
-    for rule in iter_rules():
+    for rule in FILE_RULES:
         if ctx.zone not in rule.zones:
             continue
         for finding in rule.check(ctx):
@@ -197,17 +200,17 @@ def analyze_source(
     Runs the per-file rules only — cross-file rules need a project to
     cross, so they live in :func:`analyze_paths`.  ``zone`` defaults to
     whatever :func:`zone_for` derives from ``relpath``.  Findings come
-    back fingerprinted and sorted.
+    back sorted.
     """
     zone = zone if zone is not None else zone_for(relpath)
     lines = tuple(source.splitlines())
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return fingerprinted([_parse_error_finding(exc, relpath, lines)])
+        return [_parse_error_finding(exc, relpath, lines)]
     ctx = FileContext(relpath=relpath, zone=zone, tree=tree, lines=lines)
     kept, _ = _analyze_tree(ctx, build_waivers(tree, lines))
-    return fingerprinted(kept)
+    return sort_findings(kept)
 
 
 def _run_project_rules(
@@ -216,10 +219,10 @@ def _run_project_rules(
 ) -> tuple[list[Finding], int]:
     table = SymbolTable(summaries)
     graph = CallGraph.build(table)
-    ctx = ProjectContext(table=table, graph=graph)
+    ctx = ProjectContext(table, graph, tuple(compute_taint(table, graph)))
     kept: list[Finding] = []
     suppressed = 0
-    for rule in iter_project_rules():
+    for rule in PROJECT_RULES:
         for finding in rule.check(ctx):
             file_waivers = waivers_by_path.get(finding.path, {})
             if _waived(finding.rule, finding.line, file_waivers):
@@ -236,11 +239,10 @@ def analyze_paths(
 ) -> AnalysisReport:
     """Analyze every Python file under ``paths``, then the whole program.
 
-    ``root`` anchors the repo-relative paths used in reports and baseline
-    fingerprints (default: the current directory — ``make lint`` runs
-    from the repo root).  ``zone`` forces a single zone for every file
-    (fixture checking); by default each file's zone comes from the zone
-    map.
+    ``root`` anchors the repo-relative paths used in reports (default:
+    the current directory — ``make lint`` runs from the repo root).
+    ``zone`` forces a single zone for every file (fixture checking); by
+    default each file's zone comes from the zone map.
     """
     root = Path(root) if root is not None else Path.cwd()
     report = AnalysisReport()
@@ -282,5 +284,5 @@ def analyze_paths(
         collected.extend(project_findings)
         report.suppressed += project_suppressed
 
-    report.findings = fingerprinted(collected)
+    report.findings = sort_findings(collected)
     return report

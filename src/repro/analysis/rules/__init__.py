@@ -1,11 +1,11 @@
-"""Built-in repro-lint rules.
+"""The repro-lint rule set.
 
-Importing this package populates the rule registry — each rule module
-calls :func:`~repro.analysis.registry.register_rule` at import time,
-exactly like the built-in policies/strategies pre-populate theirs.
-Third-party rules follow the same recipe: subclass
-:class:`~repro.analysis.registry.Rule`, register an instance, and make
-sure the module is imported before the analyzer runs.
+The analyzer runs exactly these instances: every :data:`FILE_RULES`
+entry whose zones contain a file's zone, once per file, and every
+:data:`PROJECT_RULES` entry once per pass over the whole program.  A new
+rule is a :class:`~repro.analysis.rulebase.Rule` (or
+:class:`~repro.analysis.rulebase.ProjectRule`) subclass plus one entry
+in the matching tuple.
 """
 
 from repro.analysis.rules.clocks import LeaseClockRule, NoWallclockRule
@@ -18,11 +18,25 @@ from repro.analysis.rules.transitive import (
 )
 
 __all__ = [
+    "FILE_RULES",
     "LeaseClockRule",
     "NoWallclockRule",
+    "PROJECT_RULES",
     "SeededRngRule",
     "SerializationSafetyRule",
     "TelemetrySideChannelRule",
     "TransitiveRngRule",
     "TransitiveWallclockRule",
 ]
+
+#: Per-file rules, in id order.
+FILE_RULES = (
+    LeaseClockRule(),
+    NoWallclockRule(),
+    SeededRngRule(),
+    SerializationSafetyRule(),
+    TelemetrySideChannelRule(),
+)
+
+#: Whole-program rules, in id order.
+PROJECT_RULES = (TransitiveRngRule(), TransitiveWallclockRule())

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from repro.analysis.astutil import canonical
 from repro.analysis.findings import Finding
-from repro.analysis.registry import FileContext, Rule, register_rule
+from repro.analysis.rulebase import FileContext, Rule
 from repro.analysis.sources import MONOTONIC_CALLS, WALLCLOCK_CALLS
 from repro.analysis.zones import Zone
 
@@ -43,10 +43,6 @@ class NoWallclockRule(Rule):
     """Ban every ambient clock read where results must be reproducible."""
 
     id = "no-wallclock"
-    summary = (
-        "deterministic zones may not read any process clock "
-        "(time.time/monotonic/perf_counter, datetime.now, ...)"
-    )
     zones = frozenset({Zone.DETERMINISTIC})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -77,10 +73,6 @@ class LeaseClockRule(Rule):
     """Pin the PR 6 fix: lease ages are monotonic dwell, never wall math."""
 
     id = "lease-clock"
-    summary = (
-        "broker/lease code may not read wall clocks or do ordering "
-        "arithmetic against file mtimes (monotonic dwell only)"
-    )
     zones = frozenset({Zone.DISTRIBUTED})
 
     _ORDERED_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -124,7 +116,3 @@ class LeaseClockRule(Rule):
                             "the mtime change?') is skew-safe",
                         )
                     left = right
-
-
-register_rule(NoWallclockRule())
-register_rule(LeaseClockRule())

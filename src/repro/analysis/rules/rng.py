@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import FileContext, Rule, register_rule
+from repro.analysis.rulebase import FileContext, Rule
 from repro.analysis.sources import rng_violation
 from repro.analysis.zones import Zone
 
@@ -25,10 +25,6 @@ class SeededRngRule(Rule):
     """Explicit seeds only; module-level RNG state is banned outright."""
 
     id = "seeded-rng"
-    summary = (
-        "RNG constructors must take an explicit seed; module-level "
-        "random.*/np.random.* draws are banned"
-    )
     zones = frozenset({Zone.DETERMINISTIC, Zone.DISTRIBUTED})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -38,6 +34,3 @@ class SeededRngRule(Rule):
             violation = rng_violation(node, ctx.aliases)
             if violation is not None:
                 yield ctx.finding(self.id, node, violation[1])
-
-
-register_rule(SeededRngRule())

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.analysis.astutil import dotted
 from repro.analysis.findings import Finding
-from repro.analysis.registry import ALL_ZONES, FileContext, Rule, register_rule
+from repro.analysis.rulebase import ALL_ZONES, FileContext, Rule
 
 __all__ = ["SerializationSafetyRule"]
 
@@ -30,7 +30,6 @@ REGISTRATION_CALLS = frozenset(
         "register_policy",
         "register_strategy",
         "register_platform",
-        "register_rule",
         "submit",
         "submit_many",
     }
@@ -41,10 +40,6 @@ class SerializationSafetyRule(Rule):
     """No call-time-only callables into registries or job submission."""
 
     id = "serialization-safety"
-    summary = (
-        "lambdas/closures/local classes passed to register_*/submit* "
-        "inside a function cannot resolve in remote workers"
-    )
     zones = ALL_ZONES
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -116,6 +111,3 @@ class _Visitor(ast.NodeVisitor):
                     "level",
                 )
             )
-
-
-register_rule(SerializationSafetyRule())

@@ -30,7 +30,7 @@ from typing import Iterator
 
 from repro.analysis.astutil import canonical
 from repro.analysis.findings import Finding
-from repro.analysis.registry import FileContext, Rule, register_rule
+from repro.analysis.rulebase import FileContext, Rule
 from repro.analysis.zones import Zone
 
 __all__ = ["TelemetrySideChannelRule"]
@@ -114,10 +114,6 @@ class TelemetrySideChannelRule(Rule):
     """No value read from the Recorder may flow into result payloads."""
 
     id = "telemetry-side-channel"
-    summary = (
-        "instrumented zones may hand values to the telemetry Recorder but "
-        "never read them back into results (write-only side channel)"
-    )
     zones = frozenset({Zone.DETERMINISTIC, Zone.DISTRIBUTED})
 
     # -- recorder identification ----------------------------------------
@@ -324,6 +320,3 @@ class TelemetrySideChannelRule(Rule):
                         "control flow influenced by the recorder makes "
                         "results depend on telemetry being enabled",
                     )
-
-
-register_rule(TelemetrySideChannelRule())

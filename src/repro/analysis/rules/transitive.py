@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.callgraph import ProjectContext
-from repro.analysis.dataflow import compute_taint
+from repro.analysis.dataflow import ProjectContext
 from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, register_rule
+from repro.analysis.rulebase import ProjectRule
 
 __all__ = ["TransitiveRngRule", "TransitiveWallclockRule"]
 
@@ -26,11 +25,7 @@ class _TaintRule(ProjectRule):
     """Shared engine: one subclass per taint flavor filters by rule id."""
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        taint = ctx._extra.get("taint")
-        if taint is None:
-            taint = compute_taint(ctx.table, ctx.graph)
-            ctx._extra["taint"] = taint
-        for violation in taint:
+        for violation in ctx.taint:
             if violation.rule != self.id:
                 continue
             yield Finding(
@@ -53,21 +48,10 @@ class TransitiveWallclockRule(_TaintRule):
     """Deterministic code must not reach a clock through any call chain."""
 
     id = "transitive-wallclock"
-    summary = (
-        "deterministic-zone functions may not reach a process-clock read "
-        "through any call chain (the per-file rule only sees direct reads)"
-    )
 
 
 class TransitiveRngRule(_TaintRule):
     """Deterministic code must not reach unseeded randomness either."""
 
     id = "transitive-rng"
-    summary = (
-        "deterministic-zone functions may not reach an unseeded or "
-        "global-state RNG draw through any call chain"
-    )
 
-
-register_rule(TransitiveWallclockRule())
-register_rule(TransitiveRngRule())

@@ -4,7 +4,7 @@ Both the per-file rules (:mod:`repro.analysis.rules`) and the
 interprocedural extractor (:mod:`repro.analysis.symbols`) need to answer
 the same questions — "is this call a clock read?", "is this an unseeded
 RNG draw?", "is this a registry registration?" — so the answers live
-here, below both, with no dependency on the rule registry.  A spelling
+here, below both, with no dependency on the rules.  A spelling
 added here is picked up by the direct rule *and* the taint analysis in
 one edit.
 """
@@ -60,7 +60,6 @@ REGISTRY_CALLS: dict[str, str] = {
     "register_strategy": "strategy",
     "register_platform": "platform",
     "register_metric": "metric",
-    "register_rule": "rule",
 }
 
 #: Backing-dict spellings: a function that reads one of these dispatches
@@ -68,10 +67,9 @@ REGISTRY_CALLS: dict[str, str] = {
 #: registered target.
 REGISTRY_DICTS: dict[str, str] = {
     "POLICY_REGISTRY": "policy",
-    "STRATEGY_REGISTRY": "strategy",
+    "STRATEGIES": "strategy",
     "PLATFORM_REGISTRY": "platform",
-    "METRIC_REGISTRY": "metric",
-    "RULE_REGISTRY": "rule",
+    "METRICS": "metric",
 }
 
 #: Constructors that are fine *if* they take an explicit seed argument.

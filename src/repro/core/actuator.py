@@ -8,34 +8,20 @@ cores between an approximate application and the interactive service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.dynrio.overhead import OverheadModel
-
-
-@dataclass
-class ActuationLog:
-    """Audit trail of everything the actuator did."""
-
-    level_switches: list[tuple[float, str, int]] = field(default_factory=list)
-    core_moves: list[tuple[float, str, int]] = field(default_factory=list)
-
-    def switches_for(self, app_name: str) -> int:
-        return sum(1 for _, name, _ in self.level_switches if name == app_name)
 
 
 class Actuator:
     """Binds policy decisions to the simulated node.
 
     The engine provides callbacks for the actual state mutation; the
-    actuator adds signal delivery, switch-pause accounting and the audit
-    log.  Policies only ever talk to this object.
+    actuator adds signal delivery and switch-pause accounting.  Policies
+    only ever talk to this object.
     """
 
     def __init__(self, engine, overhead: OverheadModel | None = None) -> None:
         self._engine = engine
         self._overhead = overhead or OverheadModel()
-        self.log = ActuationLog()
 
     # -- observation ------------------------------------------------------
 
@@ -74,14 +60,11 @@ class Actuator:
             )
         self._engine.apply_level(app_name, level)
         sim.pause_remaining += self._overhead.switch_pause()
-        self.log.level_switches.append((self._engine.now, app_name, level))
 
     def reclaim_core(self, app_name: str) -> None:
         """Move one core from the app to the interactive service."""
         self._engine.move_core(app_name, to_service=True)
-        self.log.core_moves.append((self._engine.now, app_name, -1))
 
     def return_core(self, app_name: str) -> None:
         """Give one core back from the interactive service to the app."""
         self._engine.move_core(app_name, to_service=False)
-        self.log.core_moves.append((self._engine.now, app_name, +1))

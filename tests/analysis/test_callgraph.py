@@ -7,9 +7,19 @@ fixture corpus exercises end to end through the CLI.
 """
 
 import ast
+import importlib
 
 from repro.analysis.callgraph import CallGraph
+from repro.analysis.sources import REGISTRY_CALLS, REGISTRY_DICTS
 from repro.analysis.symbols import SymbolTable, summarize_module
+
+#: Where each registry family lives in this repository.
+REPO_REGISTRIES = {
+    "policy": "repro.sweep.engine",
+    "strategy": "repro.search.strategies",
+    "platform": "repro.server.platform",
+    "metric": "repro.experiment.resultset",
+}
 
 
 def build(files: dict[str, str]) -> tuple[SymbolTable, CallGraph]:
@@ -152,11 +162,11 @@ class TestRegistryEdges:
         _, graph = build(
             {
                 "repro/engine.py": (
-                    "STRATEGY_REGISTRY = {}\n"
+                    "STRATEGIES = {}\n"
                     "def register_strategy(name, cls):\n"
-                    "    STRATEGY_REGISTRY[name] = cls\n"
+                    "    STRATEGIES[name] = cls\n"
                     "def run(name):\n"
-                    "    return STRATEGY_REGISTRY[name]\n"
+                    "    return STRATEGIES[name]\n"
                 ),
                 "lib/s.py": (
                     "from repro.engine import register_strategy\n"
@@ -173,6 +183,13 @@ class TestRegistryEdges:
             "lib.s.Grid.observe",
             "lib.s.Grid.propose",
         )
+        assert ("repro.engine.run", "lib.s.Grid.propose") in edge_pairs(graph)
+
+    def test_spellings_name_the_repo_registries(self):
+        # A misspelt dict name drops every dispatch edge without a sound.
+        for spelling, family in {**REGISTRY_DICTS, **REGISTRY_CALLS}.items():
+            module = importlib.import_module(REPO_REGISTRIES[family])
+            assert hasattr(module, spelling), (spelling, module.__name__)
 
 
 class TestCycles:

@@ -33,6 +33,7 @@ class TestProjectCorpusContract:
             "bad_reexport",
             "bad_self_method",
             "bad_registry",
+            "bad_registry_strategy",
             "bad_import_cycle",
         } <= set(BAD_PROJECTS)
         assert "good_taint_pragma" in GOOD_PROJECTS
@@ -76,11 +77,10 @@ class TestTransitiveTaint:
             "random.random (lib/noise.py:7)"
         )
 
-    def test_chain_findings_fingerprint_deterministically(self):
-        first = {f.fingerprint for f in findings_for("bad_taint_chain")}
-        second = {f.fingerprint for f in findings_for("bad_taint_chain")}
-        assert first == second
-        assert all(first)
+    def test_chain_findings_are_deterministic(self):
+        first = findings_for("bad_taint_chain")
+        assert first
+        assert findings_for("bad_taint_chain") == first
 
     def test_pragma_on_the_source_kills_the_whole_chain(self):
         assert findings_for("good_taint_pragma") == []
@@ -124,6 +124,21 @@ class TestCallGraphShapes:
         assert "repro.engine.make" in by_boundary
         assert by_boundary["repro.engine.make"].render_chain() == (
             "repro.engine.make (repro/engine.py:10) -> "
+            "lib.plugin.build (lib/plugin.py:9) -> "
+            "time.time (lib/plugin.py:9)"
+        )
+
+    def test_strategy_table_reaches_registered_strategies(self):
+        # The same indirection through the repo's real spelling of the
+        # strategy table, ``STRATEGIES``.
+        findings = findings_for("bad_registry_strategy")
+        assert [f.chain[0][0] for f in findings] == [
+            "repro.search.<module>",
+            "repro.search.register_strategy",
+            "repro.search.resolve",
+        ]
+        assert findings[-1].render_chain() == (
+            "repro.search.resolve (repro/search.py:10) -> "
             "lib.plugin.build (lib/plugin.py:9) -> "
             "time.time (lib/plugin.py:9)"
         )

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Zone, analyze_source, register_rule, registered_rules
-from repro.analysis.registry import Rule
+from repro.analysis import FILE_RULES, Zone, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -235,47 +234,15 @@ class TestPragmas:
         assert [f.rule for f in findings] == ["no-wallclock"]
 
 
-class TestRegistry:
-    def test_five_builtin_per_file_rules_registered(self):
-        assert set(registered_rules()) >= {
+class TestRuleSet:
+    def test_five_per_file_rules_in_id_order(self):
+        assert [rule.id for rule in FILE_RULES] == [
+            "lease-clock",
             "no-wallclock",
             "seeded-rng",
-            "lease-clock",
             "serialization-safety",
             "telemetry-side-channel",
-        }
-
-    def test_duplicate_registration_refused(self):
-        class Dup(Rule):
-            id = "no-wallclock"
-            summary = "dup"
-
-            def check(self, ctx):
-                return iter(())
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_rule(Dup())
-
-    def test_custom_rule_registers_and_runs(self):
-        class NoTodo(Rule):
-            id = "fixture-no-todo"
-            summary = "flags TODO assignments"
-
-            def check(self, ctx):
-                import ast
-
-                for node in ast.walk(ctx.tree):
-                    if isinstance(node, ast.Name) and node.id == "TODO":
-                        yield ctx.finding(self.id, node, "TODO found")
-
-        register_rule(NoTodo())
-        try:
-            findings = analyze_source("TODO = 1\n", "m.py", zone=Zone.FREE)
-            assert [f.rule for f in findings] == ["fixture-no-todo"]
-        finally:
-            from repro.analysis import RULE_REGISTRY
-
-            del RULE_REGISTRY["fixture-no-todo"]
+        ]
 
     def test_parse_error_is_reported_not_raised(self):
         findings = analyze_source("def broken(:\n", "m.py", zone=Zone.FREE)

@@ -3,16 +3,20 @@
 This is the dogfood gate: every invariant the analyzer enforces is an
 invariant this codebase claims to uphold.  A new violation anywhere in
 ``src``/``benchmarks``/``examples``/``scripts`` fails here (and in
-``make lint``) until it is fixed, pragma'd, or baselined with a
-justification.
+``make lint``) until it is fixed or waived by a justified pragma.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, analyze_paths, registered_rules
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis import (
+    FILE_RULES,
+    PROJECT_RULES,
+    analyze_paths,
+    iter_python_files,
+)
 from repro.analysis.cli import DEFAULT_ROOTS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -25,10 +29,10 @@ def repo_report():
     return analyze_paths(roots, root=REPO_ROOT)
 
 
-def test_exactly_the_seven_rules_ship(repo_report):
+def test_exactly_the_seven_rules_ship():
     # Five per-file rules plus the two project-scoped (interprocedural)
     # determinism-taint rules.
-    assert set(registered_rules()) == {
+    assert {rule.id for rule in FILE_RULES + PROJECT_RULES} == {
         "no-wallclock",
         "seeded-rng",
         "lease-clock",
@@ -39,21 +43,23 @@ def test_exactly_the_seven_rules_ship(repo_report):
     }
 
 
-def test_repo_is_clean_modulo_baseline(repo_report):
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    new, _waived, expired = baseline.partition(repo_report.findings)
-    assert new == [], "unbaselined findings:\n" + "\n".join(
-        f"  {f.location}: {f.rule}: {f.message}" for f in new
-    )
-    assert expired == [], "stale baseline entries:\n" + "\n".join(
-        f"  {e.path}: {e.fingerprint} ({e.rule})" for e in expired
+def test_repo_is_clean(repo_report):
+    assert repo_report.findings == [], "findings:\n" + "\n".join(
+        f"  {f.location}: {f.rule}: {f.message}" for f in repo_report.findings
     )
 
 
-def test_every_baselined_finding_is_justified(repo_report):
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    for entry in baseline.entries:
-        assert entry.justification.strip(), entry.fingerprint
+def test_every_pragma_is_justified():
+    # A pragma is the only waiver, so it must say why: ``-- reason``.
+    roots = [REPO_ROOT / root for root in DEFAULT_ROOTS]
+    unjustified = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        for path in iter_python_files(root for root in roots if root.exists())
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "repro-lint: ignore[" in line
+        and not re.search(r"ignore\[[^\]]*\]\s*--\s*\S", line)
+    ]
+    assert unjustified == []
 
 
 def test_scan_covers_the_whole_tree(repo_report):

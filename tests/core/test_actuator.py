@@ -1,4 +1,4 @@
-"""Actuator: signal-driven switching, core moves, audit log."""
+"""Actuator: signal-driven switching and core moves."""
 
 import pytest
 
@@ -22,12 +22,12 @@ class TestSetLevel:
         assert sim.level == 1
         assert sim.instrumentor.active_level == 1
         assert sim.pause_remaining > 0
-        assert actuator.log.switches_for("kmeans") == 1
+        assert sim.instrumentor.switches == 1
 
     def test_noop_switch_free(self, engine):
         actuator = engine._actuator
         actuator.set_level("kmeans", 0)
-        assert actuator.log.switches_for("kmeans") == 0
+        assert engine.app_sim("kmeans").instrumentor.switches == 0
         assert engine.app_sim("kmeans").pause_remaining == 0
 
     def test_profile_rescaled(self, engine):
@@ -52,13 +52,6 @@ class TestCoreMoves:
         actuator.return_core("kmeans")
         assert actuator.cores_of("kmeans") == 8
         assert actuator.service_cores == 8
-
-    def test_log_records_direction(self, engine):
-        actuator = engine._actuator
-        actuator.reclaim_core("kmeans")
-        actuator.return_core("kmeans")
-        deltas = [delta for _, _, delta in actuator.log.core_moves]
-        assert deltas == [-1, +1]
 
 
 class TestObservation:
