@@ -45,7 +45,9 @@ perfbench:
 
 ## Digest gate on the benchmark's full scenario set: warm-replay's set-up
 ## runs all 216 Fig. 5 and diurnal scenarios, and the run fails unless
-## every result matches perfbench/reference.json ("correct": true).
+## every result matches perfbench/reference.json ("correct": true).  A
+## second, traced run (--trace 1) must be correct too; it fails when a
+## layer function the per-layer metrics wrap no longer exists.
 perfbench-check:
 	$(PY) scripts/perfbench_check.py
 

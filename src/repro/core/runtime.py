@@ -6,15 +6,30 @@ interference model, the client-side monitor, and a runtime policy (Pliant
 or a baseline).  Time advances in monitor epochs (100 ms); policies act at
 decision-interval boundaries (1 s by default), exactly as in the paper.
 
-Each epoch the engine:
+The engine runs one decision interval at a time, as one loop over its
+epochs.  A policy acts only between intervals, so inside one the service's
+cores, every app's level and cores, and with them the saturation
+throughput, stay fixed; only the offered load, the noise and the apps'
+progress move.  The loop keeps in locals what an interval cannot change —
+the saturation throughput, the latency curve's constants and the
+monitor's sampling rule — and the latency noise's sigma, recomputed only
+when the offered QPS changes.  Each epoch it:
 
 1. samples the offered load,
-2. derives the service's service-time inflation, utilization and
-   saturation backlog from the contention pressure on it,
-3. draws a noisy p99 latency observation for the monitor, and
-4. advances each application's logical progress at a rate set by its core
-   allocation (Amdahl), active variant (measured time factor), DynamoRIO
-   overhead (when instrumented) and the contention it suffers itself.
+2. steps the smoothed service-time inflation, the saturation backlog and
+   the utilization they give,
+3. draws a noisy p99 latency observation for the monitor, evaluating the
+   float expressions of :meth:`InteractiveService.sample_p99`,
+   :class:`BacklogTracker` and :meth:`PerformanceMonitor.should_sample`
+   in their order, so every value is theirs bit for bit, and
+4. advances each running application's logical progress at a rate set by
+   its core allocation (Amdahl), active variant (measured time factor),
+   DynamoRIO overhead (when instrumented) and the contention it suffers
+   itself (:meth:`AppSim.advance`).
+
+The per-epoch service-core and per-app level and core traces are
+extended once per interval, and a count of running apps ends a run whose
+apps are all done.
 
 Contention follows a per-configuration plan (:class:`ContentionPlan`).
 A configuration is every tenant's profile and cores; it changes only at
@@ -82,7 +97,7 @@ from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
 from repro.server.resources import ResourceProfile, total_membw
 from repro.server.tenant import Tenant, TenantKind
-from repro.services.base import BacklogTracker, InteractiveService
+from repro.services.base import InteractiveService
 from repro.services.loadgen import ConstantLoad, LoadGenerator
 from repro.telemetry import get_recorder
 
@@ -177,6 +192,34 @@ class AppSim:
         if self.finished:
             return _IDLE_PROFILE
         return self.level_profiles[self.level]
+
+    def advance(self, dt: float, now: float) -> bool:
+        """Advance the running app by the ``dt`` seconds from ``now``.
+
+        A pending switch pause is consumed first.  Returns whether the app
+        finished; its tenant then goes idle.
+        """
+        if self.pause_remaining > 0:
+            consumed = min(self.pause_remaining, dt)
+            self.pause_remaining -= consumed
+            dt -= consumed
+            if dt <= 0:
+                return False
+        level = self.level
+        dp = dt / self.exec_time
+        remaining = 1.0 - self.progress
+        if remaining < dp:
+            dp = remaining
+        self.progress += dp
+        self.inaccuracy_integral += dp * self.level_inaccuracies[level]
+        if self.level_elides[level]:
+            self.elided_progress += dp
+        if self.progress >= 1.0 - 1e-12:
+            self.finished = True
+            self.finish_time = now + dt
+            self.tenant.set_profile(_IDLE_PROFILE)
+            return True
+        return False
 
 
 class ContentionPlan:
@@ -543,9 +586,12 @@ class ColocationEngine:
             tenant.set_profile(sim.active_profile())
             self._apps[app.name] = sim
         self._sims = list(self._apps.values())
+        self._running = len(self._sims)
 
         self._monitor = PerformanceMonitor(qos=service.qos)
-        self._backlog = BacklogTracker()
+        # Unserved requests of saturation episodes, as a BacklogTracker
+        # would hold them.
+        self._backlog = 0.0
         self._actuator = Actuator(self, overhead=self._overhead)
         self._inflation_ema = 1.0
         # Tail-latency effects of an allocation or variant change develop
@@ -635,38 +681,36 @@ class ColocationEngine:
         # work) are the profile that justifies the tensorization refactor.
         # The recorder's injected clock is the only clock named here —
         # simulation time (`self._now`) stays untouched, and everything
-        # below is guarded so an uninstrumented run pays one bool check.
+        # below is guarded so an uninstrumented run pays one bool check per
+        # interval.
         telemetry = get_recorder()
         instrumented = telemetry.enabled
-        monitor_spent = 0.0
         tick = 0.0
 
         epoch_index = 0
         while self._now < cfg.horizon:
             if instrumented:
                 tick = telemetry.now()
-            self._step_epoch(epoch_index, times, p99s, service_cores, app_traces)
+            ran = self._run_interval(epoch_index, epochs_per_interval, times, p99s)
+            epoch_index += ran
+            # Cores and levels move only between intervals.
+            service_cores.extend([self._service_tenant.cores] * ran)
+            for sim, levels, cores in app_traces:
+                levels.extend([sim.level] * ran)
+                cores.extend([sim.tenant.cores] * ran)
+            if ran < epochs_per_interval:
+                break  # at the horizon, or every app is done
+            obs = self._monitor.close_interval(self._now)
             if instrumented:
-                monitor_spent += telemetry.now() - tick
-            epoch_index += 1
-            if epoch_index % epochs_per_interval == 0:
-                if instrumented:
-                    tick = telemetry.now()
-                obs = self._monitor.close_interval(self._now)
-                if instrumented:
-                    monitor_spent += telemetry.now() - tick
-                    telemetry.observe("runtime.monitor_phase_s", monitor_spent)
-                    monitor_spent = 0.0
-                    tick = telemetry.now()
-                before = self._action_fingerprint()
-                self._policy.on_interval(obs, self._actuator)
-                summary = self._describe_action(before)
-                if instrumented:
-                    telemetry.observe(
-                        "runtime.policy_phase_s", telemetry.now() - tick
-                    )
-                intervals.append(IntervalRecord(observation=obs, action_summary=summary))
-            if cfg.stop_when_apps_done and all(sim.finished for sim in self._sims):
+                telemetry.observe("runtime.monitor_phase_s", telemetry.now() - tick)
+                tick = telemetry.now()
+            before = self._action_fingerprint()
+            self._policy.on_interval(obs, self._actuator)
+            summary = self._describe_action(before)
+            if instrumented:
+                telemetry.observe("runtime.policy_phase_s", telemetry.now() - tick)
+            intervals.append(IntervalRecord(observation=obs, action_summary=summary))
+            if cfg.stop_when_apps_done and not self._running:
                 break
 
         # Every epoch records each app's cores after it ran, so the fewest
@@ -715,79 +759,99 @@ class ColocationEngine:
         self._service_pressure, self._raw_inflation = self._plan.evaluate(qps)
         self._physics_qps = qps
 
-    def _step_epoch(
-        self,
-        epoch_index: int,
-        times: list[float],
-        p99s: list[float],
-        service_cores: list[int],
-        app_traces: list[tuple[AppSim, list[int], list[int]]],
-    ) -> None:
-        dt = self._config.monitor_epoch
-        qps = self._loadgen.qps_at(self._now)
-        svc_cores = self._service_tenant.cores
-        if self._plan is None:
-            self._build_plan(qps)
-        elif qps != self._physics_qps:
-            self._evaluate(qps)
-        pressure = self._service_pressure
+    def _run_interval(
+        self, epoch_index: int, epochs: int, times: list[float], p99s: list[float]
+    ) -> int:
+        """Run the ``epochs`` monitor epochs of one decision interval,
+        numbered from ``epoch_index`` on; return how many ran.
 
-        self._inflation_ema += self._inflation_alpha * (
-            self._raw_inflation - self._inflation_ema
-        )
+        Fewer run when the horizon comes first or, in a run that stops with
+        its apps, once the last app finished.  Every epoch appends its start
+        time to ``times`` and its latency observation to ``p99s``.
+        """
+        cfg = self._config
+        dt = cfg.monitor_epoch
+        horizon = cfg.horizon
+        stop_when_done = cfg.stop_when_apps_done
+        qps_at = self._loadgen.qps_at
+        normals = self._normals
+        record = self._monitor.record
+        every_epoch = self._monitor.samples_every_epoch
+        curve = self._service.curve
+        base_p99 = curve.params.base_p99
+        amplitude = curve.amplitude
+        max_utilization = curve.params.max_utilization
+        noise_sigma = curve.params.noise_sigma
+        alpha = self._inflation_alpha
+        sims = self._sims
+        now = self._now
         inflation = self._inflation_ema
-        capacity = self._plan.saturation_qps / inflation
-        self._backlog.update(qps, capacity, dt)
-        penalty = self._backlog.penalty(capacity)
-        sample = self._service.sample_p99(
-            qps,
-            svc_cores,
-            pressure,
-            next(self._normals),
-            dt,
-            backlog_penalty=penalty,
-            inflation=inflation,
-        )
-        if self._monitor.should_sample(epoch_index):
-            self._monitor.record(sample)
+        backlog = self._backlog
+        running = self._running
+        # `plan` is None until the plan's terms are in locals, and again
+        # after an app finishes; `noise_qps` is the QPS `sigma` is for.
+        plan = None
+        noise_qps = None
+        saturation = raw_inflation = sigma = log_mean = 0.0
 
-        for sim in self._sims:
-            if not sim.finished:
+        ran = 0
+        while ran < epochs and now < horizon:
+            qps = qps_at(now)
+            if plan is None:
                 if self._plan is None:
-                    # An app advanced earlier in this epoch finished.
                     self._build_plan(qps)
-                self._advance_app(sim, dt)
+                elif qps != self._physics_qps:
+                    self._evaluate(qps)
+                plan = self._plan
+                saturation = plan.saturation_qps
+                raw_inflation = self._raw_inflation
+            elif qps != self._physics_qps:
+                self._evaluate(qps)
+                raw_inflation = self._raw_inflation
+            if qps != noise_qps:
+                if qps < 0:
+                    raise ValueError("qps must be non-negative")
+                requests_observed = max(qps * dt, 10.0)
+                sigma = noise_sigma * (1.0 + 30.0 / math.sqrt(requests_observed))
+                log_mean = -0.5 * sigma * sigma
+                noise_qps = qps
 
-        times.append(self._now)
-        p99s.append(sample)
-        service_cores.append(svc_cores)
-        for sim, levels, cores in app_traces:
-            levels.append(sim.level)
-            cores.append(sim.tenant.cores)
-        self._now += dt
+            inflation += alpha * (raw_inflation - inflation)
+            capacity = saturation / inflation
+            backlog = max(0.0, backlog + (qps - capacity) * dt)
+            penalty = 0.0 if capacity <= 0 else backlog / capacity
+            utilization = qps * inflation / saturation
+            if utilization < 0:
+                raise ValueError("utilization must be non-negative")
+            u = min(utilization, max_utilization)
+            sample = (base_p99 + amplitude * u / (1.0 - u) + penalty) * math.exp(
+                log_mean + sigma * next(normals)
+            )
+            if every_epoch or epoch_index % 2 == 0:
+                record(sample)
 
-    def _advance_app(self, sim: AppSim, dt: float) -> None:
-        """Advance running (not finished) app ``sim`` by ``dt`` seconds."""
-        if sim.pause_remaining > 0:
-            consumed = min(sim.pause_remaining, dt)
-            sim.pause_remaining -= consumed
-            dt -= consumed
-            if dt <= 0:
-                return
-        level = sim.level
-        dp = dt / sim.exec_time
-        remaining = 1.0 - sim.progress
-        if remaining < dp:
-            dp = remaining
-        sim.progress += dp
-        sim.inaccuracy_integral += dp * sim.level_inaccuracies[level]
-        if sim.level_elides[level]:
-            sim.elided_progress += dp
-        if sim.progress >= 1.0 - 1e-12:
-            sim.finished = True
-            sim.finish_time = self._now + dt
-            sim.tenant.set_profile(_IDLE_PROFILE)
-            self._plan = None
+            for sim in sims:
+                if not sim.finished:
+                    if self._plan is None:
+                        # An app advanced earlier in this epoch finished.
+                        self._build_plan(qps)
+                    if sim.advance(dt, now):
+                        running -= 1
+                        self._plan = plan = None
+
+            times.append(now)
+            p99s.append(sample)
+            now += dt
+            epoch_index += 1
+            ran += 1
+            if stop_when_done and not running:
+                break
+
+        self._now = now
+        self._inflation_ema = inflation
+        self._backlog = backlog
+        self._running = running
+        return ran
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

@@ -61,6 +61,11 @@ class LatencyCurve:
     def params(self) -> LatencyCurveParams:
         return self._params
 
+    @property
+    def amplitude(self) -> float:
+        """``A`` of ``p99(u) = L0 + A * u / (1 - u)``."""
+        return self._amplitude
+
     def p99(self, utilization: float) -> float:
         """Deterministic tail latency at ``utilization`` (can exceed 1)."""
         if utilization < 0:

@@ -1,6 +1,9 @@
 """Performance monitor: windows, slack, adaptive sampling."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.monitor import IntervalObservation, PerformanceMonitor
 
@@ -52,6 +55,22 @@ class TestMonitor:
         assert len(monitor.history) == 2
         assert monitor.qos_met_fraction() == pytest.approx(0.5)
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_interval_p99_is_np_mean_bit_for_bit(self, samples):
+        # From 8 samples on, numpy's pairwise sum adds in another order
+        # than a left-to-right sum does.
+        monitor = PerformanceMonitor(qos=1.0)
+        for sample in samples:
+            monitor.record(sample)
+        p99 = monitor.close_interval(1.0).p99
+        assert p99.hex() == float(np.mean(samples)).hex()
+
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError):
             PerformanceMonitor(qos=1.0).record(-1.0)
@@ -75,6 +94,18 @@ class TestAdaptiveSampling:
         sampled = [monitor.should_sample(i) for i in range(10)]
         assert not all(sampled)
         assert any(sampled)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("p99", [0.1, 0.74, 0.75, 0.95, 1.25, 1.26, 3.0])
+    def test_every_epoch_rule_agrees_with_should_sample(self, adaptive, p99):
+        monitor = PerformanceMonitor(qos=1.0, adaptive=adaptive)
+        monitor.record(p99)
+        monitor.close_interval(1.0)
+        sampled = [monitor.should_sample(i) for i in range(10)]
+        if monitor.samples_every_epoch:
+            assert all(sampled)
+        else:
+            assert sampled == [i % 2 == 0 for i in range(10)]
 
     def test_non_adaptive_always_samples(self):
         monitor = PerformanceMonitor(qos=1.0, adaptive=False)

@@ -81,6 +81,33 @@ class TestRun:
         b = build_engine("memcached", ["kmeans"], PrecisePolicy(), config=config).run()
         assert not np.array_equal(a.epoch_p99, b.epoch_p99)
 
+    def test_negative_qps_mid_run_raises(self):
+        from repro.services.loadgen import LoadGenerator
+
+        class GoesNegative(LoadGenerator):
+            def qps_at(self, time):
+                return 20000.0 if time < 1.55 else -1.0
+
+        engine = build_engine(
+            "memcached", ["kmeans"], PrecisePolicy(), loadgen=GoesNegative()
+        )
+        with pytest.raises(ValueError, match="qps must be non-negative"):
+            engine.run()
+
+    def test_negative_utilization_raises(self):
+        from repro.cluster import ladder_for
+        from repro.services import make_service
+        from repro.services.base import InterferenceSensitivity
+
+        # Contention that deflates service time drives inflation below zero.
+        service = make_service("memcached")
+        service.sensitivity = InterferenceSensitivity(llc=-1e3)
+        engine = ColocationEngine(
+            service, [(make_app("kmeans"), ladder_for("kmeans"))], PrecisePolicy()
+        )
+        with pytest.raises(ValueError, match="utilization must be non-negative"):
+            engine.run()
+
 
 class TestPreciseBaseline:
     def test_never_acts(self):
@@ -152,7 +179,7 @@ class TestContentionCache:
     def counts(self, monkeypatch):
         """Counts plan builds and evaluations, and checks that every build
         answers an invalidation and no app advances on a stale plan."""
-        from repro.core.runtime import ContentionPlan
+        from repro.core.runtime import AppSim, ContentionPlan
 
         counts = {"builds": 0, "evaluations": 0, "invalidations": 0, "stale": False}
 
@@ -170,15 +197,16 @@ class TestContentionCache:
             counts["evaluations"] += 1
             return _evaluate(plan, qps)
 
-        def advancing(engine, sim, dt, _advance=ColocationEngine._advance_app):
+        def advancing(sim, dt, now, _advance=AppSim.advance):
             assert not counts["stale"]
-            _advance(engine, sim, dt)
+            finished = _advance(sim, dt, now)
             if sim.finished:
                 invalidated()
+            return finished
 
         monkeypatch.setattr(ContentionPlan, "__init__", building)
         monkeypatch.setattr(ContentionPlan, "evaluate", evaluating)
-        monkeypatch.setattr(ColocationEngine, "_advance_app", advancing)
+        monkeypatch.setattr(AppSim, "advance", advancing)
         for name in ("apply_level", "move_core"):
 
             def acting(engine, *args, _method=getattr(ColocationEngine, name), **kwargs):

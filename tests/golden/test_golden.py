@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.sweep import run_scenario
 from repro.sweep.digest import result_digest
 from repro.sweep.engine import POLICY_REGISTRY
@@ -17,6 +18,7 @@ from tests.golden.panel import (
     SCRIPTED_LABEL,
     THREE_APP_MIX,
     panel,
+    run_panel,
 )
 
 PANEL = panel()
@@ -45,6 +47,20 @@ def test_panel_covers_every_registered_policy():
 @pytest.mark.parametrize("label", sorted(PANEL))
 def test_digest_unchanged(label):
     assert result_digest(run_scenario(PANEL[label])) == PINNED["digests"][label]
+
+
+def test_digests_unchanged_with_telemetry_on(monkeypatch, tmp_path):
+    # The engine times its phases only when the recorder is on.
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
+    telemetry.reset_recorder()
+    try:
+        results = run_panel()
+        phases = telemetry.get_recorder().snapshot()["hists"]["runtime.policy_phase_s"]
+    finally:
+        telemetry.reset_recorder()
+    assert phases["count"] == sum(len(result.intervals) for result in results.values())
+    assert {label: result_digest(r) for label, r in results.items()} == PINNED["digests"]
 
 
 def test_three_app_mix_finishes_one_app_early():

@@ -76,10 +76,15 @@ def test_results_identical_with_telemetry_on_and_off(
 def test_instrumented_run_records_scenarios(tmp_path, fresh_recorder):
     recorder = fresh_recorder(True)
     # Cold per-test cache: every scenario is a miss and actually executes.
-    run_experiment(SPEC, cache=SweepCache(tmp_path / "cache"), workers=1)
+    results = run_experiment(SPEC, cache=SweepCache(tmp_path / "cache"), workers=1)
     snap = recorder.snapshot()
     grid = len(SPEC.scenarios())
     assert snap["counters"]["sweep.cache.miss"] == grid
     assert snap["span_totals"]["scenario.run"]["count"] == grid
     assert snap["hists"]["sweep.scenario_s"]["count"] == grid
     assert snap["span_totals"]["experiment.run"]["count"] == 1
+    # One monitor and one policy phase per closed decision interval.
+    closed = sum(len(result.intervals) for result in results.results)
+    assert closed > 0
+    assert snap["hists"]["runtime.monitor_phase_s"]["count"] == closed
+    assert snap["hists"]["runtime.policy_phase_s"]["count"] == closed

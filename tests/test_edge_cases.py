@@ -61,10 +61,10 @@ class TestSwitchPauseConsumption:
         )
         sim = engine.app_sim("kmeans")
         sim.pause_remaining = 0.25
-        engine._advance_app(sim, 0.1)
+        sim.advance(0.1, engine.now)
         assert sim.progress == 0.0
         assert sim.pause_remaining == pytest.approx(0.15)
-        engine._advance_app(sim, 0.2)
+        sim.advance(0.2, engine.now)
         assert sim.progress > 0.0
         assert sim.pause_remaining == 0.0
 
