@@ -3,8 +3,10 @@
     python scripts/perfbench_pairs.py --workload diurnal-multiapp --pairs 10 --seed 1
 
 Compares the working tree (uncommitted edits included) against a parent
-revision (``--parent``, default ``HEAD``), which is checked out into a
-temporary ``git worktree`` and removed afterwards.  Before every run both
+revision (``--parent``, default ``HEAD``), exported with ``git archive``
+into a temporary directory that is deleted afterwards; nothing is written
+into ``.git``, so a killed run leaves only that directory behind
+(``TMPDIR`` picks where it goes).  Before every run both
 sides lose their ``__pycache__`` directories, since bytecode left by one
 side (``make lint`` compiles everything) speeds up its imports and skews
 ``setup_s``.  Each side first does one untimed warm-up run: the first run
@@ -32,9 +34,22 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(revision: str, tree: Path) -> None:
+    """Write the files of ``revision`` into the new directory ``tree``."""
+    tree.mkdir(parents=True)
+    archive = subprocess.Popen(
+        ["git", "archive", revision], cwd=ROOT, stdout=subprocess.PIPE
+    )
+    subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        sys.exit(f"git archive {revision} failed")
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -70,12 +85,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+@dataclass(frozen=True)
+class Comparison:
+    """One metric over the pairs: each side's quartiles, the change's wins
+    and whether a gain may be claimed."""
+
+    name: str
+    parent: tuple[float, float, float]
+    change: tuple[float, float, float]
+    wins: int
+    pairs: int
+    claim: bool
+
+
+def compare(
+    pairs: list[tuple[dict, dict]], better: dict[str, str]
+) -> list[Comparison]:
+    """Apply the claim rule to every metric in ``better`` that the runs report.
+
+    A pair is a win when the change is strictly better than the parent in
+    the direction ``better`` names (``"lower"`` or ``"higher"``); ties count
+    for neither side.  A claim needs ``ceil(0.9 * pairs)`` wins and a gap
+    between the medians larger than the parent's interquartile range.
+    """
     needed = math.ceil(0.9 * len(pairs))
-    print(
-        f"{'metric':22s} {'parent median [q1, q3]':>32s} "
-        f"{'change median [q1, q3]':>32s} {'wins':>6s}  claim"
-    )
+    comparisons = []
     for name in [n for n in better if n in pairs[0][0]]:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
@@ -84,10 +118,25 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
         p1, p2, p3 = quartiles(parent)
         c1, c2, c3 = quartiles(change)
         gain = sign * (c2 - p2)
-        claim = "yes" if wins >= needed and gain > p3 - p1 else "no"
+        claim = wins >= needed and gain > p3 - p1
+        comparisons.append(
+            Comparison(name, (p1, p2, p3), (c1, c2, c3), wins, len(pairs), claim)
+        )
+    return comparisons
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+    print(
+        f"{'metric':22s} {'parent median [q1, q3]':>32s} "
+        f"{'change median [q1, q3]':>32s} {'wins':>6s}  claim"
+    )
+    for row in compare(pairs, better):
+        p1, p2, p3 = row.parent
+        c1, c2, c3 = row.change
         print(
-            f"{name:22s} {p2:12.5g} [{p1:8.5g}, {p3:8.5g}] "
-            f"{c2:12.5g} [{c1:8.5g}, {c3:8.5g}] {wins:3d}/{len(pairs):<2d}  {claim}"
+            f"{row.name:22s} {p2:12.5g} [{p1:8.5g}, {p3:8.5g}] "
+            f"{c2:12.5g} [{c1:8.5g}, {c3:8.5g}] {row.wins:3d}/{row.pairs:<2d}  "
+            f"{'yes' if row.claim else 'no'}"
         )
 
 
@@ -104,11 +153,8 @@ def main(argv=None) -> int:
 
     temp = Path(tempfile.mkdtemp(prefix="perfbench-pairs-"))
     parent_tree = temp / "parent"
-    subprocess.run(
-        ["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
-        cwd=ROOT, check=True, capture_output=True,
-    )
     try:
+        export(args.parent, parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
         for side, tree in sides.items():
             print(f"warm-up: {side}", file=sys.stderr, flush=True)
@@ -131,11 +177,6 @@ def main(argv=None) -> int:
                 flush=True,
             )
     finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(parent_tree)],
-            cwd=ROOT, capture_output=True,
-        )
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(temp, ignore_errors=True)
 
     print(

@@ -132,11 +132,11 @@ def build_waivers(
         lineno: set(ids) for lineno, ids in pragma_lines.items()
     }
 
-    def comment_above(lineno: int) -> frozenset[str]:
-        index = lineno - 2
-        if 0 <= index < len(lines) and lines[index].lstrip().startswith("#"):
-            return pragma_lines.get(lineno - 1, frozenset())
-        return frozenset()
+    bare = {
+        lineno: ids
+        for lineno, ids in pragma_lines.items()
+        if lines[lineno - 1].lstrip().startswith("#")
+    }
 
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt):
@@ -145,14 +145,14 @@ def build_waivers(
         ids: set[str] = set()
         for lineno in range(start, end + 1):
             ids |= pragma_lines.get(lineno, frozenset())
-        ids |= comment_above(start)
+        ids |= bare.get(start - 1, frozenset())
         if not ids:
             continue
         for lineno in range(start, end + 1):
             waivers.setdefault(lineno, set()).update(ids)
     # A pragma on a bare comment line also covers the line below it even
     # when that line starts no statement we walked (e.g. a continuation).
-    for lineno, ids in pragma_lines.items():
+    for lineno, ids in bare.items():
         waivers.setdefault(lineno + 1, set()).update(ids)
     return {lineno: frozenset(ids) for lineno, ids in waivers.items()}
 

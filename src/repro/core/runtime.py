@@ -43,9 +43,14 @@ term, and each running app's execution time without contention, own
 bandwidth terms and the other apps' bandwidths.  A QPS change evaluates
 only the rest — the service's CPU share and memory, disk and network
 demand, its bandwidth pressure and inflation, and each app's execution
-time — in straight-line arithmetic, summing in the order a fresh
-:meth:`ServerNode.pressure_on` would, so results are bit-identical to
-recomputing everything every epoch.  The service tenant's profile is
+time — as flat arithmetic on locals that inlines the service's demand,
+the interference terms and the inflation, with no call and no tuple
+built.  It keeps every operand and summation order of a fresh
+:meth:`ServerNode.pressure_on` and of
+:meth:`InterferenceSensitivity.inflation`, so results are bit-identical to
+recomputing everything every epoch.  The interval loop holds the raw
+inflation the plan returns and the QPS it was evaluated at in locals, and
+evaluates again only when the QPS changes.  The service tenant's profile is
 refreshed when the plan is built; between builds, the service's demand
 that depends on QPS lives in the plan, not in its tenant.  Each ladder
 level's resource profile, time factor, traffic rate and inaccuracy are
@@ -86,16 +91,15 @@ from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
 from repro.server.interference import (
+    _OVERLOAD_KNEE,
     PressureBreakdown,
-    bandwidth,
     llc_pressure,
-    marginal,
     overload,
     utilization,
 )
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
-from repro.server.resources import ResourceProfile, total_membw
+from repro.server.resources import ResourceProfile
 from repro.server.tenant import Tenant, TenantKind
 from repro.services.base import InteractiveService
 from repro.services.loadgen import ConstantLoad, LoadGenerator
@@ -231,22 +235,36 @@ class ContentionPlan:
     contributions as the service sees them, every LLC term (the service's
     LLC demand has no QPS in it) and, for each running app, its execution
     time without contention, its own bandwidth terms and the other apps'
-    bandwidths in tenant order.  :meth:`evaluate` computes the rest in
-    straight-line arithmetic.
+    bandwidths in tenant order.  It also reads the service's per-query
+    demands and its sensitivity's coefficients.
 
-    Sums keep the operands and order of :meth:`ServerNode.pressure_on`:
-    aggressors are added from 0.0 in tenant order, the service first when
-    the victim is an app, so every value equals a fresh computation bit
-    for bit.  ``sims`` are the apps in tenant order, and the service
-    tenant's profile must be current for its cores; its load only moves
-    the terms :meth:`evaluate` recomputes.
+    :meth:`evaluate` computes the rest as flat arithmetic on locals, with
+    no helper call and no tuple built: the service's demand
+    (:meth:`InteractiveService.demand`), its three bandwidth terms with
+    their overload knee (:func:`~repro.server.interference.bandwidth`),
+    its inflation (:meth:`InterferenceSensitivity.inflation`) and each
+    app's marginal memory terms
+    (:func:`~repro.server.interference.marginal`).  Each expression keeps
+    its original's operands and order: aggressors are summed from 0.0 in
+    tenant order, the service first when the victim is an app, and
+    ``max(0.0, d)`` is written ``d if d > 0.0 else 0.0``, which returns the
+    same float for every ``d``, ``-0.0`` and NaN included (``min`` alike).
+    Every value therefore equals a fresh :meth:`ServerNode.pressure_on`
+    computation bit for bit; ``tests/server/test_contention_properties.py``
+    checks that against drawn platforms, tenants and sensitivities.
+
+    ``sims`` are the apps in tenant order, and the service tenant's profile
+    must be current for its cores; its load only moves the terms
+    :meth:`evaluate` recomputes.
     """
 
     __slots__ = (
         "saturation_qps",
-        "_demand",
-        "_inflation",
         "_cores",
+        "_cpu_per_load",
+        "_membw_per_query",
+        "_disk_per_query",
+        "_wire_per_query",
         "_memory_bandwidth",
         "_disk_bandwidth",
         "_network_bandwidth",
@@ -254,6 +272,8 @@ class ContentionPlan:
         "_apps_membw",
         "_apps_disk",
         "_apps_network",
+        "_sensitivity",
+        "_weighted_llc",
         "_apps",
     )
 
@@ -265,10 +285,13 @@ class ContentionPlan:
         sims: list[AppSim],
     ) -> None:
         cores = service_tenant.cores
+        # Raises unless cores > 0, so demand's max(cores, 1) is cores.
         self.saturation_qps = service.saturation_qps(cores)
-        self._demand = service.demand
-        self._inflation = service.sensitivity.inflation
         self._cores = cores
+        self._cpu_per_load = service.cpu_per_load
+        self._membw_per_query = service.membw_bytes_per_query
+        self._disk_per_query = service.disk_bytes_per_query
+        self._wire_per_query = service.wire_bytes_per_query
         llc_bytes = platform.llc_bytes
         memory_bandwidth = self._memory_bandwidth = platform.memory_bandwidth
         self._disk_bandwidth = platform.disk_bandwidth
@@ -285,6 +308,9 @@ class ContentionPlan:
         self._apps_membw = membw
         self._apps_disk = disk_bw
         self._apps_network = network_bw
+        sensitivity = self._sensitivity = service.sensitivity
+        # The first term of the weighted pressure has no QPS in it.
+        self._weighted_llc = sensitivity.llc * self._llc
 
         service_llc = service_tenant.contribution.llc_demand
         apps = []
@@ -317,43 +343,114 @@ class ContentionPlan:
             )
         self._apps = tuple(apps)
 
-    def evaluate(self, qps: float) -> tuple[PressureBreakdown, float]:
-        """The pressure on the service and its raw inflation at ``qps``;
-        sets each running app's ``exec_time``."""
+    def pressure(self, qps: float) -> PressureBreakdown:
+        """The pressure on the service at ``qps``: :meth:`evaluate`'s terms,
+        taken before it computes the inflation or touches any app."""
+        return self.evaluate(qps, True)
+
+    def evaluate(
+        self, qps: float, breakdown: bool = False
+    ) -> float | PressureBreakdown:
+        """The service's raw inflation at ``qps``; sets each running app's
+        ``exec_time``.  With ``breakdown``, see :meth:`pressure`."""
+        knee = _OVERLOAD_KNEE
+        # InteractiveService.demand: the CPU share, floored at 0.1 and
+        # capped at 1, and the per-query bytes times QPS.
+        cpu_fraction = self._cpu_per_load * (qps / self.saturation_qps)
+        cpu_fraction = cpu_fraction if cpu_fraction > 0.1 else 0.1
+        cpu_fraction = cpu_fraction if cpu_fraction < 1.0 else 1.0
+        # total_membw of the per-core demand on the service's cores.
         cores = self._cores
-        cpu_fraction, membw_per_core, disk_bw, network_bw = self._demand(
-            qps, cores, self.saturation_qps
-        )
-        service_bw = total_membw(membw_per_core, cores, cpu_fraction)
+        service_bw = qps * self._membw_per_query / cores * cores * cpu_fraction
+        disk_bw = qps * self._disk_per_query
+        network_bw = qps * self._wire_per_query
+
+        # bandwidth(own, others, capacity) of each resource: the linear
+        # term and the overload term above the knee, each floored at 0.
         memory_bandwidth = self._memory_bandwidth
-        membw_linear, membw_overload = bandwidth(
-            service_bw, self._apps_membw, memory_bandwidth
+        if memory_bandwidth > 0:
+            own = service_bw / memory_bandwidth
+            total = (service_bw + self._apps_membw) / memory_bandwidth
+        else:
+            own = total = 0.0
+        d = total - own
+        membw_linear = d if d > 0.0 else 0.0
+        d = (0.0 if total <= knee else ((total - knee) / (1.0 - knee)) ** 2) - (
+            0.0 if own <= knee else ((own - knee) / (1.0 - knee)) ** 2
         )
-        disk_linear, disk_overload = bandwidth(
-            disk_bw, self._apps_disk, self._disk_bandwidth
+        membw_overload = d if d > 0.0 else 0.0
+
+        capacity = self._disk_bandwidth
+        if capacity > 0:
+            own = disk_bw / capacity
+            total = (disk_bw + self._apps_disk) / capacity
+        else:
+            own = total = 0.0
+        d = total - own
+        disk = d if d > 0.0 else 0.0
+        d = (0.0 if total <= knee else ((total - knee) / (1.0 - knee)) ** 2) - (
+            0.0 if own <= knee else ((own - knee) / (1.0 - knee)) ** 2
         )
-        network_linear, network_overload = bandwidth(
-            network_bw, self._apps_network, self._network_bandwidth
+        disk += d if d > 0.0 else 0.0
+
+        capacity = self._network_bandwidth
+        if capacity > 0:
+            own = network_bw / capacity
+            total = (network_bw + self._apps_network) / capacity
+        else:
+            own = total = 0.0
+        d = total - own
+        network = d if d > 0.0 else 0.0
+        d = (0.0 if total <= knee else ((total - knee) / (1.0 - knee)) ** 2) - (
+            0.0 if own <= knee else ((own - knee) / (1.0 - knee)) ** 2
         )
-        pressure = PressureBreakdown(
-            self._llc,
-            membw_linear,
-            membw_overload,
-            disk_linear + disk_overload,
-            network_linear + network_overload,
+        network += d if d > 0.0 else 0.0
+
+        if breakdown:
+            return PressureBreakdown(
+                self._llc, membw_linear, membw_overload, disk, network
+            )
+
+        # InterferenceSensitivity.inflation.
+        sensitivity = self._sensitivity
+        weighted = (
+            self._weighted_llc
+            + sensitivity.membw_linear * membw_linear
+            + sensitivity.membw_overload * membw_overload
+            + sensitivity.disk * disk
+            + sensitivity.network * network
         )
-        for sim, base, half_llc, own_bw, own_util, own_overload, others in self._apps:
-            membw = 0.0
-            membw += service_bw
+        presence_ref = sensitivity.presence_ref
+        if presence_ref:
+            presence = weighted / presence_ref
+            presence = presence if presence < 1.0 else 1.0
+        else:
+            presence = 1.0
+        raw = 1.0 + sensitivity.colocation_floor * presence + weighted
+        max_inflation = sensitivity.max_inflation
+        inflation = max_inflation if max_inflation < raw else raw
+
+        # Each app's marginal memory terms, the service's bandwidth summed
+        # first and the other apps' after it, from 0.0 as pressure_on sums.
+        app_sensitivity = _APP_PRESSURE_SENSITIVITY
+        shared = 0.0 + service_bw
+        for sim, base, half_llc, own_bw, own, own_overload, others in self._apps:
+            membw = shared
             for other_bw in others:
                 membw += other_bw
-            linear, overloaded = marginal(
-                own_util, own_overload, utilization(own_bw + membw, memory_bandwidth)
-            )
+            if memory_bandwidth > 0:
+                total = (own_bw + membw) / memory_bandwidth
+            else:
+                total = 0.0
+            d = total - own
+            linear = d if d > 0.0 else 0.0
+            d = (
+                0.0 if total <= knee else ((total - knee) / (1.0 - knee)) ** 2
+            ) - own_overload
             sim.exec_time = base * (
-                1.0 + _APP_PRESSURE_SENSITIVITY * (half_llc + linear + overloaded)
+                1.0 + app_sensitivity * (half_llc + linear + (d if d > 0.0 else 0.0))
             )
-        return pressure, self._inflation(pressure)
+        return inflation
 
 
 @dataclass
@@ -601,11 +698,13 @@ class ColocationEngine:
         )
 
         # The contention plan of the current configuration (`None` once a
-        # level switch, core move or finish changed it), evaluated at
-        # `_physics_qps` into `_service_pressure`, `_raw_inflation` and each
-        # running app's `AppSim.exec_time`.
-        self._plan: ContentionPlan | None = None
-        self._build_plan(self._loadgen.qps_at(self._now))
+        # level switch, core move or finish changed it), last evaluated at
+        # `_plan_qps` into `_raw_inflation` and each running app's
+        # `AppSim.exec_time`.  An interval keeps all three in locals.
+        qps = self._loadgen.qps_at(self._now)
+        self._plan: ContentionPlan | None = self._build_plan(qps)
+        self._raw_inflation = self._plan.evaluate(qps)
+        self._plan_qps: float | None = qps
 
     # -- facade used by the actuator -------------------------------------
 
@@ -746,18 +845,15 @@ class ColocationEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _build_plan(self, qps: float) -> None:
-        """Plan the current configuration and evaluate it at ``qps``."""
+    def _build_plan(self, qps: float) -> ContentionPlan:
+        """Plan the current configuration, the service's profile taken at
+        ``qps``; the plan is not yet evaluated."""
         service_tenant = self._service_tenant
         service_tenant.set_profile(self._service.profile(qps, service_tenant.cores))
         self._plan = ContentionPlan(
             self._platform, self._service, service_tenant, self._sims
         )
-        self._evaluate(qps)
-
-    def _evaluate(self, qps: float) -> None:
-        self._service_pressure, self._raw_inflation = self._plan.evaluate(qps)
-        self._physics_qps = qps
+        return self._plan
 
     def _run_interval(
         self, epoch_index: int, epochs: int, times: list[float], p99s: list[float]
@@ -788,26 +884,26 @@ class ColocationEngine:
         inflation = self._inflation_ema
         backlog = self._backlog
         running = self._running
-        # `plan` is None until the plan's terms are in locals, and again
-        # after an app finishes; `noise_qps` is the QPS `sigma` is for.
-        plan = None
+        # `plan` is `self._plan`, None after an app finishes until it is
+        # rebuilt; `raw_inflation` is its value at `plan_qps`, which is None
+        # until it is evaluated; `noise_qps` is the QPS `sigma` is for.
+        plan = self._plan
+        plan_qps = self._plan_qps
+        raw_inflation = self._raw_inflation
+        saturation = 0.0 if plan is None else plan.saturation_qps
         noise_qps = None
-        saturation = raw_inflation = sigma = log_mean = 0.0
+        sigma = log_mean = 0.0
 
         ran = 0
         while ran < epochs and now < horizon:
             qps = qps_at(now)
             if plan is None:
-                if self._plan is None:
-                    self._build_plan(qps)
-                elif qps != self._physics_qps:
-                    self._evaluate(qps)
-                plan = self._plan
+                plan = self._build_plan(qps)
+                plan_qps = None
                 saturation = plan.saturation_qps
-                raw_inflation = self._raw_inflation
-            elif qps != self._physics_qps:
-                self._evaluate(qps)
-                raw_inflation = self._raw_inflation
+            if qps != plan_qps:
+                raw_inflation = plan.evaluate(qps)
+                plan_qps = qps
             if qps != noise_qps:
                 if qps < 0:
                     raise ValueError("qps must be non-negative")
@@ -832,9 +928,11 @@ class ColocationEngine:
 
             for sim in sims:
                 if not sim.finished:
-                    if self._plan is None:
+                    if plan is None:
                         # An app advanced earlier in this epoch finished.
-                        self._build_plan(qps)
+                        plan = self._build_plan(qps)
+                        raw_inflation = plan.evaluate(qps)
+                        plan_qps = qps
                     if sim.advance(dt, now):
                         running -= 1
                         self._plan = plan = None
@@ -851,6 +949,8 @@ class ColocationEngine:
         self._inflation_ema = inflation
         self._backlog = backlog
         self._running = running
+        self._plan_qps = plan_qps
+        self._raw_inflation = raw_inflation
         return ran
 
     def _final_inaccuracy(self, sim: AppSim) -> float:

@@ -32,9 +32,14 @@ Each tenant's :class:`Contribution` to the four shared resources is built
 once per change of its profile or cores (:func:`contribution`), so a
 pressure query only sums the aggressors' contributions.  The per-resource
 terms are module functions (:func:`llc_pressure`, :func:`bandwidth` and
-its parts), shared by :meth:`InterferenceModel.pressure_on` and the
-colocation engine's contention plan
-(:class:`repro.core.runtime.ContentionPlan`), so the two cannot drift.
+its parts) behind :meth:`InterferenceModel.pressure_on`, the reference
+model.  The colocation engine's contention plan
+(:class:`repro.core.runtime.ContentionPlan`) calls them only when it is
+built; per epoch it evaluates the terms that move with the service's load
+as inlined copies of these formulas.  Nothing in the code keeps the copies
+equal: ``tests/server/test_contention_properties.py`` does, comparing the
+plan with :meth:`InterferenceModel.pressure_on` bit for bit over drawn
+platforms, tenants, loads and sensitivities.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ _OVERLOAD_KNEE = 0.60
 class PressureBreakdown(NamedTuple):
     """Per-resource marginal contention pressure felt by one tenant.
 
-    Immutable, so one breakdown can be cached and shared until the node
-    changes; a named tuple is also several times cheaper to build than a
-    frozen dataclass, which matters on the per-epoch path.
+    Immutable, so one breakdown can be shared until the node changes.  The
+    engine's per-epoch path builds none: the contention plan keeps the five
+    terms in locals, and :meth:`~repro.core.runtime.ContentionPlan.pressure`
+    hands them out as a breakdown on request.
     """
 
     llc: float = 0.0

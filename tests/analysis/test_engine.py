@@ -124,14 +124,36 @@ class TestAnalyzePaths:
         (tmp_path / "waived.py").write_text(
             "import time\n"
             "a = time.time()  # repro-lint: ignore[no-wallclock] -- test\n"
-            "\n"
             "b = time.time()  # repro-lint: ignore[seeded-rng, no-wallclock] -- test\n"
-            "\n"
             "c = time.time()  # repro-lint: ignore[seeded-rng] -- wrong rule\n"
         )
         report = analyze_paths([tmp_path], root=tmp_path, zone=Zone.DETERMINISTIC)
         assert report.suppressed == 2
-        assert [f.line for f in report.findings] == [6]
+        assert [f.line for f in report.findings] == [4]
+
+    def test_inline_pragma_does_not_waive_the_line_below(self, tmp_path):
+        (tmp_path / "x.py").write_text(
+            "import time\n"
+            "a = time.time()  # repro-lint: ignore[no-wallclock] -- test\n"
+            "b = time.time()\n"
+        )
+        report = analyze_paths([tmp_path], root=tmp_path, zone=Zone.DETERMINISTIC)
+        assert report.suppressed == 1
+        assert [(f.rule, f.line) for f in report.findings] == [("no-wallclock", 3)]
+
+    def test_bare_comment_pragma_waives_the_line_below(self, tmp_path):
+        (tmp_path / "x.py").write_text(
+            "import time\n"
+            "# repro-lint: ignore[no-wallclock] -- test\n"
+            "a = time.time()\n"
+            "b = (1,\n"
+            "     # repro-lint: ignore[no-wallclock] -- test\n"
+            "     time.time())\n"
+            "c = time.time()\n"
+        )
+        report = analyze_paths([tmp_path], root=tmp_path, zone=Zone.DETERMINISTIC)
+        assert report.suppressed == 2
+        assert [(f.rule, f.line) for f in report.findings] == [("no-wallclock", 7)]
 
     def test_pragma_on_the_boundary_waives_the_project_finding(self, tmp_path):
         root = tmp_path / "project"

@@ -19,6 +19,9 @@ switch pause over several epochs, a non-adaptive monitor and a load step
 inside an interval.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +35,7 @@ from repro.core.runtime import (
     AppOutcome,
     ColocationConfig,
     ColocationResult,
+    ContentionPlan,
     IntervalRecord,
 )
 from repro.server.node import ServerNode
@@ -197,17 +201,33 @@ def expected_exec_time(engine, sim, qps):
     return expected
 
 
-def check_contention_every_epoch(engine):
+@contextmanager
+def checking_contention_every_epoch(engine):
     """Compare the engine's contention with :func:`fresh_node` as it runs.
 
     The service is checked when the engine draws the epoch's latency
-    noise, each app just before it advances.  Returns counts of the
-    checks made, among them those of apps advanced after another app
-    finished in the same epoch.
+    noise: its plan's pressure at the epoch's QPS, and the raw inflation
+    the loop holds, which is what the plan's last evaluation returned and
+    must have been evaluated at that QPS.  Each app is checked just before
+    it advances.  Yields counts of the checks made, among them those of
+    apps advanced after another app finished in the same epoch.
     """
     service = engine._service
     checks = {"service": 0, "app": 0, "app_after_finish": 0}
     epoch = {"qps": 0.0, "unsampled": False, "finished": False}
+    # The engine evaluated its first plan when it was built.
+    evaluated = {
+        "plan": engine._plan,
+        "qps": engine._plan_qps,
+        "raw_inflation": engine._raw_inflation,
+    }
+    evaluate = ContentionPlan.evaluate
+
+    def recording(plan, qps, breakdown=False):
+        value = evaluate(plan, qps, breakdown)
+        if not breakdown:
+            evaluated.update(plan=plan, qps=qps, raw_inflation=value)
+        return value
 
     def epoch_start(qps):
         epoch.update(qps=qps, unsampled=True, finished=False)
@@ -217,9 +237,11 @@ def check_contention_every_epoch(engine):
             # The draws after the last epoch (elision noise) sample nothing.
             if epoch["unsampled"]:
                 epoch["unsampled"] = False
-                fresh = fresh_node(engine, epoch["qps"]).pressure_on(service.name)
-                assert engine._service_pressure == fresh
-                assert engine._raw_inflation == service.sensitivity.inflation(fresh)
+                qps = epoch["qps"]
+                fresh = fresh_node(engine, qps).pressure_on(service.name)
+                assert evaluated["plan"] is engine._plan and evaluated["qps"] == qps
+                assert engine._plan.pressure(qps) == fresh
+                assert evaluated["raw_inflation"] == service.sensitivity.inflation(fresh)
                 checks["service"] += 1
             yield z
 
@@ -240,7 +262,8 @@ def check_contention_every_epoch(engine):
     engine._normals = checked_normals(engine._normals)
     for sim in engine._sims:
         sim.advance = checked_advance(sim)
-    return checks
+    with mock.patch.object(ContentionPlan, "evaluate", recording):
+        yield checks
 
 
 @settings(max_examples=25, deadline=None)
@@ -263,8 +286,8 @@ def test_contention_matches_fresh_node_every_epoch(scenario, platform, horizon):
         platform=platform,
         loadgen_spec=load_spec(scenario["shape"], scenario["fraction"], horizon),
     )
-    checks = check_contention_every_epoch(engine)
-    result = engine.run()
+    with checking_contention_every_epoch(engine) as checks:
+        result = engine.run()
     assert checks["service"] == len(result.epoch_times)
     assert checks["app"] >= len(result.epoch_times)
 
@@ -278,8 +301,8 @@ def test_apps_after_a_finish_see_it_idle():
         config=ColocationConfig(seed=7),
         loadgen_spec=("diurnal", {"low": 0.4, "high": 1.0, "period": 30.0}),
     )
-    checks = check_contention_every_epoch(engine)
-    result = engine.run()
+    with checking_contention_every_epoch(engine) as checks:
+        result = engine.run()
     assert all(outcome.completed for outcome in result.apps)
     assert checks["app_after_finish"] >= 2
 
