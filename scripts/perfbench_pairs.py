@@ -9,11 +9,14 @@ into ``.git``, so a killed run leaves only that directory behind
 (``TMPDIR`` picks where it goes).  Before every run both
 sides lose their ``__pycache__`` directories, since bytecode left by one
 side (``make lint`` compiles everything) speeds up its imports and skews
-``setup_s``.  Each side first does one untimed warm-up run: the first run
-after a ``src/`` edit explores all ladders into
-``.perfbench_state/ladders-<fingerprint>`` in-process, which inflates that
-run's times and ``peak_rss_mb``.  The pairs then alternate which side runs
-first.
+``setup_s``.  Each side first does one untimed warm-up run, the working
+tree's first: the first run after a ``src/`` edit explores all ladders
+into ``.perfbench_state/ladders-<fingerprint>`` in-process, which
+inflates that run's times and ``peak_rss_mb``.  When every file the
+ladders are measured from (``repro.search.variants.LADDER_SOURCES``) is
+the same in both trees, the working tree's store is copied into the
+export under the export's own fingerprint, so the parent does not explore
+them again (~45 s).  The pairs then alternate which side runs first.
 
 Prints, per end-to-end metric, each side's median and quartiles and the
 number of pairs the change won, and whether a gain could be claimed under
@@ -50,6 +53,53 @@ def export(revision: str, tree: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         sys.exit(f"git archive {revision} failed")
+
+
+def fingerprint(tree: Path) -> str:
+    """``perfbench/run.py``'s ``source_fingerprint()`` in ``tree``: the
+    name its ladder store goes by."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import run; print(run.source_fingerprint())"],
+        cwd=tree / "perfbench",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+def tree_files(root: Path, names: tuple[str, ...]) -> dict[str, bytes]:
+    """Every file below ``root`` that ``names`` hold, by relative path."""
+    files = {}
+    for name in names:
+        path = root / name
+        found = path.rglob("*") if path.is_dir() else [path]
+        for file in found:
+            if file.is_file() and "__pycache__" not in file.parts:
+                files[file.relative_to(root).as_posix()] = file.read_bytes()
+    return files
+
+
+def share_ladder_store(source: Path, target: Path, sources: tuple[str, ...]) -> Path | None:
+    """Copy ``source``'s ladder store into ``target`` under ``target``'s
+    fingerprint when every file of ``sources`` (names below ``src/repro``)
+    is byte-identical in both trees; return the new store, else ``None``.
+
+    The store's entries are keyed by a digest of those files alone, so the
+    other tree finds them all.
+    """
+    if tree_files(source / "src" / "repro", sources) != tree_files(
+        target / "src" / "repro", sources
+    ):
+        return None
+    store = source / ".perfbench_state" / f"ladders-{fingerprint(source)}"
+    copy = target / ".perfbench_state" / f"ladders-{fingerprint(target)}"
+    if not store.is_dir() or copy.exists():
+        return None
+    partial = copy.with_name(f"{copy.name}.partial")
+    shutil.copytree(store, partial)
+    partial.rename(copy)
+    return copy
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -151,14 +201,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.search.variants import LADDER_SOURCES
+
     temp = Path(tempfile.mkdtemp(prefix="perfbench-pairs-"))
     parent_tree = temp / "parent"
     try:
         export(args.parent, parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
-        for side, tree in sides.items():
-            print(f"warm-up: {side}", file=sys.stderr, flush=True)
-            run_once(tree, args.workload, args.seed, args.seconds)
+        print("warm-up: change", file=sys.stderr, flush=True)
+        run_once(ROOT, args.workload, args.seed, args.seconds)
+        if share_ladder_store(ROOT, parent_tree, LADDER_SOURCES):
+            print("parent: ladder store copied from the working tree", file=sys.stderr)
+        print("warm-up: parent", file=sys.stderr, flush=True)
+        run_once(parent_tree, args.workload, args.seed, args.seconds)
         pairs = []
         for index in range(args.pairs):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")

@@ -43,6 +43,10 @@ class Actuator:
     def app_view(self, app_name: str):
         return self._engine.arbiter_view(app_name)
 
+    def running_views(self):
+        """:meth:`app_view` of every running app, in name order."""
+        return self._engine.running_views()
+
     @property
     def service_cores(self) -> int:
         return self._engine.service_cores

@@ -16,9 +16,9 @@ contention relief per unit of quality lost).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from repro.rng import child_generator
 
@@ -62,26 +62,33 @@ class Arbiter(ABC):
     """Chooses which application to escalate or relax."""
 
     @abstractmethod
-    def escalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def escalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         """Pick the next escalation step after a QoS violation."""
 
     @abstractmethod
-    def deescalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def deescalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         """Pick the next relaxation step when slack is plentiful."""
+
+
+@lru_cache(maxsize=1024)
+def _start_pointer(seed: int) -> int:
+    """The rotation's random start for ``seed``: one draw of its own
+    stream, taken once per process for each seed."""
+    return int(child_generator(seed, "arbiter").integers(0, 1 << 16))
 
 
 class RoundRobinArbiter(Arbiter):
     """The paper's simple, scalable round-robin policy."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._pointer = int(child_generator(seed, "arbiter").integers(0, 1 << 16))
+        self._pointer = _start_pointer(seed)
 
     def _rotate(self, names: list[str]) -> str:
         name = names[self._pointer % len(names)]
         self._pointer += 1
         return name
 
-    def escalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def escalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         below_max = [a for a in apps if not a.at_max_level]
         if below_max:
             chosen = self._rotate(sorted(a.name for a in below_max))
@@ -95,7 +102,7 @@ class RoundRobinArbiter(Arbiter):
             return ArbiterDecision(action="reclaim_core", app_name=chosen)
         return ArbiterDecision.none()
 
-    def deescalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def deescalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         # Cores come back first (most-reclaimed application first, so the
         # round-robin fairness holds in reverse).
         reclaimed = [a for a in apps if a.reclaimed > 0]
@@ -119,7 +126,7 @@ class ImpactAwareArbiter(Arbiter):
     escalates the best scorer instead of rotating blindly.
     """
 
-    def escalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def escalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         below_max = [a for a in apps if not a.at_max_level]
         if below_max:
             target = max(below_max, key=self._relief_per_quality)
@@ -133,7 +140,7 @@ class ImpactAwareArbiter(Arbiter):
             return ArbiterDecision(action="reclaim_core", app_name=target.name)
         return ArbiterDecision.none()
 
-    def deescalate(self, apps: list[AppView]) -> ArbiterDecision:
+    def deescalate(self, apps: Sequence[AppView]) -> ArbiterDecision:
         reclaimed = [a for a in apps if a.reclaimed > 0]
         if reclaimed:
             target = max(reclaimed, key=lambda a: (a.reclaimed, a.name))

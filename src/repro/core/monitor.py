@@ -6,13 +6,58 @@ service's QoS is met and how much latency slack remains.  It is designed to
 add no measurable load: sampling backs off adaptively when the service is
 comfortably inside (or hopelessly outside) its QoS and tightens near the
 boundary, where decisions actually change.
+
+An interval's latency is the mean of its samples, bit for bit what
+``np.mean`` returns: numpy's pairwise sum (:func:`pairwise_sum`, in pure
+Python, so a handful of samples costs no array) over the count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
+#: numpy's pairwise summation adds up to this many values in one block.
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of the float64 ``values``, bit for bit.
+
+    numpy sums pairwise: fewer than 8 values in order from 0.0; up to 128
+    in eight interleaved accumulators seeded with the first eight,
+    combined as ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))``, then the rest
+    in order; more than 128 as the sum of the two halves, split at
+    ``n // 2`` rounded down to a multiple of 8.  Its reduction starts from
+    the identity 0.0, which only turns a sum of ``-0.0`` into ``0.0``.
+    Pure Python, so the result does not depend on the CPU's SIMD level.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        # From numpy's identity 0.0, so a sum of -0.0s is 0.0.
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for value in values[stop:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
 @dataclass(frozen=True)
@@ -76,10 +121,8 @@ class PerformanceMonitor:
     def close_interval(self, time: float) -> IntervalObservation:
         """Fold the pending samples into one observation and reset."""
         if self._samples:
-            # np.mean's bits: numpy's (pairwise) sum over the count, without
-            # np.mean's overhead.
             count = len(self._samples)
-            p99 = float(np.add.reduce(np.asarray(self._samples))) / count
+            p99 = pairwise_sum(self._samples) / count
         else:
             # No samples this interval (fully backed-off monitor): assume
             # the last observation still holds.

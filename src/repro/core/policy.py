@@ -71,7 +71,7 @@ class PliantPolicy(RuntimePolicy):
         self._stable_intervals = 0
 
     def on_interval(self, obs: IntervalObservation, actuator: Actuator) -> None:
-        apps = [actuator.app_view(name) for name in actuator.running_apps()]
+        apps = actuator.running_views()
         self._since_deescalation += 1
         if not apps:
             return

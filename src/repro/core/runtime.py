@@ -54,8 +54,17 @@ evaluates again only when the QPS changes.  The service tenant's profile is
 refreshed when the plan is built; between builds, the service's demand
 that depends on QPS lives in the plan, not in its tenant.  Each ladder
 level's resource profile, time factor, traffic rate and inaccuracy are
-built once, with the engine, as are the inflation smoothing factor and
-the list of app simulations the loop walks.
+built once per process for each ladder (:func:`_level_tables`, keyed on
+the ladder's frozen variants and the app's precise profile); the
+inflation smoothing factor and the list of app simulations the loop
+walks are built with the engine.
+
+Between intervals the engine does only what the policy asks for.  It
+keeps the running apps' views (:meth:`ColocationEngine.running_views`)
+until a level switch, a core move or an app finishing drops them.  An interval's action summary
+compares every app's level and cores with a snapshot that the
+interval's first actuation takes; an interval without one is ``"hold"``
+and takes no snapshot, as is one whose actuations cancel out.
 
 All randomness comes from one seeded generator, drawn as blocks of
 standard normals: the epoch's latency noise is ``exp(-sigma**2/2 +
@@ -74,11 +83,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
 
-from repro.apps.base import ApproximableApp
+from repro.apps.base import ApproximableApp, MeasuredVariant
 from repro.config import RuntimeDefaults
 from repro.core.actuator import Actuator
 from repro.core.arbiter import AppView
@@ -133,6 +143,26 @@ _IDLE_PROFILE = ResourceProfile(
 )
 
 
+@lru_cache(maxsize=256)
+def _level_tables(
+    levels: tuple[MeasuredVariant, ...], base: ResourceProfile
+) -> tuple[tuple, ...]:
+    """Per ladder level: the resource profile scaled from the precise
+    ``base``, the time factor, inaccuracy and traffic rate, and whether the
+    variant elides synchronization.
+
+    Both arguments are frozen and hashable, so the tables are built once
+    per process for each ladder and profile.
+    """
+    return (
+        tuple(v.scaled_profile(base) for v in levels),
+        tuple(v.time_factor for v in levels),
+        tuple(v.inaccuracy_pct for v in levels),
+        tuple(v.traffic_rate_factor for v in levels),
+        tuple(any(value is True for value in v.spec.values()) for v in levels),
+    )
+
+
 def _standard_normals(rng: np.random.Generator) -> Iterator[float]:
     """Endless stream of ``rng``'s standard-normal draws, fetched in blocks.
 
@@ -162,7 +192,7 @@ class AppSim:
     level_trace: list[tuple[float, int]] = field(default_factory=list)
     #: Multiplier on execution time while instrumented (1.0 otherwise).
     instrumentation_factor: float = 1.0
-    #: Per-level constants, built once from the ladder.
+    #: Per-level constants, from the ladder's :func:`_level_tables`.
     level_profiles: tuple[ResourceProfile, ...] = field(init=False, repr=False)
     level_time_factors: tuple[float, ...] = field(init=False, repr=False)
     level_inaccuracies: tuple[float, ...] = field(init=False, repr=False)
@@ -175,16 +205,13 @@ class AppSim:
     exec_time: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        base = self.app.metadata.profile
-        self.level_profiles = tuple(v.scaled_profile(base) for v in self.ladder.levels)
-        self.level_time_factors = tuple(v.time_factor for v in self.ladder.levels)
-        self.level_inaccuracies = tuple(v.inaccuracy_pct for v in self.ladder.levels)
-        self.level_traffic_rates = tuple(
-            v.traffic_rate_factor for v in self.ladder.levels
-        )
-        self.level_elides = tuple(
-            any(value is True for value in v.spec.values()) for v in self.ladder.levels
-        )
+        (
+            self.level_profiles,
+            self.level_time_factors,
+            self.level_inaccuracies,
+            self.level_traffic_rates,
+            self.level_elides,
+        ) = _level_tables(tuple(self.ladder.levels), self.app.metadata.profile)
         p = self.app.metadata.parallel_fraction
         self.amdahl_nominal = (1.0 - p) + p / max(self.tenant.nominal_cores, 1)
 
@@ -705,6 +732,12 @@ class ColocationEngine:
         self._plan: ContentionPlan | None = self._build_plan(qps)
         self._raw_inflation = self._plan.evaluate(qps)
         self._plan_qps: float | None = qps
+        # The running apps' arbiter views (`None` once a level switch, core
+        # move or finish changed one), and every app's (level, cores) as
+        # they were before the decision interval's first actuation (`None`
+        # until one happens).
+        self._views: tuple[AppView, ...] | None = None
+        self._before: tuple | None = None
 
     # -- facade used by the actuator -------------------------------------
 
@@ -722,6 +755,19 @@ class ColocationEngine:
     def app_sim(self, name: str) -> AppSim:
         return self._apps[name]
 
+    def running_views(self) -> tuple[AppView, ...]:
+        """:meth:`arbiter_view` of every running app, in name order.
+
+        Built when first asked for after a level switch, a core move or an
+        app finishing, and kept until the next one.
+        """
+        views = self._views
+        if views is None:
+            views = self._views = tuple(
+                self.arbiter_view(name) for name in self.running_app_names()
+            )
+        return views
+
     def arbiter_view(self, name: str) -> AppView:
         sim = self._apps[name]
         return AppView(
@@ -738,12 +784,15 @@ class ColocationEngine:
         telemetry = get_recorder()
         tick = telemetry.now() if telemetry.enabled else 0.0
         sim = self._apps[name]
+        if self._before is None:
+            self._before = self._action_fingerprint()
         if sim.instrumentor is not None:
             sim.instrumentor.request_level(level)
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
         self._plan = None
+        self._views = None
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.level_changes")
@@ -751,11 +800,14 @@ class ColocationEngine:
     def move_core(self, name: str, to_service: bool) -> None:
         telemetry = get_recorder()
         tick = telemetry.now() if telemetry.enabled else 0.0
+        if self._before is None:
+            self._before = self._action_fingerprint()
         if to_service:
             self._node.reclaim_core(name, self._service.name)
         else:
             self._node.reclaim_core(self._service.name, name)
         self._plan = None
+        self._views = None
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.core_moves")
@@ -803,9 +855,9 @@ class ColocationEngine:
             if instrumented:
                 telemetry.observe("runtime.monitor_phase_s", telemetry.now() - tick)
                 tick = telemetry.now()
-            before = self._action_fingerprint()
+            self._before = None
             self._policy.on_interval(obs, self._actuator)
-            summary = self._describe_action(before)
+            summary = self._describe_action()
             if instrumented:
                 telemetry.observe("runtime.policy_phase_s", telemetry.now() - tick)
             intervals.append(IntervalRecord(observation=obs, action_summary=summary))
@@ -936,6 +988,7 @@ class ColocationEngine:
                     if sim.advance(dt, now):
                         running -= 1
                         self._plan = plan = None
+                        self._views = None
 
             times.append(now)
             p99s.append(sample)
@@ -967,7 +1020,12 @@ class ColocationEngine:
             (sim.level, sim.tenant.cores) for sim in self._apps.values()
         )
 
-    def _describe_action(self, before: tuple) -> str:
+    def _describe_action(self) -> str:
+        """What the interval's actuations changed, against the snapshot the
+        first of them took; ``"hold"`` when none ran or they cancelled out."""
+        before = self._before
+        if before is None:
+            return "hold"
         after = self._action_fingerprint()
         if before == after:
             return "hold"

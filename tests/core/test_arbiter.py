@@ -1,6 +1,10 @@
 """Round-robin and impact-aware multi-app arbitration (Section 4.4/6.5)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.arbiter import AppView, ImpactAwareArbiter, RoundRobinArbiter
+from repro.rng import child_generator
 
 
 def view(name, level=0, max_level=4, cores=4, nominal=4, inaccs=(), rates=()):
@@ -13,6 +17,17 @@ def view(name, level=0, max_level=4, cores=4, nominal=4, inaccs=(), rates=()):
         level_inaccuracies=inaccs,
         level_traffic_rates=rates,
     )
+
+
+@given(seed=st.integers(min_value=0, max_value=2**40))
+def test_start_pointer_is_a_fresh_draw_for_its_seed(seed):
+    expected = int(child_generator(seed, "arbiter").integers(0, 1 << 16))
+    first = RoundRobinArbiter(seed=seed)
+    assert first._pointer == expected
+    first.escalate([view("a"), view("b")])
+    assert first._pointer == expected + 1
+    # The second arbiter of the seed starts where the first one did.
+    assert RoundRobinArbiter(seed=seed)._pointer == expected
 
 
 class TestRoundRobinEscalation:

@@ -1,11 +1,20 @@
 """Performance monitor: windows, slack, adaptive sampling."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.monitor import IntervalObservation, PerformanceMonitor
+from repro.core.monitor import IntervalObservation, PerformanceMonitor, pairwise_sum
+
+
+def edge_samples(count):
+    """``count`` samples over nine decades, where the order of addition
+    shows in the last bits."""
+    rng = random.Random(count)
+    return [rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-3, 6) for _ in range(count)]
 
 
 class TestObservation:
@@ -59,17 +68,33 @@ class TestMonitor:
         st.lists(
             st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False),
             min_size=1,
-            max_size=40,
+            max_size=300,
         )
     )
+    @example(edge_samples(7))
+    @example(edge_samples(8))
+    @example(edge_samples(9))
+    @example(edge_samples(16))
+    @example(edge_samples(17))
+    @example(edge_samples(128))
+    @example(edge_samples(129))
+    @example(edge_samples(136))
     def test_interval_p99_is_np_mean_bit_for_bit(self, samples):
-        # From 8 samples on, numpy's pairwise sum adds in another order
-        # than a left-to-right sum does.
+        # numpy's pairwise sum adds fewer than 8 values in order, up to 128
+        # in eight interleaved accumulators and more than 128 as two halves
+        # split at a multiple of 8; the examples sit on each of those edges.
         monitor = PerformanceMonitor(qos=1.0)
         for sample in samples:
             monitor.record(sample)
         p99 = monitor.close_interval(1.0).p99
         assert p99.hex() == float(np.mean(samples)).hex()
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 128, 129, 300])
+    def test_pairwise_sum_of_signed_zeros_is_np_add_reduce(self, count):
+        # numpy reduces from its identity 0.0, so zeros sum to +0.0.
+        samples = [-0.0] * count
+        expected = float(np.add.reduce(np.asarray(samples)))
+        assert pairwise_sum(samples).hex() == expected.hex() == "0x0.0p+0"
 
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError):

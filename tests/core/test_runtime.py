@@ -1,12 +1,18 @@
 """Colocation engine mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.apps import make_app
+from repro.apps import ALL_APP_NAMES, make_app
 from repro.cluster import build_engine
+from repro.cluster.colocation import ladder_for
 from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig, ColocationEngine
+from repro.core.policy import RuntimePolicy
+from repro.core.runtime import AppSim, ColocationConfig, ColocationEngine
+from repro.search.ladder import ApproxLadder
+from repro.server.tenant import Tenant, TenantKind
 
 
 def engine_for(service="memcached", apps=("kmeans",), policy=None, **cfg_kwargs):
@@ -107,6 +113,56 @@ class TestRun:
         )
         with pytest.raises(ValueError, match="utilization must be non-negative"):
             engine.run()
+
+
+class ScriptedPolicy(RuntimePolicy):
+    """Runs ``script(actuator)`` at every decision interval."""
+
+    requires_instrumentation = True
+
+    def __init__(self, script) -> None:
+        self.script = script
+
+    def on_interval(self, obs, actuator) -> None:
+        self.script(actuator)
+
+
+class TestActionSummary:
+    def test_hold_takes_no_snapshot(self, monkeypatch):
+        snapshots = []
+        fingerprint = ColocationEngine._action_fingerprint
+        monkeypatch.setattr(
+            ColocationEngine,
+            "_action_fingerprint",
+            lambda self: snapshots.append(1) or fingerprint(self),
+        )
+        result = engine_for(policy=PliantPolicy(seed=5), horizon=3.0, load_fraction=0.3).run()
+        assert [r.action_summary for r in result.intervals] == ["hold"] * 3
+        assert snapshots == []
+
+    def test_actuations_undone_in_the_interval_hold(self):
+        def up_and_back(actuator):
+            actuator.set_level("kmeans", 1)
+            actuator.reclaim_core("kmeans")
+            actuator.return_core("kmeans")
+            actuator.set_level("kmeans", 0)
+
+        result = engine_for(policy=ScriptedPolicy(up_and_back), horizon=3.0).run()
+        assert [r.action_summary for r in result.intervals] == ["hold"] * 3
+
+    def test_summary_names_each_change_against_the_intervals_start(self):
+        def script(actuator):
+            if actuator.cores_of("kmeans") == 8:
+                actuator.set_level("kmeans", 1)
+                actuator.reclaim_core("kmeans")
+                actuator.set_level("kmeans", 2)
+                actuator.reclaim_core("kmeans")
+
+        result = engine_for(policy=ScriptedPolicy(script), horizon=2.0).run()
+        assert [r.action_summary for r in result.intervals] == [
+            "kmeans: level 0->2; kmeans: cores 8->6",
+            "hold",
+        ]
 
 
 class TestPreciseBaseline:
@@ -300,8 +356,26 @@ class TestContentionCache:
         pinned = json.loads(DIGESTS_PATH.read_text())["digests"][SCRIPTED_LABEL]
         assert result_digest(result) == pinned
 
-    def test_level_lookups_match_fresh_computation(self):
-        sim = engine_for().app_sim("kmeans")
+    def test_level_tables_follow_a_ladder_changed_in_place(self):
+        ladder = ApproxLadder("kmeans", list(ladder_for("kmeans").levels))
+        app = make_app("kmeans")
+
+        def sim():
+            tenant = Tenant("kmeans", TenantKind.APPROXIMATE, app.metadata.profile, 4)
+            return AppSim(app=app, ladder=ladder, tenant=tenant)
+
+        first = sim()
+        top = ladder.levels.pop()
+        shorter = sim()
+        assert shorter.level_time_factors == first.level_time_factors[:-1]
+        ladder.levels.append(replace(top, time_factor=top.time_factor / 2))
+        changed = sim()
+        assert changed.level_time_factors[-1] == top.time_factor / 2
+        assert changed.level_time_factors[:-1] == first.level_time_factors[:-1]
+
+    @pytest.mark.parametrize("name", ALL_APP_NAMES)
+    def test_level_lookups_match_fresh_computation(self, name):
+        sim = engine_for(apps=(name,)).app_sim(name)
         assert len(sim.level_profiles) == sim.ladder.max_level + 1
         for level, variant in enumerate(sim.ladder.levels):
             sim.level = level
@@ -309,3 +383,4 @@ class TestContentionCache:
             assert sim.level_elides[level] == any(v is True for v in variant.spec.values())
             assert sim.level_time_factors[level] == variant.time_factor
             assert sim.level_inaccuracies[level] == variant.inaccuracy_pct
+            assert sim.level_traffic_rates[level] == variant.traffic_rate_factor

@@ -9,7 +9,9 @@ consistent :class:`~repro.core.runtime.IntervalRecord`.  And at every
 epoch the engine's contention — the service's pressure and raw inflation,
 each running app's execution time — equals a fresh
 :class:`~repro.server.node.ServerNode` computation over the tenants as
-they stand, the service's profile taken at the epoch's QPS.
+they stand, the service's profile taken at the epoch's QPS.  The views
+of the running apps that the engine keeps for its policy equal freshly
+built ones whenever the policy runs.
 
 The engine runs each decision interval as one loop.  Its results are
 bit-identical to an epoch-at-a-time reference built from the public
@@ -307,15 +309,39 @@ def test_apps_after_a_finish_see_it_idle():
     assert checks["app_after_finish"] >= 2
 
 
+def fresh_views(engine):
+    """Every running app's :meth:`~ColocationEngine.arbiter_view`, built
+    now, in name order."""
+    return tuple(engine.arbiter_view(name) for name in engine.running_app_names())
+
+
+def action_state(sims):
+    return [(sim.level, sim.tenant.cores) for sim in sims]
+
+
+def action_summary(sims, before):
+    """What changed in ``sims`` since the :func:`action_state` ``before``."""
+    parts = []
+    for sim, (level, cores) in zip(sims, before):
+        if sim.level != level:
+            parts.append(f"{sim.name}: level {level}->{sim.level}")
+        if sim.tenant.cores != cores:
+            parts.append(f"{sim.name}: cores {cores}->{sim.tenant.cores}")
+    return "; ".join(parts) or "hold"
+
+
 def reference_run(engine):
     """``engine.run()`` one epoch at a time, through public per-epoch APIs.
 
     Contention comes from :func:`fresh_node` every epoch, the service's
     latency from :meth:`InteractiveService.sample_p99` and a
     :class:`BacklogTracker`, the monitor's sampling from
-    :meth:`PerformanceMonitor.should_sample`; the engine lends only its
-    state, its policy's actuator and its result bookkeeping.
+    :meth:`PerformanceMonitor.should_sample`, the policy's views of the
+    apps from :func:`fresh_views` and each interval's summary from
+    :func:`action_summary`; the engine lends only its state, its policy's
+    actuator and its result bookkeeping.
     """
+    engine.running_views = lambda: fresh_views(engine)
     cfg = engine._config
     service, policy, monitor, sims = engine._service, engine._policy, engine._monitor, engine._sims
     dt = cfg.monitor_epoch
@@ -362,9 +388,9 @@ def reference_run(engine):
         epoch_index += 1
         if epoch_index % per_interval == 0:
             obs = monitor.close_interval(engine.now)
-            before = engine._action_fingerprint()
+            before = action_state(sims)
             policy.on_interval(obs, engine._actuator)
-            intervals.append(IntervalRecord(obs, engine._describe_action(before)))
+            intervals.append(IntervalRecord(obs, action_summary(sims, before)))
         if cfg.stop_when_apps_done and all(sim.finished for sim in sims):
             break
 
@@ -500,3 +526,56 @@ def test_interval_loop_matches_epoch_at_a_time_reference(case):
 def test_edge_case_reaches_its_edge(name):
     case = edge_case(name)
     assert EDGE_CASES[name][1](case, loop_engine(case).run())
+
+
+@contextmanager
+def checking_views_every_interval(engine):
+    """Compare the engine's ``running_views()`` with :func:`fresh_views`
+    as each interval's policy starts and as it returns.
+
+    Yields counts of the intervals checked and of the changes the checks
+    had to see: an app finishing since the last check, and a level switch
+    or a core move inside the policy.
+    """
+    seen = {"intervals": 0, "finish": 0, "level": 0, "cores": 0}
+    on_interval = engine._policy.on_interval
+    finished = [0]
+
+    def checked(obs, actuator):
+        now_finished = sum(sim.finished for sim in engine._sims)
+        seen["finish"] += now_finished > finished[0]
+        assert engine.running_views() == fresh_views(engine)
+        before = action_state(engine._sims)
+        on_interval(obs, actuator)
+        after = action_state(engine._sims)
+        seen["level"] += any(a[0] != b[0] for a, b in zip(before, after))
+        seen["cores"] += any(a[1] != b[1] for a, b in zip(before, after))
+        assert engine.running_views() == fresh_views(engine)
+        finished[0] = now_finished
+        seen["intervals"] += 1
+
+    engine._policy.on_interval = checked
+    yield seen
+
+
+@settings(max_examples=50, deadline=None)
+@edge_examples
+@given(case=loop_cases)
+def test_running_views_match_fresh_views_every_interval(case):
+    engine = loop_engine(case)
+    with checking_views_every_interval(engine) as seen:
+        result = engine.run()
+    assert seen["intervals"] == len(result.intervals)
+
+
+def test_views_are_checked_across_finishes_level_switches_and_core_moves():
+    engine = build_engine(
+        "memcached",
+        ["kmeans", "semphy", "raytrace"],
+        PliantPolicy(seed=7),
+        config=ColocationConfig(seed=7),
+        loadgen_spec=("diurnal", {"low": 0.4, "high": 1.0, "period": 30.0}),
+    )
+    with checking_views_every_interval(engine) as seen:
+        engine.run()
+    assert seen["finish"] >= 2 and seen["level"] >= 2 and seen["cores"] >= 2

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.apps import make_app
+from repro.apps import ALL_APP_NAMES, make_app
 from repro.dynrio.binary import FatBinary
 from repro.dynrio.instrument import Instrumentor
 from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SIGNAL_BASE, SignalBus
+from repro.search.ladder import ApproxLadder
 
 
 @pytest.fixture()
@@ -38,6 +39,34 @@ class TestFatBinary:
         text = binary.describe()
         assert "precise" in text
         assert "approx v1" in text
+
+    @pytest.mark.parametrize("name", ALL_APP_NAMES)
+    def test_every_ladder_settings_and_description(self, name, ladder_cache):
+        app, ladder = make_app(name), ladder_cache(name)
+        binary = FatBinary(app, ladder)
+        assert binary.level_count == ladder.max_level + 1
+        lines = [f"fat binary for {name}:"]
+        for level, variant in enumerate(ladder.levels):
+            assert binary.settings_for(level) == app.materialize(variant.spec)
+            tag = "precise" if level == 0 else f"approx v{level}"
+            lines.append(
+                f"  level {level} ({tag}): inaccuracy={variant.inaccuracy_pct:.2f}% "
+                f"time={variant.time_factor:.2f}x"
+            )
+        assert binary.describe() == "\n".join(lines)
+
+    def test_settings_are_a_copy(self, setup):
+        binary, _, _ = setup
+        binary.settings_for(1).clear()
+        assert binary.settings_for(1)
+
+    def test_keeps_the_ladder_it_was_built_from(self, ladder_cache, raytrace_app):
+        ladder = ladder_cache("raytrace")
+        copy = ApproxLadder(ladder.app_name, list(ladder.levels))
+        binary = FatBinary(raytrace_app, copy)
+        top = copy.levels.pop()
+        assert binary.level_count == ladder.max_level + 1
+        assert binary.settings_for(ladder.max_level) == raytrace_app.materialize(top.spec)
 
 
 class TestInstrumentor:

@@ -1,16 +1,20 @@
-"""The claim rule of ``scripts/perfbench_pairs.py``.
+"""The claim rule and the ladder-store sharing of ``scripts/perfbench_pairs.py``.
 
 A gain may be claimed only when the change wins at least nine tenths of
 the pairs, ties counting for neither side, and the medians differ by more
 than the parent's interquartile range, in the direction the metric's
-``better`` names.
+``better`` names.  The parent's export gets the working tree's explored
+ladders only when every file they are measured from is the same.
 """
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.search.variants import LADDER_SOURCES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perfbench_pairs.py"
 _spec = importlib.util.spec_from_file_location("perfbench_pairs", SCRIPT)
@@ -97,3 +101,51 @@ def test_only_metrics_the_runs_report_are_compared(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("a ") and lines[1].endswith("10/10  yes")
     assert lines[2].startswith("b ") and lines[2].endswith(" 0/10  no")
+
+
+
+def checkout(root, core="engine = 1\n", kernel="work = 1\n"):
+    """A tree with ``perfbench/run.py`` and a small ``src/repro``."""
+    files = {
+        "apps/kmeans.py": kernel,
+        "search/variants.py": "explore = 1\n",
+        "rng.py": "seed = 1\n",
+        "units.py": "mb = 1\n",
+        "core/runtime.py": core,
+    }
+    for name, text in files.items():
+        path = root / "src" / "repro" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    (root / "perfbench").mkdir()
+    shutil.copy(SCRIPT.parent.parent / "perfbench" / "run.py", root / "perfbench")
+    return root
+
+
+def with_store(root):
+    store = root / ".perfbench_state" / f"ladders-{pairs_script.fingerprint(root)}"
+    store.mkdir(parents=True)
+    (store / "kmeans.json").write_text("{}")
+    return root
+
+
+def test_identical_ladder_sources_share_the_store(tmp_path):
+    source = with_store(checkout(tmp_path / "change", core="engine = 2\n"))
+    target = checkout(tmp_path / "parent")
+    assert pairs_script.fingerprint(source) != pairs_script.fingerprint(target)
+    copy = pairs_script.share_ladder_store(source, target, LADDER_SOURCES)
+    assert copy == target / ".perfbench_state" / f"ladders-{pairs_script.fingerprint(target)}"
+    assert (copy / "kmeans.json").read_text() == "{}"
+    assert [p.name for p in copy.parent.iterdir()] == [copy.name]
+
+
+@pytest.mark.parametrize("edit", ["changed kernel", "added kernel"])
+def test_a_changed_kernel_shares_nothing(tmp_path, edit):
+    source = with_store(checkout(tmp_path / "change"))
+    if edit == "changed kernel":
+        target = checkout(tmp_path / "parent", kernel="work = 2\n")
+    else:
+        target = checkout(tmp_path / "parent")
+        (target / "src" / "repro" / "apps" / "blast.py").write_text("work = 3\n")
+    assert pairs_script.share_ladder_store(source, target, LADDER_SOURCES) is None
+    assert not (target / ".perfbench_state").exists()
