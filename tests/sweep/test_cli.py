@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.cas import stable_hash
 from repro.sweep import JobSpool, Scenario, SweepCache
-from repro.sweep.cli import main
+from repro.sweep.cli import build_parser, build_spec, main
 
 BASE_ARGS = [
     "--services", "mongodb",
@@ -135,3 +136,56 @@ class TestParsing:
     def test_submit_requires_apps(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["submit", "--spool", str(tmp_path / "spool")])
+
+
+def _built(*flags):
+    args = build_parser().parse_args(["submit", "--spool", "unused", *flags])
+    return build_spec(args).scenarios()
+
+
+MULTI_AXIS_FLAGS = (
+    "--services", "nginx,memcached",
+    "--apps", "kmeans+canneal", "--apps", "snp",
+    "--policies", "pliant,precise",
+    "--loads", "0.5,0.9",
+    "--intervals", "0.5,1",
+    "--seeds", "0,3",
+    "--horizon", "60",
+    "--monitor-epoch", "0.05",
+    "--slack-threshold", "0.2",
+)
+
+
+class TestBuildSpec:
+    """The scenarios grid flags expand to are pinned: their keys address
+    the result cache, so a change here silently goes cold (or stale)."""
+
+    def test_default_submit_keys_pinned(self):
+        scenarios = _built("--apps", "canneal")
+        assert [s.label() for s in scenarios] == [
+            "memcached/canneal/pliant@0.775/dt1/s0"
+        ]
+        assert stable_hash([s.key_payload() for s in scenarios]) == (
+            "6c7698abad981618dda843d45d974777"
+        )
+
+    def test_multi_axis_keys_pinned(self):
+        scenarios = _built(*MULTI_AXIS_FLAGS)
+        assert len(scenarios) == 64
+        # Axis order: service, apps, policy, load, interval, seed (slowest
+        # first).
+        assert scenarios[0].label() == "nginx/kmeans+canneal/pliant@0.5/dt0.5/s0"
+        assert scenarios[1].label() == "nginx/kmeans+canneal/pliant@0.5/dt0.5/s3"
+        assert scenarios[-1].label() == "memcached/snp/precise@0.9/dt1/s3"
+        assert stable_hash([s.key_payload() for s in scenarios]) == (
+            "53a6e4645176dc235225303c889b405d"
+        )
+
+    def test_slack_threshold_reaches_every_scenario(self):
+        scenarios = _built(
+            "--apps", "canneal", "--apps", "kmeans",
+            "--policies", "pliant,core-reclaim-only",
+            "--slack-threshold", "0.3",
+        )
+        assert len(scenarios) == 4
+        assert all(s.slack_threshold == 0.3 for s in scenarios)
