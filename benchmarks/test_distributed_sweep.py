@@ -15,29 +15,32 @@ import time
 
 import pytest
 
+from repro.experiment import ExperimentSpec
 from repro.sweep import (
     DistributedBackend,
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     results_identical,
 )
 
 from repro import telemetry
 
-from benchmarks._common import SEED, record_bench, scenario
+from benchmarks._common import SEED, record_bench
 
 pytestmark = pytest.mark.benchmark
 
 #: 2 services x 2 mixes x 2 policies x 2 loads x 2 seeds = 32 scenarios.
-SMOKE_GRID = SweepGrid(
-    services=("memcached", "mongodb"),
-    app_mixes=(("kmeans",), ("canneal", "snp")),
-    policies=("pliant", "precise"),
-    load_fractions=(0.6, 0.85),
-    seeds=(SEED, SEED + 1),
-    base=scenario("memcached", ("kmeans",), horizon=120.0),
+SMOKE_GRID = ExperimentSpec(
+    name="distributed-smoke",
+    base={"horizon": 120.0},
+    axes={
+        "service": ("memcached", "mongodb"),
+        "apps": ("kmeans", ("canneal", "snp")),
+        "policy": ("pliant", "precise"),
+        "load_fraction": (0.6, 0.85),
+        "seed": (SEED, SEED + 1),
+    },
 )
 
 LEASE_TTL = 3.0

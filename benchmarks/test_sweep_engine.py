@@ -18,17 +18,17 @@ import time
 
 import pytest
 
+from repro.experiment import ExperimentSpec
 from repro.sweep import (
     DistributedBackend,
     ProcessBackend,
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     results_identical,
 )
 
-from benchmarks._common import SEED, record_bench, scenario
+from benchmarks._common import SEED, bench_spec, record_bench, scenario
 
 pytestmark = pytest.mark.benchmark
 
@@ -36,14 +36,11 @@ SWEEP_APPS = ("canneal", "kmeans", "snp")
 LOADS = (0.4, 0.55, 0.7, 0.85, 1.0)
 
 
-def _grid() -> SweepGrid:
-    return SweepGrid(
-        services=("memcached",),
-        app_mixes=tuple((app,) for app in SWEEP_APPS),
-        policies=("pliant",),
-        load_fractions=LOADS,
-        seeds=(SEED,),
-        base=scenario("memcached", (SWEEP_APPS[0],)),
+def _grid() -> ExperimentSpec:
+    return bench_spec(
+        "sweep-engine-speedup",
+        base={"service": "memcached"},
+        axes={"apps": SWEEP_APPS, "load_fraction": LOADS},
     )
 
 
@@ -111,15 +108,16 @@ def test_sweep_engine_speedup(capsys):
         )
 
 
-def _dist_grid() -> SweepGrid:
+def _dist_grid() -> ExperimentSpec:
     """64 scenarios: big enough that chunked leases amortize the broker."""
-    return SweepGrid(
-        services=("memcached", "mongodb"),
-        app_mixes=(("canneal",), ("kmeans",)),
-        policies=("pliant",),
-        load_fractions=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        seeds=(SEED, SEED + 1),
-        base=scenario("memcached", ("canneal",)),
+    return ExperimentSpec(
+        name="distributed-vs-serial",
+        axes={
+            "service": ("memcached", "mongodb"),
+            "apps": ("canneal", "kmeans"),
+            "load_fraction": (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+            "seed": (SEED, SEED + 1),
+        },
     )
 
 

@@ -14,7 +14,7 @@ Public API tour
 ``repro.search``       -- budgeted design-space search: scenario
                           strategies (grid/random/halving/pareto) plus
                           the paper's Section 3 variant exploration
-``repro.core``         -- the Pliant runtime (monitor, actuator, controller)
+``repro.core``         -- the Pliant runtime (monitor, actuator, policy)
 ``repro.cluster``      -- colocation experiment harness, mix enumeration
 ``repro.experiment``   -- declarative specs, run_experiment, ResultSet
 ``repro.analysis``     -- repro-lint: AST checker for the determinism,
@@ -25,12 +25,9 @@ Public API tour
 
 __version__ = "1.0.0"
 
-from repro.config import DEFAULT_CONFIG, PlatformSpec, QosTargets, ReproConfig
+from repro.config import PlatformSpec
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "PlatformSpec",
-    "QosTargets",
-    "ReproConfig",
     "__version__",
 ]

@@ -1,5 +1,4 @@
-"""Project-wide configuration: the experimental platform (paper Table 1),
-QoS targets, and runtime defaults.
+"""The experimental platform (paper Table 1).
 
 The platform numbers mirror the paper's dual-socket Intel Xeon E5-2699 v4
 server.  As in the paper's methodology (Section 5), experiments use a single
@@ -9,7 +8,7 @@ the remaining 16 are shared fairly among the co-scheduled tenants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import units
 
@@ -48,36 +47,3 @@ class PlatformSpec:
     def usable_cores_per_socket(self) -> int:
         """Cores available to tenants on one socket after irq reservation."""
         return self.cores_per_socket - self.irq_cores
-
-
-@dataclass(frozen=True)
-class QosTargets:
-    """Tail-latency (99th percentile) QoS targets from Section 5."""
-
-    nginx: float = units.msec(10)
-    memcached: float = units.usec(200)
-    mongodb: float = units.msec(100)
-
-
-@dataclass(frozen=True)
-class RuntimeDefaults:
-    """Pliant runtime defaults (Section 4.3)."""
-
-    decision_interval: float = 1.0
-    monitor_epoch: float = 0.1
-    slack_threshold: float = 0.10
-    max_inaccuracy_pct: float = 5.0
-    load_fraction: float = 0.775  # "75-80% of saturation"
-
-
-@dataclass(frozen=True)
-class ReproConfig:
-    """Bundle of all experiment-independent configuration."""
-
-    platform: PlatformSpec = field(default_factory=PlatformSpec)
-    qos: QosTargets = field(default_factory=QosTargets)
-    runtime: RuntimeDefaults = field(default_factory=RuntimeDefaults)
-    seed: int = 0x517A
-
-
-DEFAULT_CONFIG = ReproConfig()

@@ -2,7 +2,7 @@
 
 * :mod:`repro.core.monitor` — client-side latency monitor (Section 4.1)
 * :mod:`repro.core.actuator` — variant switching + core reallocation
-* :mod:`repro.core.controller` — the Fig. 3 single-app state machine
+* :mod:`repro.core.policy` — the Fig. 3 state machine, N apps via an arbiter
 * :mod:`repro.core.arbiter` — Section 4.4 round-robin multi-app policy
 * :mod:`repro.core.runtime` — the epoch-driven colocation engine
 * :mod:`repro.core.baselines` — Precise / ablation policies
@@ -16,7 +16,6 @@ from repro.core.baselines import (
     StaticLevelPolicy,
     StaticMostApproxPolicy,
 )
-from repro.core.controller import ControllerAction, PliantController
 from repro.core.monitor import IntervalObservation, PerformanceMonitor
 from repro.core.policy import PliantPolicy, RuntimePolicy
 from repro.core.runtime import (
@@ -32,12 +31,10 @@ __all__ = [
     "ColocationConfig",
     "ColocationEngine",
     "ColocationResult",
-    "ControllerAction",
     "CoreReclaimOnlyPolicy",
     "ImpactAwareArbiter",
     "IntervalObservation",
     "PerformanceMonitor",
-    "PliantController",
     "PliantPolicy",
     "PrecisePolicy",
     "RoundRobinArbiter",

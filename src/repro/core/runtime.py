@@ -89,7 +89,6 @@ from numbers import Real
 import numpy as np
 
 from repro.apps.base import ApproximableApp, MeasuredVariant
-from repro.config import RuntimeDefaults
 from repro.core.actuator import Actuator
 from repro.core.arbiter import AppView
 from repro.core.monitor import IntervalObservation, PerformanceMonitor
@@ -593,7 +592,7 @@ class ColocationResult:
         return total
 
 
-#: Run knobs that must be finite and > 0; ``slack_threshold`` may be 0.
+#: Run knobs that must be finite and > 0.
 _POSITIVE_KNOBS = ("load_fraction", "decision_interval", "monitor_epoch", "horizon")
 
 
@@ -609,9 +608,6 @@ def check_run_knobs(knobs) -> None:
         value = getattr(knobs, name)
         if not (_is_real(value) and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    value = knobs.slack_threshold
-    if not (_is_real(value) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"slack_threshold must be finite and >= 0, got {value!r}")
 
 
 def _is_real(value) -> bool:
@@ -620,27 +616,21 @@ def _is_real(value) -> bool:
 
 @dataclass
 class ColocationConfig:
-    """Knobs of one colocation experiment."""
+    """Knobs of one colocation experiment that the engine reads.
+
+    Policy knobs (the slack threshold) belong to the policy; a sweep
+    scenario carries both and hands each to its reader.
+    """
 
     load_fraction: float = 0.775
     decision_interval: float = 1.0
     monitor_epoch: float = 0.1
-    slack_threshold: float = 0.10
     horizon: float = 400.0
     seed: int = 0
     stop_when_apps_done: bool = True
 
     def __post_init__(self) -> None:
         check_run_knobs(self)
-
-    @classmethod
-    def from_defaults(cls, defaults: RuntimeDefaults) -> "ColocationConfig":
-        return cls(
-            load_fraction=defaults.load_fraction,
-            decision_interval=defaults.decision_interval,
-            monitor_epoch=defaults.monitor_epoch,
-            slack_threshold=defaults.slack_threshold,
-        )
 
 
 class ColocationEngine:

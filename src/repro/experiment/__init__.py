@@ -5,9 +5,8 @@ the whole matrix data:
 
 * :mod:`repro.experiment.spec` — :class:`ExperimentSpec`: a sweep as
   named open axes over **any** :class:`~repro.sweep.grid.Scenario`
-  field (load shape, platform, slack threshold, horizon, ... — not just
-  the six the legacy :class:`~repro.sweep.grid.SweepGrid` hard-codes),
-  with a JSON round trip for the distributed CLI,
+  field (load shape, platform, slack threshold, horizon, ...), with a
+  JSON round trip for the distributed CLI,
 * :mod:`repro.experiment.run` — :func:`run_experiment`, the single
   entrypoint that resolves engine/backend/cache once and runs any spec,
 * :mod:`repro.experiment.resultset` — :class:`ResultSet`: grid-order

@@ -18,10 +18,10 @@ from repro.experiment.spec import ExperimentSpec
 from repro.sweep.backends import ExecutionBackend, backend_from_env
 from repro.sweep.cache import SweepCache
 from repro.sweep.engine import SweepEngine
-from repro.sweep.grid import Scenario, SweepGrid
+from repro.sweep.grid import Scenario
 from repro.telemetry import get_recorder
 
-Runnable = Union[ExperimentSpec, SweepGrid, Iterable[Scenario]]
+Runnable = Union[ExperimentSpec, Iterable[Scenario]]
 
 
 def resolve_engine(
@@ -64,7 +64,7 @@ def run_experiment(
     objective=None,
     rng_seed: int | None = None,
 ) -> ResultSet:
-    """Run an experiment spec (or grid, or raw scenarios) to a ResultSet.
+    """Run an experiment spec (or raw scenarios) to a ResultSet.
 
     ``force`` bypasses cache *reads* (results are still written back) —
     the guaranteed-cold pass benchmarks measure.
@@ -102,8 +102,6 @@ def run_experiment(
     resolved = resolve_engine(engine, backend, cache, workers)
     if isinstance(spec, ExperimentSpec):
         scenarios, attached = spec.scenarios(), spec
-    elif isinstance(spec, SweepGrid):
-        scenarios, attached = spec.scenarios(), ExperimentSpec.from_grid(spec)
     else:
         scenarios, attached = list(spec), None
     with get_recorder().span(

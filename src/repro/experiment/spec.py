@@ -4,15 +4,15 @@ An :class:`ExperimentSpec` describes a whole sweep as data: a ``base``
 of shared scenario fields plus named, open-ended ``axes`` — **any**
 :class:`~repro.sweep.grid.Scenario` field can be an axis, including the
 load-shape (``loadgen_shape``/``loadgen_params``), ``platform``,
-``slack_threshold`` and ``horizon`` axes, not just the handful the old
-:class:`~repro.sweep.grid.SweepGrid` hard-codes.  Specs round-trip
-through JSON, so the same experiment definition drives an in-process
-sweep, the distributed CLI (``python -m repro.sweep submit --spec``),
-and a saved artifact next to its results.
+``slack_threshold`` and ``horizon`` axes.  It is the only way a sweep
+is declared.  Specs round-trip through JSON, so the same experiment
+definition drives an in-process sweep, the distributed CLI
+(``python -m repro.sweep submit``, from grid flags or ``--spec``), and
+a saved artifact next to its results.
 
 Expansion order is deterministic: the cross product iterates axes in
-declaration order, first axis slowest — the same contract as
-``SweepGrid``, so related scenarios stay adjacent for cache locality.
+declaration order, first axis slowest, so related scenarios stay
+adjacent for cache locality.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from pathlib import Path
 from repro.sweep.grid import (
     _CODECS_BY_NAME,
     Scenario,
-    SweepGrid,
     _freeze,
     _jsonify,
     _normalize_mix,
@@ -311,38 +310,6 @@ class ExperimentSpec:
             budget=self.budget if budget is None else budget,
             objective=self.objective if objective is None else objective,
             rng_seed=self.rng_seed if rng_seed is None else rng_seed,
-        )
-
-    @classmethod
-    def from_grid(cls, grid: SweepGrid, name: str = "") -> "ExperimentSpec":
-        """Lift a legacy :class:`SweepGrid` into an equivalent spec.
-
-        Axis order mirrors the grid's documented expansion order, so
-        ``spec.scenarios() == grid.scenarios()``.
-        """
-        template = grid.base or Scenario(
-            service=grid.services[0], apps=grid.app_mixes[0]
-        )
-        base = {
-            field: getattr(template, field)
-            for field in scenario_field_names()
-            if field
-            not in (
-                "service", "apps", "policy", "load_fraction",
-                "decision_interval", "seed",
-            )
-        }
-        return cls(
-            axes=[
-                ("service", grid.services),
-                ("apps", grid.app_mixes),
-                ("policy", grid.policies),
-                ("load_fraction", grid.load_fractions),
-                ("decision_interval", grid.decision_intervals),
-                ("seed", grid.seeds),
-            ],
-            base=base,
-            name=name,
         )
 
     # -- serialization ---------------------------------------------------

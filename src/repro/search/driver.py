@@ -19,7 +19,6 @@ from repro.search.result import RoundRecord, SearchHistory, SearchResult
 from repro.search.space import DesignSpace
 from repro.search.strategies import resolve_strategy
 from repro.sweep.cache import SweepCache
-from repro.sweep.grid import SweepGrid
 from repro.telemetry import get_recorder
 
 
@@ -48,8 +47,6 @@ def run_search(
     # loop, not an import cycle.
     from repro.experiment.run import resolve_engine
 
-    if isinstance(spec, SweepGrid):
-        spec = ExperimentSpec.from_grid(spec)
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(
             "budgeted search needs an ExperimentSpec (a raw scenario list "

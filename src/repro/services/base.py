@@ -98,7 +98,6 @@ class InteractiveService(ABC):
 
     def __init__(
         self,
-        qos: float,
         curve: LatencyCurve,
         sensitivity: InterferenceSensitivity,
         saturation_qps_nominal: float,
@@ -114,7 +113,8 @@ class InteractiveService(ABC):
             raise ValueError("core_scaling_fraction must lie in [0, 1]")
         if max_scaleout < 1.0:
             raise ValueError("max_scaleout must be at least 1.0")
-        self.qos = qos
+        #: The p99 QoS target, the one its latency curve is calibrated to.
+        self.qos = curve.params.qos
         self.curve = curve
         self.sensitivity = sensitivity
         self._saturation_nominal = saturation_qps_nominal

@@ -35,7 +35,6 @@ class Memcached(InteractiveService):
 
     def __init__(self) -> None:
         super().__init__(
-            qos=units.usec(200),
             curve=LatencyCurve(
                 LatencyCurveParams(
                     base_p99=units.usec(70),

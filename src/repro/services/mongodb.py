@@ -40,7 +40,6 @@ class MongoDB(InteractiveService):
 
     def __init__(self) -> None:
         super().__init__(
-            qos=units.msec(100),
             curve=LatencyCurve(
                 LatencyCurveParams(
                     base_p99=units.msec(22),

@@ -33,7 +33,6 @@ class Nginx(InteractiveService):
 
     def __init__(self) -> None:
         super().__init__(
-            qos=units.msec(10),
             curve=LatencyCurve(
                 LatencyCurveParams(
                     base_p99=units.msec(1.6),

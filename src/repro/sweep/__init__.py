@@ -3,10 +3,11 @@
 The evaluation figures all reduce to sweeping a grid of colocation
 scenarios — (service, app mix, load, policy, decision interval, seed) —
 and aggregating the per-scenario :class:`~repro.core.runtime.ColocationResult`.
-This package makes that grid a first-class object:
+This package runs such sweeps:
 
-* :mod:`repro.sweep.grid` — declarative scenario grids
-  (:class:`Scenario`, :class:`SweepGrid`),
+* :mod:`repro.sweep.grid` — :class:`Scenario`, one colocation
+  experiment as pure data (a sweep of them is declared as an
+  :class:`~repro.experiment.ExperimentSpec`),
 * :mod:`repro.sweep.cache` — on-disk content-addressed result cache
   (:class:`SweepCache`), keyed by a stable hash of the scenario config,
   with stats and LRU pruning,
@@ -52,7 +53,7 @@ from repro.sweep.engine import (
     results_identical,
     run_scenario,
 )
-from repro.sweep.grid import Scenario, SweepGrid
+from repro.sweep.grid import Scenario
 
 __all__ = [
     "CacheStats",
@@ -65,7 +66,6 @@ __all__ = [
     "SerialBackend",
     "SweepCache",
     "SweepEngine",
-    "SweepGrid",
     "SweepOutcome",
     "backend_from_env",
     "default_sweep_cache_dir",

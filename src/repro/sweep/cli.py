@@ -17,10 +17,11 @@ shared storage is two shell lines::
     host-b$ python -m repro.sweep worker --spool /share/spool \\
                 --cache /share/cache --exit-when-idle
 
-Grid flags only reach the six axes ``SweepGrid`` hard-codes; ``--spec
-exp.json`` submits a full :class:`~repro.experiment.ExperimentSpec` —
-any scenario field as an axis (load shape, platform, slack threshold,
-...), written once and shared between hosts, figures, and scripts.
+Grid flags build an :class:`~repro.experiment.ExperimentSpec` over six
+axes (service, apps, policy, load, decision interval, seed); ``--spec
+exp.json`` submits a full one — any scenario field as an axis (load
+shape, platform, slack threshold, ...), written once and shared between
+hosts, figures, and scripts.
 
 ``--strategy`` / ``--budget`` / ``--objective`` / ``--rng-seed`` turn a
 submit into a budgeted search (:mod:`repro.search`): the submitter
@@ -45,7 +46,6 @@ from repro.sweep.backends.distributed import (
     DEFAULT_CHUNK_TARGET,
 )
 from repro.sweep.cache import SweepCache
-from repro.sweep.grid import Scenario, SweepGrid
 
 __all__ = ["build_parser", "build_spec", "main"]
 
@@ -72,19 +72,23 @@ def _cache_from(args) -> SweepCache:
     return SweepCache(args.cache) if args.cache else SweepCache()
 
 
-#: Grid flags and their parser defaults — --spec is exclusive with *any*
-#: of them being set (a silently ignored flag runs the wrong experiment).
-_GRID_FLAG_DEFAULTS = {
-    "apps": None,
-    "services": ("memcached",),
-    "policies": ("pliant",),
-    "loads": (0.775,),
-    "intervals": (1.0,),
-    "seeds": (0,),
-    "horizon": 400.0,
-    "monitor_epoch": 0.1,
-    "slack_threshold": 0.10,
+#: Axis flags (argparse dests) -> the scenario field each sweeps, in
+#: expansion order, first axis slowest.  Every grid flag defaults to
+#: ``None``: an unset flag leaves its field at the Scenario default, and
+#: --spec is exclusive with *any* of them being set (a silently ignored
+#: flag runs the wrong experiment).
+_AXIS_FLAGS = {
+    "services": "service",
+    "apps": "apps",
+    "policies": "policy",
+    "loads": "load_fraction",
+    "intervals": "decision_interval",
+    "seeds": "seed",
 }
+#: Flags that set one value for every point, each named after its field.
+_BASE_FLAGS = ("horizon", "monitor_epoch", "slack_threshold")
+#: The service a grid without --services runs (Scenario has no default).
+_DEFAULT_SERVICES = ("memcached",)
 
 
 def _fold_search_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -102,40 +106,34 @@ def _fold_search_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 
 def build_spec(args) -> ExperimentSpec:
-    """The experiment to submit: ``--spec`` file, or grid flags lifted."""
+    """The experiment to submit: a ``--spec`` file, or the grid flags."""
+    given = {
+        flag: getattr(args, flag)
+        for flag in (*_AXIS_FLAGS, *_BASE_FLAGS)
+        if getattr(args, flag) is not None
+    }
     if args.spec:
-        overridden = [
-            f"--{flag.replace('_', '-')}"
-            for flag, default in _GRID_FLAG_DEFAULTS.items()
-            if getattr(args, flag) != default
-        ]
-        if overridden:
+        if given:
+            flags = ", ".join(f"--{flag.replace('_', '-')}" for flag in given)
             raise SystemExit(
-                f"--spec is exclusive with grid flags; drop "
-                f"{', '.join(overridden)} or fold them into the spec file"
+                f"--spec is exclusive with grid flags; drop {flags} or "
+                "fold them into the spec file"
             )
         return _fold_search_flags(ExperimentSpec.load(args.spec), args)
     if not args.apps:
         raise SystemExit(
             "submit needs --apps (grid flags) or --spec exp.json"
         )
-    base = Scenario(
-        service=args.services[0],
-        apps=args.apps[0],
-        horizon=args.horizon,
-        monitor_epoch=args.monitor_epoch,
-        slack_threshold=args.slack_threshold,
+    given.setdefault("services", _DEFAULT_SERVICES)
+    spec = ExperimentSpec(
+        axes=[
+            (field, given[flag])
+            for flag, field in _AXIS_FLAGS.items()
+            if flag in given
+        ],
+        base={flag: given[flag] for flag in _BASE_FLAGS if flag in given},
     )
-    grid = SweepGrid(
-        services=args.services,
-        app_mixes=tuple(args.apps),
-        policies=args.policies,
-        load_fractions=args.loads,
-        decision_intervals=args.intervals,
-        seeds=args.seeds,
-        base=base,
-    )
-    return _fold_search_flags(ExperimentSpec.from_grid(grid), args)
+    return _fold_search_flags(spec, args)
 
 
 def cmd_submit(args) -> int:
@@ -350,19 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--out", default=None, metavar="FILE",
                         help="with --wait: save the full ResultSet "
                         "(pickle) here for later querying")
-    submit.add_argument("--services", type=_names, default=("memcached",),
-                        metavar="A,B", help="comma-separated service names")
+    submit.add_argument("--services", type=_names, default=None,
+                        metavar="A,B", help="comma-separated service names "
+                        "(default: memcached)")
     submit.add_argument("--apps", action="append", type=lambda s: tuple(s.split("+")),
                         metavar="APP[+APP...]",
                         help="one app mix per flag; '+' joins apps in a mix")
-    submit.add_argument("--policies", type=_names, default=("pliant",),
-                        metavar="P,Q")
-    submit.add_argument("--loads", type=_floats, default=(0.775,), metavar="F,F")
-    submit.add_argument("--intervals", type=_floats, default=(1.0,), metavar="S,S")
-    submit.add_argument("--seeds", type=_ints, default=(0,), metavar="N,N")
-    submit.add_argument("--horizon", type=float, default=400.0)
-    submit.add_argument("--monitor-epoch", type=float, default=0.1)
-    submit.add_argument("--slack-threshold", type=float, default=0.10)
+    submit.add_argument("--policies", type=_names, default=None, metavar="P,Q")
+    submit.add_argument("--loads", type=_floats, default=None, metavar="F,F")
+    submit.add_argument("--intervals", type=_floats, default=None, metavar="S,S")
+    submit.add_argument("--seeds", type=_ints, default=None, metavar="N,N")
+    submit.add_argument("--horizon", type=float, default=None)
+    submit.add_argument("--monitor-epoch", type=float, default=None)
+    submit.add_argument("--slack-threshold", type=float, default=None)
     submit.add_argument("--strategy", default=None,
                         metavar="grid|random|halving|pareto",
                         help="search strategy instead of the exhaustive "

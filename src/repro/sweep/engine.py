@@ -1,10 +1,11 @@
 """The sweep engine: a facade over pluggable execution backends.
 
-``SweepEngine.run`` takes a :class:`~repro.sweep.grid.SweepGrid` (or any
-iterable of scenarios), satisfies what it can from the result cache,
-hands the misses to an :class:`~repro.sweep.backends.ExecutionBackend`
-(inline, local process pool, or a distributed broker/worker queue), and
-returns outcomes in grid order.  Scenario results are a pure function of
+``SweepEngine.run`` takes any iterable of scenarios (an
+:class:`~repro.experiment.ExperimentSpec` is one), satisfies what it can
+from the result cache, hands the misses to an
+:class:`~repro.sweep.backends.ExecutionBackend` (inline, local process
+pool, or a distributed broker/worker queue), and returns outcomes in
+input order.  Scenario results are a pure function of
 the scenario config — every random stream inside a run derives from the
 scenario's own seed via :mod:`repro.rng` — so every backend produces
 bit-identical results and caching is sound.
@@ -29,21 +30,30 @@ from repro.core.runtime import ColocationResult
 from repro.sweep.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.sweep.cache import SweepCache
 from repro.sweep.digest import result_digest
-from repro.sweep.grid import Scenario, SweepGrid
+from repro.sweep.grid import Scenario
 
 #: Builders from (scenario, kwargs) to a policy instance.  Keyed by the
 #: policy's display name so ``Scenario.policy`` round-trips through
-#: ``RuntimePolicy.name``.  Backing store for :func:`register_policy` —
-#: prefer the function over mutating this dict directly.
+#: ``RuntimePolicy.name``.  A slack-driven policy takes its threshold
+#: from ``Scenario.slack_threshold``.  Backing store for
+#: :func:`register_policy` — prefer the function over mutating this dict
+#: directly.
 POLICY_REGISTRY: dict[str, Callable[[Scenario, dict], RuntimePolicy]] = {
-    "pliant": lambda sc, kw: PliantPolicy(seed=sc.seed, **kw),
+    "pliant": lambda sc, kw: PliantPolicy(
+        slack_threshold=sc.slack_threshold, seed=sc.seed, **kw
+    ),
     "pliant-impact": lambda sc, kw: PliantPolicy(
-        seed=sc.seed, arbiter=ImpactAwareArbiter(), **kw
+        slack_threshold=sc.slack_threshold,
+        seed=sc.seed,
+        arbiter=ImpactAwareArbiter(),
+        **kw,
     ),
     "precise": lambda sc, kw: PrecisePolicy(),
     "static-most-approx": lambda sc, kw: StaticMostApproxPolicy(),
     "static-level": lambda sc, kw: StaticLevelPolicy(dict(kw["levels"])),
-    "core-reclaim-only": lambda sc, kw: CoreReclaimOnlyPolicy(**kw),
+    "core-reclaim-only": lambda sc, kw: CoreReclaimOnlyPolicy(
+        slack_threshold=sc.slack_threshold, **kw
+    ),
 }
 
 
@@ -137,7 +147,7 @@ class SweepOutcome:
 
 
 class SweepEngine:
-    """Facade: cache probing + an execution backend, in grid order.
+    """Facade: cache probing + an execution backend, in input order.
 
     Parameters
     ----------
@@ -193,15 +203,15 @@ class SweepEngine:
 
     def run(
         self,
-        grid: SweepGrid | Iterable[Scenario],
+        scenarios: Iterable[Scenario],
         force: bool = False,
     ) -> list[SweepOutcome]:
-        """Evaluate every scenario; outcomes come back in grid order.
+        """Evaluate every scenario; outcomes come back in input order.
 
         ``force`` bypasses cache *reads* (results are still written back),
         which is how benchmarks measure a guaranteed-cold pass.
         """
-        scenarios = list(grid.scenarios() if isinstance(grid, SweepGrid) else grid)
+        scenarios = list(scenarios)
         outcomes: dict[int, SweepOutcome] = {}
         pending: list[tuple[int, Scenario]] = []
         telemetry = get_recorder()
@@ -253,15 +263,3 @@ class SweepEngine:
                     )
 
         return [outcomes[i] for i in range(len(scenarios))]
-
-    def run_results(
-        self,
-        grid: SweepGrid | Iterable[Scenario],
-        force: bool = False,
-    ) -> list[ColocationResult]:
-        """Like :meth:`run`, returning bare results."""
-        return [outcome.result for outcome in self.run(grid, force=force)]
-
-    def run_one(self, scenario: Scenario, force: bool = False) -> ColocationResult:
-        """Evaluate a single scenario through the cache."""
-        return self.run([scenario], force=force)[0].result

@@ -1,18 +1,16 @@
-"""Declarative scenario grids.
+"""Sweep scenarios.
 
 A :class:`Scenario` is one fully-specified colocation experiment — enough
 information to rebuild the engine from scratch inside a worker process
 (everything is plain strings/numbers, so scenarios pickle cheaply and
-hash stably).  A :class:`SweepGrid` is the cross product of axis values
-(services x app mixes x policies x loads x decision intervals x seeds)
-expanded in a deterministic order.
+hash stably).  A sweep over scenarios is declared as an
+:class:`~repro.experiment.ExperimentSpec`.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Any, Callable
 
 from repro.core.runtime import ColocationConfig, check_run_knobs
@@ -72,7 +70,9 @@ class Scenario:
     ``policy`` names a registered policy (see
     :data:`repro.sweep.engine.POLICY_REGISTRY`); ``policy_kwargs`` is a
     tuple of ``(name, value)`` pairs passed to its builder so the spec
-    stays hashable and JSON-serializable.
+    stays hashable and JSON-serializable.  ``slack_threshold`` is a field,
+    never a policy kwarg: the builders of the slack-driven policies read
+    it from here, so it has one home and sweeping it always acts.
     """
 
     service: str
@@ -102,6 +102,11 @@ class Scenario:
         object.__setattr__(
             self, "policy_kwargs", _freeze_pairs(self.policy_kwargs)
         )
+        if any(name == "slack_threshold" for name, _ in self.policy_kwargs):
+            raise ValueError(
+                "slack_threshold is a scenario field, not a policy kwarg: "
+                "set Scenario.slack_threshold instead"
+            )
         object.__setattr__(
             self, "loadgen_params", _freeze_pairs(self.loadgen_params)
         )
@@ -111,6 +116,11 @@ class Scenario:
                 f"(expected one of {', '.join(LOADGEN_SHAPES)})"
             )
         check_run_knobs(self)
+        # PliantPolicy's range (NaN fails it too), checked here so a bad
+        # value fails where the scenario is declared, not in a worker.
+        value = self.slack_threshold
+        if not (_is_number(value) and 0 <= value < 1):
+            raise ValueError(f"slack_threshold must lie in [0, 1), got {value!r}")
 
     def has_default_loadgen(self) -> bool:
         """True when the scenario uses the legacy constant-load default."""
@@ -118,15 +128,7 @@ class Scenario:
 
     def config(self) -> ColocationConfig:
         """The engine config this scenario describes."""
-        return ColocationConfig(
-            load_fraction=self.load_fraction,
-            decision_interval=self.decision_interval,
-            monitor_epoch=self.monitor_epoch,
-            slack_threshold=self.slack_threshold,
-            horizon=self.horizon,
-            seed=self.seed,
-            stop_when_apps_done=self.stop_when_apps_done,
-        )
+        return ColocationConfig(*_config_values(self))
 
     def key_payload(self) -> dict:
         """Canonical JSON-ready payload used for content addressing.
@@ -306,81 +308,11 @@ def _field_codec(f: Field) -> _FieldCodec:
 _CODECS = tuple(_field_codec(f) for f in fields(Scenario))
 _CODECS_BY_NAME = {codec.name: codec for codec in _CODECS}
 _field_values = operator.attrgetter(*(codec.name for codec in _CODECS))
+#: The scenario fields :class:`ColocationConfig` shares by name, in its
+#: positional order: what :meth:`Scenario.config` hands the engine.
+_config_values = operator.attrgetter(*(f.name for f in fields(ColocationConfig)))
 
 
 def scenario_field_names() -> frozenset[str]:
     """Names of every Scenario field (the open axis vocabulary)."""
     return _SCENARIO_FIELDS
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cross product of scenario axes, expanded deterministically.
-
-    Axis order in the expansion is (service, app mix, policy, load,
-    decision interval, seed) — the slowest-varying axis first, so related
-    scenarios are adjacent and cache/file locality follows the grid.
-    """
-
-    services: tuple[str, ...]
-    app_mixes: tuple[tuple[str, ...], ...]
-    policies: tuple[str, ...] = ("pliant",)
-    load_fractions: tuple[float, ...] = (0.775,)
-    decision_intervals: tuple[float, ...] = (1.0,)
-    seeds: tuple[int, ...] = (0,)
-    base: Scenario | None = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.services, str):
-            object.__setattr__(self, "services", (self.services,))
-        object.__setattr__(
-            self,
-            "app_mixes",
-            tuple(_normalize_mix(mix) for mix in self.app_mixes),
-        )
-        if not self.services or not self.app_mixes:
-            raise ValueError("grid needs at least one service and one app mix")
-        if not self.policies or not self.load_fractions:
-            raise ValueError("grid needs at least one policy and one load")
-        if not self.decision_intervals or not self.seeds:
-            raise ValueError("grid needs at least one interval and one seed")
-
-    def __len__(self) -> int:
-        return (
-            len(self.services)
-            * len(self.app_mixes)
-            * len(self.policies)
-            * len(self.load_fractions)
-            * len(self.decision_intervals)
-            * len(self.seeds)
-        )
-
-    def scenarios(self) -> list[Scenario]:
-        """Expand the grid into scenarios (stable, documented order)."""
-        template = self.base or Scenario(
-            service=self.services[0], apps=self.app_mixes[0]
-        )
-        out = []
-        for service, mix, policy, load, interval, seed in itertools.product(
-            self.services,
-            self.app_mixes,
-            self.policies,
-            self.load_fractions,
-            self.decision_intervals,
-            self.seeds,
-        ):
-            out.append(
-                replace(
-                    template,
-                    service=service,
-                    apps=mix,
-                    policy=policy,
-                    load_fraction=float(load),
-                    decision_interval=float(interval),
-                    seed=int(seed),
-                )
-            )
-        return out
-
-    def __iter__(self):
-        return iter(self.scenarios())

@@ -75,6 +75,10 @@ class TestSubmitSpec:
         with pytest.raises(SystemExit, match="--seeds"):
             main(["submit", "--spool", str(tmp_path / "spool"),
                   "--spec", str(path), "--seeds", "0,1"])
+        # A flag given at the Scenario default is still a given flag.
+        with pytest.raises(SystemExit, match="--slack-threshold"):
+            main(["submit", "--spool", str(tmp_path / "spool"),
+                  "--spec", str(path), "--slack-threshold", "0.1"])
 
     def test_out_requires_wait(self, tmp_path):
         _, path = spec_file(tmp_path)

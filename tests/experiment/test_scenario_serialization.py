@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PliantPolicy
 from repro.core.runtime import ColocationConfig
 from repro.sweep import Scenario, SweepCache, stable_hash
 from repro.sweep.grid import ELIDE_AT_DEFAULT
@@ -183,8 +184,6 @@ MALFORMED_KNOBS = [
     ("monitor_epoch", math.inf),
     ("decision_interval", math.inf),
     ("decision_interval", -1.0),
-    ("slack_threshold", -0.1),
-    ("slack_threshold", math.nan),
 ]
 
 
@@ -205,9 +204,39 @@ class TestMalformedRunKnobs:
             ColocationConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [-0.1, math.nan, 1.0, math.inf])
+class TestMalformedSlackThreshold:
+    """The slack threshold is a policy knob the engine config does not
+    carry: the scenario holds it to PliantPolicy's range, [0, 1), so a
+    value the policy would reject fails where it is declared."""
+
+    def test_scenario(self, value):
+        with pytest.raises(ValueError, match="slack_threshold"):
+            Scenario(service="memcached", apps=("canneal",), slack_threshold=value)
+
+    def test_payload(self, value):
+        with pytest.raises(ValueError, match="slack_threshold"):
+            Scenario.from_payload(_payload_with(slack_threshold=value))
+
+    def test_policy_rejects_it_too(self, value):
+        with pytest.raises(ValueError, match="slack_threshold"):
+            PliantPolicy(slack_threshold=value)
+
+
 def test_zero_slack_threshold_is_allowed():
     assert Scenario(service="memcached", apps=("canneal",), slack_threshold=0.0)
-    assert ColocationConfig(slack_threshold=0.0)
+    assert PliantPolicy(slack_threshold=0.0)
+
+
+def test_slack_threshold_as_a_policy_kwarg_is_rejected():
+    # It has one home, the scenario field the policy builders read; a
+    # kwarg copy would shadow it (or collide with it) in the builder.
+    with pytest.raises(ValueError, match="Scenario.slack_threshold"):
+        Scenario(
+            service="memcached",
+            apps=("canneal",),
+            policy_kwargs=(("slack_threshold", 0.2),),
+        )
 
 
 json_values = st.recursive(
@@ -251,7 +280,7 @@ FIELD_SAMPLES = {
     "service": "mongodb",
     "apps": ("kmeans", "snp"),
     "policy": "precise",
-    "policy_kwargs": (("slack_threshold", 0.2),),
+    "policy_kwargs": (("max_backoff", 16),),
     "load_fraction": 0.6,
     "decision_interval": 2.0,
     "monitor_epoch": 0.05,

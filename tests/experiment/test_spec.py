@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiment import ExperimentSpec
-from repro.sweep import Scenario, SweepGrid
+from repro.sweep import Scenario
 
 BASE = {"service": "mongodb", "apps": "kmeans", "seed": 4, "horizon": 30.0}
 
@@ -110,20 +110,6 @@ class TestExpansion:
             ("kmeans",),
             ("kmeans", "canneal"),
         ]
-
-    def test_matches_equivalent_grid_expansion(self):
-        grid = SweepGrid(
-            services=("mongodb", "nginx"),
-            app_mixes=(("kmeans",), ("kmeans", "canneal")),
-            policies=("pliant", "precise"),
-            load_fractions=(0.5, 0.8),
-            decision_intervals=(1.0, 2.0),
-            seeds=(0, 1),
-            base=Scenario(service="mongodb", apps=("kmeans",), horizon=30.0),
-        )
-        spec = ExperimentSpec.from_grid(grid)
-        assert spec.scenarios() == grid.scenarios()
-        assert len(spec) == len(grid)
 
 
 class TestBuilders:

@@ -26,11 +26,14 @@ class TestFactory:
             make_service("redis")
 
 
-class TestQosTargets:
+class TestPaperQos:
     def test_paper_values(self):
         assert Nginx().qos == pytest.approx(units.msec(10))
         assert Memcached().qos == pytest.approx(units.usec(200))
         assert MongoDB().qos == pytest.approx(units.msec(100))
+
+    def test_relative_strictness(self):
+        assert Memcached().qos < Nginx().qos < MongoDB().qos
 
 
 class TestSaturation:

@@ -14,7 +14,6 @@ from repro.sweep import (
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     backend_from_env,
     results_identical,
     run_scenario,
@@ -25,13 +24,10 @@ from repro.sweep import (
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
 
 
-def _grid(loads=(0.5, 0.8), seeds=(4, 5)) -> SweepGrid:
-    return SweepGrid(
-        services=("mongodb",),
-        app_mixes=(("kmeans",),),
-        load_fractions=loads,
-        seeds=seeds,
-        base=BASE,
+def _grid(loads=(0.5, 0.8), seeds=(4, 5)) -> ExperimentSpec:
+    return ExperimentSpec(
+        base={"service": "mongodb", "apps": "kmeans", "horizon": 60.0},
+        axes={"load_fraction": loads, "seed": seeds},
     )
 
 
@@ -40,8 +36,9 @@ class TestScenarioPayloadRoundTrip:
         scenario = Scenario(
             service="nginx",
             apps=("kmeans", "canneal"),
-            policy="core-reclaim-only",
-            policy_kwargs=(("slack_threshold", 0.2),),
+            policy="pliant",
+            policy_kwargs=(("max_backoff", 16),),
+            slack_threshold=0.2,
             load_fraction=0.6,
             seed=9,
         )

@@ -84,8 +84,8 @@ class TestKeying:
         assert cache.key(_scenario()) != cache.key(_scenario(**change))
 
     def test_policy_kwargs_change_invalidates(self, cache):
-        a = _scenario(policy_kwargs=(("slack_threshold", 0.1),))
-        b = _scenario(policy_kwargs=(("slack_threshold", 0.2),))
+        a = _scenario(policy_kwargs=(("max_backoff", 16),))
+        b = _scenario(policy_kwargs=(("max_backoff", 32),))
         assert cache.key(a) != cache.key(b)
 
     def test_code_fingerprint_stable_within_process(self):

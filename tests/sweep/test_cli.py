@@ -7,6 +7,7 @@ import pytest
 from repro.cas import stable_hash
 from repro.sweep import JobSpool, Scenario, SweepCache
 from repro.sweep.cli import build_parser, build_spec, main
+from repro.sweep.engine import make_policy
 
 BASE_ARGS = [
     "--services", "mongodb",
@@ -189,3 +190,5 @@ class TestBuildSpec:
         )
         assert len(scenarios) == 4
         assert all(s.slack_threshold == 0.3 for s in scenarios)
+        # ... and from there the policy each scenario builds.
+        assert all(make_policy(s).slack_threshold == 0.3 for s in scenarios)

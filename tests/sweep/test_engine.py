@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.policy import PliantPolicy
+from repro.experiment import ExperimentSpec
 from repro.sweep import (
     Scenario,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     register_policy,
     registered_policies,
     results_identical,
@@ -19,13 +19,10 @@ from repro.sweep.engine import POLICY_REGISTRY, make_policy
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
 
 
-def _grid(loads=(0.5, 0.8)) -> SweepGrid:
-    return SweepGrid(
-        services=("mongodb",),
-        app_mixes=(("kmeans",),),
-        load_fractions=loads,
-        seeds=(4,),
-        base=BASE,
+def _grid(loads=(0.5, 0.8)) -> ExperimentSpec:
+    return ExperimentSpec(
+        base={"service": "mongodb", "apps": "kmeans", "horizon": 60.0, "seed": 4},
+        axes={"load_fraction": loads},
     )
 
 
@@ -42,10 +39,10 @@ class TestPolicyRegistry:
         scenario = Scenario(
             service="nginx",
             apps=("kmeans",),
-            policy="core-reclaim-only",
-            policy_kwargs=(("slack_threshold", 0.2),),
+            policy="static-level",
+            policy_kwargs=(("levels", (("kmeans", 1),)),),
         )
-        assert make_policy(scenario).name == "core-reclaim-only"
+        assert make_policy(scenario).name == "static-level"
 
     def test_unknown_policy_raises_with_known_names(self):
         scenario = Scenario(service="nginx", apps=("kmeans",), policy="nope")
@@ -77,25 +74,23 @@ class TestRegisterPolicy:
         assert "custom-precise" in registered_policies()
 
     def test_builder_sees_scenario_and_kwargs(self):
-        from repro.core.baselines import CoreReclaimOnlyPolicy
-
         seen = {}
 
         def builder(scenario, kwargs):
             seen["seed"] = scenario.seed
             seen["kwargs"] = kwargs
-            return CoreReclaimOnlyPolicy(**kwargs)
+            return PliantPolicy(**kwargs)
 
         register_policy("spy", builder)
         scenario = Scenario(
             service="nginx",
             apps=("kmeans",),
             policy="spy",
-            policy_kwargs=(("slack_threshold", 0.2),),
+            policy_kwargs=(("max_backoff", 16),),
             seed=11,
         )
         make_policy(scenario)
-        assert seen == {"seed": 11, "kwargs": {"slack_threshold": 0.2}}
+        assert seen == {"seed": 11, "kwargs": {"max_backoff": 16}}
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -194,15 +189,6 @@ class TestMemoization:
 
 
 class TestApi:
-    def test_run_results_returns_bare_results(self):
-        results = SweepEngine(workers=1).run_results(_grid(loads=(0.5,)))
-        assert len(results) == 1
-        assert results[0].service_name == "mongodb"
-
-    def test_run_one(self):
-        result = SweepEngine(workers=1).run_one(BASE)
-        assert result.policy_name == "pliant"
-
     def test_effective_workers_bounded_by_pending(self):
         engine = SweepEngine(workers=8)
         assert engine.effective_workers(pending=3) == 3

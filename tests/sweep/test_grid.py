@@ -1,9 +1,9 @@
-"""Scenario and SweepGrid: declarative grid expansion."""
+"""Scenario: one colocation experiment as pure data."""
 
 import pytest
 
 from repro.core.runtime import ColocationConfig
-from repro.sweep import Scenario, SweepGrid
+from repro.sweep import Scenario
 
 
 class TestScenario:
@@ -36,7 +36,6 @@ class TestScenario:
             load_fraction=0.6,
             decision_interval=2.0,
             monitor_epoch=0.2,
-            slack_threshold=0.15,
             horizon=120.0,
             seed=9,
             stop_when_apps_done=False,
@@ -72,67 +71,3 @@ class TestScenario:
         )
         label = scenario.label()
         assert "nginx" in label and "kmeans+snp" in label and "0.5" in label
-
-
-class TestSweepGrid:
-    def test_len_is_axis_product(self):
-        grid = SweepGrid(
-            services=("nginx", "mongodb"),
-            app_mixes=(("kmeans",), ("canneal",), ("snp",)),
-            policies=("pliant", "precise"),
-            load_fractions=(0.4, 0.6),
-            decision_intervals=(1.0,),
-            seeds=(0, 1),
-        )
-        assert len(grid) == 2 * 3 * 2 * 2 * 1 * 2
-        assert len(grid.scenarios()) == len(grid)
-
-    def test_expansion_deterministic(self):
-        grid = SweepGrid(
-            services=("nginx", "mongodb"),
-            app_mixes=(("kmeans",),),
-            load_fractions=(0.4, 0.8),
-        )
-        assert grid.scenarios() == grid.scenarios()
-
-    def test_expansion_order_slowest_axis_first(self):
-        grid = SweepGrid(
-            services=("nginx", "mongodb"),
-            app_mixes=(("kmeans",),),
-            load_fractions=(0.4, 0.8),
-        )
-        coords = [(s.service, s.load_fraction) for s in grid]
-        assert coords == [
-            ("nginx", 0.4),
-            ("nginx", 0.8),
-            ("mongodb", 0.4),
-            ("mongodb", 0.8),
-        ]
-
-    def test_base_scenario_carries_non_axis_knobs(self):
-        base = Scenario(
-            service="nginx", apps=("kmeans",), horizon=50.0, monitor_epoch=0.2
-        )
-        grid = SweepGrid(
-            services=("mongodb",),
-            app_mixes=(("canneal",),),
-            seeds=(5,),
-            base=base,
-        )
-        (scenario,) = grid.scenarios()
-        assert scenario.service == "mongodb"
-        assert scenario.apps == ("canneal",)
-        assert scenario.seed == 5
-        assert scenario.horizon == 50.0
-        assert scenario.monitor_epoch == 0.2
-
-    def test_string_service_and_mixes_normalized(self):
-        grid = SweepGrid(services="nginx", app_mixes=("kmeans", ("snp",)))
-        assert grid.services == ("nginx",)
-        assert grid.app_mixes == (("kmeans",), ("snp",))
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            SweepGrid(services=(), app_mixes=(("kmeans",),))
-        with pytest.raises(ValueError):
-            SweepGrid(services=("nginx",), app_mixes=(("kmeans",),), seeds=())

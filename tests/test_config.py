@@ -1,9 +1,15 @@
-"""Platform / QoS configuration (paper Table 1 + Section 5)."""
+"""The paper's platform (Table 1) and run defaults (Section 4.3), read
+where each value is declared."""
+
+import inspect
 
 import pytest
 
 from repro import units
-from repro.config import DEFAULT_CONFIG, PlatformSpec, QosTargets, RuntimeDefaults
+from repro.config import PlatformSpec
+from repro.core import ColocationConfig, CoreReclaimOnlyPolicy, PliantPolicy
+from repro.search.variants import DesignSpaceExplorer
+from repro.sweep import Scenario
 
 
 class TestPlatformSpec:
@@ -35,30 +41,25 @@ class TestPlatformSpec:
         assert spec.max_turbo_frequency_ghz == pytest.approx(3.6)
 
 
-class TestQosTargets:
-    def test_paper_targets(self):
-        qos = QosTargets()
-        assert qos.nginx == pytest.approx(units.msec(10))
-        assert qos.memcached == pytest.approx(units.usec(200))
-        assert qos.mongodb == pytest.approx(units.msec(100))
+class TestSection4Defaults:
+    """Each paper default at its live home: the scenario, the engine
+    config, the policies and the variant explorer."""
 
-    def test_relative_strictness(self):
-        qos = QosTargets()
-        assert qos.memcached < qos.nginx < qos.mongodb
+    def test_one_second_decision_interval(self):
+        assert Scenario("memcached", "canneal").decision_interval == pytest.approx(1.0)
+        assert ColocationConfig().decision_interval == pytest.approx(1.0)
 
+    def test_ten_percent_slack_threshold(self):
+        assert Scenario("memcached", "canneal").slack_threshold == pytest.approx(0.10)
+        assert PliantPolicy().slack_threshold == pytest.approx(0.10)
+        assert CoreReclaimOnlyPolicy().slack_threshold == pytest.approx(0.10)
 
-class TestRuntimeDefaults:
-    def test_section4_defaults(self):
-        defaults = RuntimeDefaults()
-        assert defaults.decision_interval == pytest.approx(1.0)
-        assert defaults.slack_threshold == pytest.approx(0.10)
-        assert defaults.max_inaccuracy_pct == pytest.approx(5.0)
+    def test_five_percent_inaccuracy_cap(self):
+        default = inspect.signature(DesignSpaceExplorer).parameters[
+            "max_inaccuracy_pct"
+        ].default
+        assert default == pytest.approx(5.0)
 
     def test_load_is_75_to_80_pct(self):
-        assert 0.75 <= RuntimeDefaults().load_fraction <= 0.80
-
-
-def test_default_config_bundle():
-    assert DEFAULT_CONFIG.platform.total_physical_cores == 44
-    assert DEFAULT_CONFIG.qos.memcached == pytest.approx(units.usec(200))
-    assert DEFAULT_CONFIG.seed == 0x517A
+        assert 0.75 <= Scenario("memcached", "canneal").load_fraction <= 0.80
+        assert 0.75 <= ColocationConfig().load_fraction <= 0.80

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.apps.base import MeasuredVariant, VariantSpec
 from repro.apps.knobs import perforated_count, perforated_indices
-from repro.core.controller import PliantController
 from repro.search.ladder import pareto_select
 from repro.server.interference import overload
 from repro.services.latency import LatencyCurve, LatencyCurveParams
+from tests.core.test_controller import make as make_controller
+from tests.core.test_controller import observe
 
 
 # --- perforation -----------------------------------------------------------
@@ -117,32 +118,29 @@ def test_pareto_time_frontier_monotone(points):
 
 
 @given(
-    st.lists(
-        st.tuples(st.booleans(), st.floats(min_value=-3.0, max_value=1.0)),
-        max_size=60,
-    ),
+    st.lists(st.floats(min_value=-3.0, max_value=1.0), max_size=60),
     st.integers(min_value=0, max_value=8),
     st.integers(min_value=0, max_value=7),
 )
 @settings(max_examples=200)
-def test_controller_state_always_valid(steps, max_level, max_reclaimable):
-    ctl = PliantController(max_level=max_level, max_reclaimable=max_reclaimable)
-    for qos_met, slack in steps:
-        ctl.decide(qos_met, slack)
-        assert 0 <= ctl.level <= max_level
-        assert 0 <= ctl.reclaimed <= max_reclaimable
+def test_controller_state_always_valid(slacks, max_level, max_reclaimable):
+    policy, app = make_controller(max_level=max_level, max_reclaimable=max_reclaimable)
+    for slack in slacks:
+        policy.on_interval(observe(slack), app)
+        assert 0 <= app.level <= max_level
+        assert 0 <= app.reclaimed <= max_reclaimable
 
 
 @given(
     st.lists(st.floats(min_value=0.11, max_value=1.0), min_size=1, max_size=20)
 )
 def test_controller_relaxes_to_precise_under_sustained_slack(slacks):
-    ctl = PliantController(max_level=4, max_reclaimable=3, level=4, reclaimed=3)
+    policy, app = make_controller(level=4, reclaimed=3, max_level=4, max_reclaimable=3)
     for _ in range(40):
         for slack in slacks:
-            ctl.decide(True, slack)
-    assert ctl.level == 0
-    assert ctl.reclaimed == 0
+            policy.on_interval(observe(slack), app)
+    assert app.level == 0
+    assert app.reclaimed == 0
 
 
 # --- latency curve -----------------------------------------------------------
