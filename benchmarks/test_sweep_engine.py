@@ -7,7 +7,8 @@ Runs a Fig. 8-style load sweep two ways and appends the measurements to
   worker per core; results must be bit-identical, and on a 4+-core host
   the parallel pass must be >= 4x faster.
 * **cold vs warm cache** — a second pass over an already-populated result
-  cache must cost < 10% of the cold pass.
+  cache must cost < 10% of the cold pass, and the same pass on an
+  uncached engine (the negative control) must not.
 """
 
 from __future__ import annotations
@@ -71,8 +72,12 @@ def test_sweep_engine_speedup(capsys):
         engine = SweepEngine(cache=SweepCache(tmp))
         cold, t_cold = _timed(lambda: engine.run(grid))
         warm, t_warm = _timed(lambda: engine.run(grid))
+    # Negative control: the same "warm" pass on an uncached engine must
+    # miss the bound, or the bound cannot tell a cache from none.
+    _, t_uncached = _timed(lambda: SweepEngine().run(grid))
     warm_hits = sum(1 for o in warm if o.from_cache)
     warm_fraction = t_warm / t_cold if t_cold > 0 else float("inf")
+    uncached_fraction = t_uncached / t_cold if t_cold > 0 else float("inf")
 
     record_bench(
         "sweep_engine_speedup",
@@ -86,6 +91,7 @@ def test_sweep_engine_speedup(capsys):
             "cold_s": round(t_cold, 3),
             "warm_s": round(t_warm, 3),
             "warm_fraction": round(warm_fraction, 4),
+            "uncached_fraction": round(uncached_fraction, 4),
             "warm_cache_hits": warm_hits,
         },
     )
@@ -97,11 +103,16 @@ def test_sweep_engine_speedup(capsys):
         print(f"serial {t_serial:.2f}s  parallel {t_parallel:.2f}s "
               f"({parallel_speedup:.2f}x)  identical: {identical}")
         print(f"cold {t_cold:.2f}s  warm {t_warm:.3f}s "
-              f"({100 * warm_fraction:.1f}% of cold, {warm_hits} hits)")
+              f"({100 * warm_fraction:.1f}% of cold, {warm_hits} hits)  "
+              f"uncached {t_uncached:.2f}s ({100 * uncached_fraction:.1f}% of cold)")
 
     assert identical, "serial and parallel sweeps must be bit-identical"
     assert warm_hits == len(grid)
     assert warm_fraction < 0.10, f"warm cache cost {warm_fraction:.1%} of cold"
+    assert not uncached_fraction < 0.10, (
+        f"an uncached pass cost {uncached_fraction:.1%} of cold: the warm "
+        "bound cannot tell a cache from none"
+    )
     if cores >= 4:
         assert parallel_speedup >= 4.0, (
             f"parallel sweep only {parallel_speedup:.1f}x on {cores} cores"

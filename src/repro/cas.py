@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -20,6 +22,20 @@ def stable_hash(payload: Any, length: int = 32) -> str:
     """Hex digest of a JSON-serializable payload, stable across runs."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
+
+
+@lru_cache(maxsize=1)
+def numeric_environment() -> str:
+    """The numpy version and the Python major.minor, computed once per
+    process (``"numpy2.4.6-py3.11"``).
+
+    Cached values are a function of the numeric environment as well as
+    of the code: a numpy upgrade can change float results bit for bit.
+    Every cache key names it, so an upgraded environment misses.
+    """
+    import numpy
+
+    return f"numpy{numpy.__version__}-py{sys.version_info[0]}.{sys.version_info[1]}"
 
 
 def source_digest(root: Path, names: Iterable[str] = ("",)) -> str:

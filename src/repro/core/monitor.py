@@ -60,7 +60,7 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalObservation:
     """What the monitor tells the controller at each decision boundary."""
 

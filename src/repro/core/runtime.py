@@ -81,9 +81,12 @@ paper's canneal+memcached 5.4 % worst case).
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
 from numbers import Real
 
 import numpy as np
@@ -479,7 +482,7 @@ class ContentionPlan:
         return inflation
 
 
-@dataclass
+@dataclass(slots=True)
 class AppOutcome:
     """Per-application results of one colocation run."""
 
@@ -496,7 +499,7 @@ class AppOutcome:
         return self.finish_time is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalRecord:
     """One decision interval's observation and the action taken."""
 
@@ -590,6 +593,134 @@ class ColocationResult:
             reclaimed = np.maximum(0, nominal - cores[mask])
             total += int(reclaimed.max()) if reclaimed.size else 0
         return total
+
+    def __reduce__(self):
+        """Pickle as one columnar payload, rebuilt by :func:`_rebuild_result`.
+
+        The float epoch columns travel as one buffer and the int columns
+        (service cores, then each app's levels, then each app's cores) as
+        a second, each with its dtype; every interval field travels as a
+        plain list and every app outcome as a tuple.
+        """
+        levels, cores = self.epoch_app_levels, self.epoch_app_cores
+        observations = [record.observation for record in self.intervals]
+        return (
+            _rebuild_result,
+            (
+                _result_scalars(self),
+                tuple(levels),
+                tuple(cores),
+                len(self.epoch_times),
+                *_pack_columns((self.epoch_times, self.epoch_p99)),
+                *_pack_columns(
+                    (self.epoch_service_cores, *levels.values(), *cores.values())
+                ),
+                [list(map(get, observations)) for get in _OBSERVATION_GETTERS]
+                + [list(map(get, self.intervals)) for get in _RECORD_GETTERS],
+                tuple(map(_app_values, self.apps)),
+            ),
+        )
+
+
+#: The payload's layout follows the dataclass fields, so a field added to
+#: an observation, interval record or app outcome travels with the rest.
+#: The interval record's first field is its observation; its other fields
+#: and the observation's each travel as one list.
+_OBSERVATION_GETTERS = tuple(attrgetter(f.name) for f in fields(IntervalObservation))
+_OBSERVATION_SETTERS = tuple(
+    getattr(IntervalObservation, f.name).__set__ for f in fields(IntervalObservation)
+)
+_RECORD_GETTERS = tuple(attrgetter(f.name) for f in fields(IntervalRecord)[1:])
+_app_values = attrgetter(*(f.name for f in fields(AppOutcome)))
+#: The result fields that travel as columns; the others as plain values.
+_RESULT_COLUMNS = (
+    "epoch_times",
+    "epoch_p99",
+    "epoch_service_cores",
+    "epoch_app_levels",
+    "epoch_app_cores",
+    "intervals",
+    "apps",
+)
+_RESULT_SCALARS = tuple(
+    f.name for f in fields(ColocationResult) if f.name not in _RESULT_COLUMNS
+)
+_result_scalars = attrgetter(*_RESULT_SCALARS)
+
+
+def _observations(columns: list[list]) -> list[IntervalObservation]:
+    """Observations, the i-th holding the i-th value of each column (one
+    per field, in field order).
+
+    Built without the frozen ``__init__``, which only sets the fields
+    through ``object.__setattr__``: each slot's descriptor fills one
+    field of every observation in one ``map``, for about two thirds of
+    the cost of a call per observation.
+    """
+    observations = list(map(object.__new__, repeat(IntervalObservation, len(columns[0]))))
+    for set_field, column in zip(_OBSERVATION_SETTERS, columns):
+        deque(map(set_field, observations, column), maxlen=0)
+    return observations
+
+
+def _pack_columns(columns: tuple[np.ndarray, ...]) -> tuple[str, bytes]:
+    """The dtype and the concatenated bytes of equal-length 1-D columns."""
+    first = columns[0]
+    for column in columns:
+        if column.dtype != first.dtype or column.shape != first.shape or column.ndim != 1:
+            raise ValueError(
+                f"cannot pack a {column.dtype}{column.shape} epoch column "
+                f"with a {first.dtype}{first.shape} one"
+            )
+    return first.dtype.str, b"".join([column.tobytes() for column in columns])
+
+
+def _unpack_columns(
+    dtype: str, buffer: bytes, count: int, length: int
+) -> list[np.ndarray]:
+    """``count`` columns of ``length`` values each, sliced from ``buffer``
+    as C-contiguous, writeable arrays that own their data."""
+    flat = np.frombuffer(buffer, dtype)
+    if flat.size != count * length:
+        raise ValueError(
+            f"result payload holds {flat.size} {dtype} values for "
+            f"{count} columns of {length}"
+        )
+    return [flat[i * length : (i + 1) * length].copy() for i in range(count)]
+
+
+def _rebuild_result(
+    scalars: tuple,
+    level_names: tuple[str, ...],
+    core_names: tuple[str, ...],
+    length: int,
+    float_dtype: str,
+    floats: bytes,
+    int_dtype: str,
+    ints: bytes,
+    interval_columns: list[list],
+    apps: tuple[tuple, ...],
+) -> ColocationResult:
+    """Invert :meth:`ColocationResult.__reduce__`.
+
+    Raises ``ValueError`` when a buffer's length disagrees with its
+    column count, so a damaged payload never rebuilds a short result.
+    """
+    epoch_times, epoch_p99 = _unpack_columns(float_dtype, floats, 2, length)
+    count = 1 + len(level_names) + len(core_names)
+    service_cores, *app_columns = _unpack_columns(int_dtype, ints, count, length)
+    observed = len(_OBSERVATION_GETTERS)
+    observations = _observations(interval_columns[:observed])
+    return ColocationResult(
+        epoch_times=epoch_times,
+        epoch_p99=epoch_p99,
+        epoch_service_cores=service_cores,
+        epoch_app_levels=dict(zip(level_names, app_columns)),
+        epoch_app_cores=dict(zip(core_names, app_columns[len(level_names) :])),
+        intervals=list(map(IntervalRecord, observations, *interval_columns[observed:])),
+        apps=[AppOutcome(*values) for values in apps],
+        **dict(zip(_RESULT_SCALARS, scalars)),
+    )
 
 
 #: Run knobs that must be finite and > 0.

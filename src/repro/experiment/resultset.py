@@ -29,7 +29,9 @@ from repro.sweep.engine import SweepOutcome, results_identical
 from repro.sweep.grid import Scenario, _jsonify, scenario_field_names
 
 #: Bump when the pickled save() layout changes; old files fail loudly.
-RESULTSET_FORMAT = 1
+#: Format 2: results pickle as columnar payloads and the interval and
+#: app records are slotted, so a format-1 file no longer unpickles.
+RESULTSET_FORMAT = 2
 
 
 def _mean_inaccuracy(result: ColocationResult) -> float:
@@ -310,10 +312,21 @@ class ResultSet:
     def load(cls, path: Path | str) -> "ResultSet":
         from repro.experiment.spec import ExperimentSpec
 
-        envelope = pickle.loads(Path(path).read_bytes())
-        if envelope.get("format") != RESULTSET_FORMAT:
+        data = Path(path).read_bytes()
+        try:
+            envelope = pickle.loads(data)
+        except Exception as exc:
+            # An older format's records do not rebuild in this build's
+            # classes; the envelope's format number is lost with them.
             raise ValueError(
-                f"unsupported result-set format {envelope.get('format')!r} "
+                f"unsupported result-set format: {path} does not unpickle "
+                f"({type(exc).__name__}: {exc}; this build reads format "
+                f"{RESULTSET_FORMAT})"
+            ) from exc
+        version = envelope.get("format") if isinstance(envelope, dict) else None
+        if version != RESULTSET_FORMAT:
+            raise ValueError(
+                f"unsupported result-set format {version!r} "
                 f"(this build reads format {RESULTSET_FORMAT})"
             )
         spec = envelope.get("spec")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.apps.base import ApproximableApp, MeasuredVariant, VariantSpec
 from repro.apps.knobs import Knob
-from repro.cas import atomic_write_bytes, source_digest, stable_hash
+from repro.cas import atomic_write_bytes, numeric_environment, source_digest, stable_hash
 from repro.search.ladder import ApproxLadder, pareto_select
 from repro.search.profiler import WorkProfiler
 from repro.telemetry import get_recorder
@@ -135,7 +135,7 @@ class DesignSpaceExplorer:
         key = (
             f"{self._app.name}-s{self._seed}-q{self._max_inaccuracy}"
             f"-p{int(self._use_profiler)}-{self._grid_fingerprint()}"
-            f"-c{ladder_code_fingerprint()}"
+            f"-{numeric_environment()}-c{ladder_code_fingerprint()}"
         )
         return self._cache_dir / f"{key}.json"
 

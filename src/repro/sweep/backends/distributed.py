@@ -517,9 +517,10 @@ def run_worker(
                     spool.release_many(sorted(leased))
                     telemetry_flush()
                     raise
-                cache.put(cache.key(job.scenario), result)
+                key = cache.key(job.scenario)
+                cache.put(key, result)
                 spool.mark_done(
-                    job.job_id, key=cache.key(job.scenario), duration=duration,
+                    job.job_id, key=key, duration=duration,
                     worker_id=worker_id,
                 )
                 telemetry.count("worker.done")

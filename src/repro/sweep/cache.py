@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from repro.cas import atomic_write_bytes, source_digest, stable_hash
+from repro.cas import atomic_write_bytes, numeric_environment, source_digest, stable_hash
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 #: Bump when the pickled payload layout changes; old entries become misses.
-FORMAT_VERSION = 1
+#: Format 2: a result pickles as one columnar payload
+#: (:meth:`~repro.core.runtime.ColocationResult.__reduce__`).
+FORMAT_VERSION = 2
 
 _CACHE_ENV = "REPRO_SWEEP_CACHE"
 
@@ -135,6 +137,7 @@ class SweepCache:
             {
                 "format": FORMAT_VERSION,
                 "code": code_fingerprint(),
+                "env": numeric_environment(),
                 "scenario": scenario.key_payload(),
             }
         )

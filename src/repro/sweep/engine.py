@@ -212,15 +212,18 @@ class SweepEngine:
         which is how benchmarks measure a guaranteed-cold pass.
         """
         scenarios = list(scenarios)
+        cache = self._cache
         outcomes: dict[int, SweepOutcome] = {}
         pending: list[tuple[int, Scenario]] = []
         telemetry = get_recorder()
 
         with telemetry.span("sweep.run", cat="engine", scenarios=len(scenarios)):
+            # One key per scenario, shared by its lookup and its write-back.
+            keys = [] if cache is None else list(map(cache.key, scenarios))
             for index, scenario in enumerate(scenarios):
                 cached = None
-                if self._cache is not None and not force:
-                    cached = self._cache.get(self._cache.key(scenario))
+                if cache is not None and not force:
+                    cached = cache.get(keys[index])
                 if cached is not None:
                     telemetry.count("sweep.cache.hit")
                     outcomes[index] = SweepOutcome(
@@ -246,12 +249,12 @@ class SweepEngine:
                 # published into this very cache (same root): re-pickling
                 # every distributed result would double the disk traffic.
                 store = backend.result_store()
-                write_back = self._cache is not None and (
-                    store is None or store.root != self._cache.root
+                write_back = cache is not None and (
+                    store is None or store.root != cache.root
                 )
                 for (index, scenario), (result, duration) in zip(pending, computed):
                     if write_back:
-                        self._cache.put(self._cache.key(scenario), result)
+                        cache.put(keys[index], result)
                     # Per-scenario durations reach the engine even when
                     # they ran in pool children that never flush a shard.
                     telemetry.observe("sweep.scenario_s", duration)

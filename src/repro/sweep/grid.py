@@ -14,7 +14,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Any, Callable
 
 from repro.core.runtime import ColocationConfig, check_run_knobs
-from repro.services.loadgen import LOADGEN_SHAPES
+from repro.services.loadgen import LOADGEN_SHAPES, loadgen_from_spec
 
 
 def _normalize_mix(mix: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
@@ -115,6 +115,16 @@ class Scenario:
                 f"unknown loadgen shape {self.loadgen_shape!r} "
                 f"(expected one of {', '.join(LOADGEN_SHAPES)})"
             )
+        if not self.has_default_loadgen():
+            # Built at unit saturation, so parameters that do not fit the
+            # shape fail where the scenario is declared, not in a worker.
+            try:
+                loadgen_from_spec(self.loadgen_shape, self.loadgen_params, 1.0)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"loadgen_params {_jsonify(self.loadgen_params)!r} do not "
+                    f"fit loadgen shape {self.loadgen_shape!r}: {exc}"
+                ) from None
         check_run_knobs(self)
         # PliantPolicy's range (NaN fails it too), checked here so a bad
         # value fails where the scenario is declared, not in a worker.

@@ -161,6 +161,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="format"):
             ResultSet.load(path)
 
+    def test_load_rejects_format1_file(self, results, tmp_path):
+        """A file saved before the columnar codec does not unpickle: its
+        records carry dict state that slotted classes cannot take."""
+        from tests.core.test_result_codec import format1_pickle
+
+        path = tmp_path / "format1.pkl"
+        path.write_bytes(
+            format1_pickle({"format": 1, "spec": None, "outcomes": results.outcomes})
+        )
+        with pytest.raises(ValueError, match="unsupported result-set format"):
+            ResultSet.load(path)
+
+    def test_load_rejects_a_pickle_that_is_no_envelope(self, tmp_path):
+        import pickle
+
+        path = tmp_path / "list.pkl"
+        path.write_bytes(pickle.dumps([1, 2]))
+        with pytest.raises(ValueError, match="unsupported result-set format None"):
+            ResultSet.load(path)
+
+    def test_load_of_missing_file_is_not_a_format_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ResultSet.load(tmp_path / "absent.pkl")
+
     def test_identical_detects_differences(self, results):
         assert results.identical(results)
         truncated = ResultSet(results.outcomes[:-1])

@@ -290,9 +290,13 @@ FIELD_SAMPLES = {
     "stop_when_apps_done": False,
     "exploration_seed": 3,
     "loadgen_shape": "step",
-    "loadgen_params": (("high", 0.9),),
+    "loadgen_params": (("fraction", 0.9),),
     "platform": "half-llc",
 }
+
+#: Fields a sample needs set with it to construct: a load shape other
+#: than "constant" needs its parameters.
+COMPANIONS = {"loadgen_shape": {"loadgen_params": (("steps", ((0.0, 0.9),)),)}}
 
 
 def _varied(field) -> Scenario:
@@ -301,7 +305,9 @@ def _varied(field) -> Scenario:
     )
     sample = FIELD_SAMPLES[field.name]
     assert sample != getattr(BASE, field.name)
-    return dataclasses.replace(BASE, **{field.name: sample})
+    return dataclasses.replace(
+        BASE, **{field.name: sample}, **COMPANIONS.get(field.name, {})
+    )
 
 
 @pytest.mark.parametrize(

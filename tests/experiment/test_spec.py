@@ -90,16 +90,19 @@ class TestExpansion:
 
     def test_any_scenario_field_is_sweepable(self):
         spec = ExperimentSpec(
-            base={"service": "mongodb", "apps": "kmeans"},
+            base={"service": "mongodb", "apps": "kmeans", "loadgen_shape": "diurnal"},
             axes={
-                "loadgen_shape": ("constant", "diurnal"),
+                "loadgen_params": (
+                    {"low": 0.3, "high": 0.8, "period": 10.0},
+                    {"low": 0.5, "high": 0.9, "period": 20.0},
+                ),
                 "platform": ("default", "half-llc"),
                 "horizon": (30.0, 60.0),
             },
         )
         assert len(spec) == 8
-        shapes = {s.loadgen_shape for s in spec.scenarios()}
-        assert shapes == {"constant", "diurnal"}
+        lows = {dict(s.loadgen_params)["low"] for s in spec.scenarios()}
+        assert lows == {0.3, 0.5}
 
     def test_apps_axis_mixes(self):
         spec = ExperimentSpec(

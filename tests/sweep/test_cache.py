@@ -2,10 +2,15 @@
 
 import dataclasses
 import pickle
+import sys
 
+import numpy
 import pytest
 
 import repro.sweep.cache as cache_module
+from repro.apps import make_app
+from repro.cas import numeric_environment
+from repro.search.variants import DesignSpaceExplorer
 from repro.sweep import Scenario, SweepCache
 from repro.sweep.cache import (
     FORMAT_VERSION,
@@ -257,3 +262,28 @@ class TestCorruptionRecovery:
         assert cache.get(key) is None
         cache.put(key, "fresh")
         assert cache.get(key) == "fresh"
+
+
+class TestNumericEnvironment:
+    def test_names_numpy_and_python(self):
+        env = numeric_environment()
+        assert f"numpy{numpy.__version__}" in env
+        assert env.endswith(f"-py{sys.version_info[0]}.{sys.version_info[1]}")
+
+    def test_computed_once_per_process(self):
+        assert numeric_environment() is numeric_environment()
+
+    def test_reported_version_changes_both_keys(self, tmp_path, monkeypatch):
+        cache = SweepCache(tmp_path / "sweeps")
+        explorer = DesignSpaceExplorer(make_app("raytrace"), seed=0, cache_dir=tmp_path)
+        before = (cache.key(_scenario()), explorer._cache_path())
+        monkeypatch.setattr(numpy, "__version__", "0.0.0-other")
+        numeric_environment.cache_clear()
+        try:
+            after = (cache.key(_scenario()), explorer._cache_path())
+        finally:
+            monkeypatch.undo()
+            numeric_environment.cache_clear()
+        assert after[0] != before[0]
+        assert after[1] != before[1]
+        assert (cache.key(_scenario()), explorer._cache_path()) == before

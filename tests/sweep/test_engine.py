@@ -175,6 +175,24 @@ class TestMemoization:
         (warm,) = engine.run([BASE])
         assert warm.from_cache
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_cold_run_keys_each_scenario_once(self, tmp_path, monkeypatch, force):
+        """The lookup and the write-back share one key per scenario."""
+        keyed = []
+        key = SweepCache.key
+
+        def spy(self, scenario):
+            keyed.append(scenario)
+            return key(self, scenario)
+
+        monkeypatch.setattr(SweepCache, "key", spy)
+        cache = SweepCache(tmp_path)
+        scenarios = _grid().scenarios()
+        outcomes = SweepEngine(workers=1, cache=cache).run(scenarios, force=force)
+        assert keyed == scenarios
+        assert not any(o.from_cache for o in outcomes)
+        assert cache.entry_count() == len(scenarios)
+
     def test_force_bypasses_cache_read(self, tmp_path):
         engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
         engine.run([BASE])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.runtime import ColocationConfig
+from repro.experiment import ExperimentSpec
 from repro.sweep import Scenario
 
 
@@ -71,3 +72,53 @@ class TestScenario:
         )
         label = scenario.label()
         assert "nginx" in label and "kmeans+snp" in label and "0.5" in label
+
+
+class TestLoadgenParamsFailAtDeclaration:
+    """Parameters that do not fit the load shape fail where the scenario
+    is declared, not in the worker that builds its engine."""
+
+    def test_shape_without_its_parameters(self):
+        with pytest.raises(ValueError, match="loadgen_params.*needs a 'low' parameter"):
+            Scenario("memcached", "canneal", loadgen_shape="diurnal")
+
+    @pytest.mark.parametrize(
+        "shape, params",
+        [
+            ("diurnal", {"low": 0.3, "high": 0.9}),
+            ("bursty", {"base": 0.2, "burst": 0.9, "period": 5.0, "duration": 9.0}),
+            ("step", {"steps": 5}),
+            ("constant", {"fraction": 0.5, "low": 0.1}),
+        ],
+    )
+    def test_parameters_that_do_not_fit(self, shape, params):
+        with pytest.raises(ValueError, match="loadgen_params"):
+            Scenario("memcached", "canneal", loadgen_shape=shape, loadgen_params=params)
+
+    def test_fitting_parameters_construct(self):
+        scenario = Scenario(
+            "memcached",
+            "canneal",
+            loadgen_shape="diurnal",
+            loadgen_params={"low": 0.3, "high": 0.9, "period": 20.0},
+        )
+        assert dict(scenario.loadgen_params)["period"] == 20.0
+
+    def test_spec_axis_holding_one(self):
+        with pytest.raises(ValueError, match="loadgen_params.*needs a 'low' parameter"):
+            ExperimentSpec(
+                base={"service": "memcached", "apps": "canneal"},
+                axes={"loadgen_shape": ("constant", "diurnal")},
+            )
+
+    def test_spec_axes_checked_point_by_point(self):
+        """Each parameter set must fit every shape it is crossed with."""
+        with pytest.raises(ValueError, match="'bursty'"):
+            ExperimentSpec(
+                base={
+                    "service": "memcached",
+                    "apps": "canneal",
+                    "loadgen_params": {"low": 0.3, "high": 0.9, "period": 20.0},
+                },
+                axes={"loadgen_shape": ("diurnal", "bursty")},
+            )
