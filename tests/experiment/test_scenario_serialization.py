@@ -1,12 +1,11 @@
 """Scenario serialization: round trips, strictness, and the pinned
-cache-key schema.
+wire payload.
 
-The golden-payload tests are the compatibility contract for the
-content-addressed result cache: adding a scenario axis must not change
-the key payload of scenarios that don't use it, or every cached result
-ever computed silently goes cold.  If one of these tests fails, either
-restore default-elision for the new axis or consciously accept a
-cache-wide invalidation (and say so in the commit).
+The golden-payload tests pin ``to_payload()``, the form a scenario
+travels in through a job spool and the payload its result key hashes.
+If one of them fails, every cached result and every spooled job id
+changes: accept that cache-wide cold start consciously (and say so in
+the commit), or restore the old encoding.
 """
 
 import dataclasses
@@ -82,24 +81,50 @@ class TestRoundTrip:
 
 
 class TestGoldenCacheKeySchema:
-    """Pins the exact key payload (and its hash) — see module docstring."""
+    """Pins the exact wire payload (and its hash) — see module docstring."""
 
     def test_default_axes_payload_schema(self):
         scenario = Scenario(service="memcached", apps=("canneal",), seed=2)
-        assert scenario.key_payload() == {
+        payload = scenario.to_payload()
+        assert payload == {
             "service": "memcached",
             "apps": ["canneal"],
             "policy": "pliant",
             "policy_kwargs": [],
-            "load_fraction": "0.775",
-            "decision_interval": "1.0",
-            "monitor_epoch": "0.1",
-            "slack_threshold": "0.1",
-            "horizon": "400.0",
+            "load_fraction": 0.775,
+            "decision_interval": 1.0,
+            "monitor_epoch": 0.1,
+            "slack_threshold": 0.1,
+            "horizon": 400.0,
             "seed": 2,
             "stop_when_apps_done": True,
             "exploration_seed": 0,
+            "loadgen_shape": "constant",
+            "loadgen_params": [],
+            "platform": "default",
         }
+        assert stable_hash(payload) == "5e1b7f00fa0892df932be9a418701380"
+
+    def test_rich_payload_schema(self):
+        payload = RICH.to_payload()
+        assert payload == {
+            "service": "memcached",
+            "apps": ["canneal"],
+            "policy": "pliant",
+            "policy_kwargs": [],
+            "load_fraction": 0.775,
+            "decision_interval": 1.0,
+            "monitor_epoch": 0.1,
+            "slack_threshold": 0.07,
+            "horizon": 400.0,
+            "seed": 2,
+            "stop_when_apps_done": True,
+            "exploration_seed": 0,
+            "loadgen_shape": "diurnal",
+            "loadgen_params": [["low", 0.5], ["high", 0.95], ["period", 120.0]],
+            "platform": "half-llc",
+        }
+        assert stable_hash(payload) == "ce388fa3db09596e102866afd183983b"
 
     def test_default_axes_hash_unchanged_since_pr1(self):
         # Computed by the PR-1-era key_payload(): proof that pre-axis

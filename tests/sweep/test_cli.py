@@ -166,8 +166,8 @@ class TestBuildSpec:
         assert [s.label() for s in scenarios] == [
             "memcached/canneal/pliant@0.775/dt1/s0"
         ]
-        assert stable_hash([s.key_payload() for s in scenarios]) == (
-            "6c7698abad981618dda843d45d974777"
+        assert stable_hash([s.to_payload() for s in scenarios]) == (
+            "431f8b740d4c2777e512a02e355b5b70"
         )
 
     def test_multi_axis_keys_pinned(self):
@@ -178,8 +178,8 @@ class TestBuildSpec:
         assert scenarios[0].label() == "nginx/kmeans+canneal/pliant@0.5/dt0.5/s0"
         assert scenarios[1].label() == "nginx/kmeans+canneal/pliant@0.5/dt0.5/s3"
         assert scenarios[-1].label() == "memcached/snp/precise@0.9/dt1/s3"
-        assert stable_hash([s.key_payload() for s in scenarios]) == (
-            "53a6e4645176dc235225303c889b405d"
+        assert stable_hash([s.to_payload() for s in scenarios]) == (
+            "e5819c47e312cffe92ccf0d2b0654e59"
         )
 
     def test_slack_threshold_reaches_every_scenario(self):
