@@ -71,7 +71,7 @@ def test_distributed_smoke_with_worker_kill(tmp_path, capsys):
             local_workers=1,  # the survivor; the victim is spawned by hand
         )
         spool = backend.spool
-        spool.submit_many(grid.scenarios())
+        spool.submit_many(grid.scenarios(), cache)
 
         victim = backend.spawn_local_worker(index=99)
         deadline = time.monotonic() + 120.0

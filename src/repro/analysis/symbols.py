@@ -109,7 +109,7 @@ class Registration:
 class FunctionInfo:
     """Everything the project pass needs to know about one function."""
 
-    name: str  # dotted path within the module, e.g. "Scenario.key_payload"
+    name: str  # dotted path within the module, e.g. "Scenario.to_payload"
     line: int
     code: str  # stripped ``def`` line, used when a finding anchors here
     cls: str = ""  # enclosing class path within the module, "" for free fns

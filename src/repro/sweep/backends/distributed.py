@@ -6,13 +6,20 @@ directory on storage every participant can reach, zero daemons, every
 operation a small atomic filesystem action — stateless **workers** claim
 jobs in *chunks* via leases, execute them, and publish results into the
 shared content-addressed :class:`~repro.sweep.cache.SweepCache`; the
-submitter polls done markers and reads results back by config hash.
+submitter polls done markers and reads results back by job id.
+
+A job id *is* the scenario's result key (:meth:`SweepCache.key`: the
+scenario, the code and the numeric environment), so a code change makes
+a new job and an old done marker can never answer for it.  A worker
+whose own key for a job's scenario differs from the job id runs other
+code than the submitter: it marks the job failed rather than publish a
+result under a key it did not compute.
 
 Spool layout (all writes atomic: tmp + rename, or ``O_CREAT|O_EXCL``)::
 
-    <spool>/jobs/<job_id>.json     scenario payload (content-addressed id)
+    <spool>/jobs/<job_id>.json     scenario payload; the id is its result key
     <spool>/leases/<job_id>.lease  owner token; mtime is the heartbeat
-    <spool>/done/<job_id>.json     {key, duration, worker} once finished
+    <spool>/done/<job_id>.json     {duration, worker} or {error, worker}
     <spool>/logs/worker-*.log      stdout/stderr of locally spawned workers
 
 Lease semantics
@@ -47,11 +54,11 @@ import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.cas import atomic_write_bytes, stable_hash
+from repro.cas import atomic_write_bytes
 from repro.sweep.backends.base import ExecutionBackend, timed_run
 from repro.sweep.cache import SweepCache
 from repro.sweep.grid import Scenario
@@ -67,7 +74,7 @@ __all__ = [
     "run_worker",
 ]
 
-#: A chunk lease targets this many seconds of scenario compute by default:
+#: A chunk lease targets this many seconds of scenario compute:
 #: long enough to amortize broker round trips thousandfold on sub-50ms
 #: scenarios, short enough that a crashed worker forfeits ~1s of work.
 DEFAULT_CHUNK_TARGET = 1.0
@@ -106,14 +113,7 @@ class SpoolStatus:
     failed: int = 0
 
     def to_payload(self) -> dict:
-        return {
-            "total": self.total,
-            "done": self.done,
-            "running": self.running,
-            "expired": self.expired,
-            "pending": self.pending,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 class JobSpool:
@@ -121,9 +121,8 @@ class JobSpool:
 
     Every operation is a small atomic filesystem action, so any number of
     submitters and workers can share one spool with no coordinator
-    process.  Job ids are content-addressed (a stable hash of the
-    scenario payload), which dedupes identical scenarios across
-    submitters for free.  Every claim is *chunked* — one directory scan
+    process.  A job id is the scenario's result key, which dedupes
+    identical scenarios across submitters for free.  Every claim is *chunked* — one directory scan
     leases up to ``max_jobs`` scenarios, one heartbeat pass covers the
     whole chunk — so per-scenario spool overhead amortizes K-fold.
     """
@@ -154,9 +153,6 @@ class JobSpool:
 
     # -- paths -----------------------------------------------------------
 
-    def job_id(self, scenario: Scenario) -> str:
-        return stable_hash(scenario.key_payload(), length=24)
-
     def job_path(self, job_id: str) -> Path:
         return self._root / "jobs" / f"{job_id}.json"
 
@@ -168,17 +164,19 @@ class JobSpool:
 
     # -- submit side -----------------------------------------------------
 
-    def submit(self, scenario: Scenario) -> str:
-        """Spool one scenario; returns its job id (idempotent)."""
-        job_id = self.job_id(scenario)
+    def submit(self, job_id: str, scenario: Scenario) -> str:
+        """Spool one scenario under ``job_id``, its result key (idempotent)."""
         path = self.job_path(job_id)
         if not path.exists():
             payload = json.dumps(scenario.to_payload(), sort_keys=True)
             atomic_write_bytes(path, payload.encode())
         return job_id
 
-    def submit_many(self, scenarios: Sequence[Scenario]) -> list[str]:
-        return [self.submit(scenario) for scenario in scenarios]
+    def submit_many(
+        self, scenarios: Sequence[Scenario], cache: SweepCache
+    ) -> list[str]:
+        """Spool each scenario under its key in ``cache``; returns the ids."""
+        return [self.submit(cache.key(scenario), scenario) for scenario in scenarios]
 
     def load_scenario(self, job_id: str) -> Scenario:
         return Scenario.from_payload(json.loads(self.job_path(job_id).read_text()))
@@ -298,11 +296,6 @@ class JobSpool:
                     self.release(job_id)
         return chunk
 
-    def claim_next(self, worker_id: str) -> SpoolJob | None:
-        """Claim the first available job, or ``None`` if nothing is claimable."""
-        chunk = self.claim_chunk(worker_id, max_jobs=1)
-        return chunk[0] if chunk else None
-
     def quarantine(self, job_id: str) -> None:
         """Sideline a malformed job file so it stops being claimable.
 
@@ -319,14 +312,11 @@ class JobSpool:
 
     # -- completion ------------------------------------------------------
 
-    def mark_done(
-        self, job_id: str, key: str, duration: float, worker_id: str
-    ) -> None:
+    def mark_done(self, job_id: str, duration: float, worker_id: str) -> None:
+        """Record a completion; the result is in the cache under ``job_id``."""
         atomic_write_bytes(
             self.done_path(job_id),
-            json.dumps(
-                {"key": key, "duration": duration, "worker": worker_id}
-            ).encode(),
+            json.dumps({"duration": duration, "worker": worker_id}).encode(),
         )
 
     def mark_failed(self, job_id: str, error: str, worker_id: str) -> None:
@@ -424,26 +414,36 @@ class _LeaseHeartbeat:
         self._thread.join()
 
 
+def _run_job(job: SpoolJob, cache: SweepCache) -> tuple:
+    """``(result, seconds)`` of one claimed job, whose id must be the key
+    this worker computes for its scenario."""
+    key = cache.key(job.scenario)
+    if key != job.job_id:
+        raise RuntimeError(
+            f"this worker keys the scenario {key}, not {job.job_id}: worker "
+            "code or numeric environment differs from the submitter's"
+        )
+    return timed_run(job.scenario)
+
+
 def run_worker(
     spool: JobSpool | Path | str,
     cache: SweepCache | None = None,
     lease_ttl: float = 30.0,
-    heartbeat_interval: float | None = None,
     poll_interval: float = 0.2,
     exit_when_idle: bool = False,
     max_jobs: int | None = None,
     worker_id: str | None = None,
-    chunk_target: float = DEFAULT_CHUNK_TARGET,
-    chunk_max: int = DEFAULT_CHUNK_MAX,
 ) -> int:
     """Serve a spool: claim chunks → execute → publish, until told to stop.
 
     Returns the number of jobs this worker executed.  ``spool`` is a
     :class:`JobSpool` or its directory.  Each lease claims up to
-    ``chunk_max`` jobs sized so a chunk holds roughly ``chunk_target``
-    seconds of work (an EWMA of measured
+    :data:`DEFAULT_CHUNK_MAX` jobs sized so a chunk holds roughly
+    :data:`DEFAULT_CHUNK_TARGET` seconds of work (an EWMA of measured
     per-scenario cost decides K — the first claim takes a single job to
-    get a measurement).  ``exit_when_idle`` makes the worker exit once
+    get a measurement).  A job whose id is not this worker's key for its
+    scenario is marked failed, never run (see the module docstring).  ``exit_when_idle`` makes the worker exit once
     every spooled job has a done marker (it keeps waiting while other
     workers hold live leases, so it can take over if they die).  Workers
     are stateless: killing one at any point loses nothing but the lease
@@ -453,13 +453,7 @@ def run_worker(
         spool = JobSpool(spool, lease_ttl=lease_ttl)
     cache = cache if cache is not None else SweepCache()
     worker_id = worker_id or default_worker_id()
-    if chunk_max < 1:
-        raise ValueError("chunk_max must be at least 1")
-    heartbeat = (
-        heartbeat_interval
-        if heartbeat_interval is not None
-        else max(spool.lease_ttl / 4.0, 0.05)
-    )
+    heartbeat = max(spool.lease_ttl / 4.0, 0.05)
     telemetry = get_recorder()
     if telemetry.enabled:
         # The merged timeline shows one track per worker, not one
@@ -474,8 +468,9 @@ def run_worker(
         want = (
             1
             if avg_cost is None
-            else max(1, min(chunk_max, int(chunk_target / max(avg_cost, 1e-6))))
+            else int(DEFAULT_CHUNK_TARGET / max(avg_cost, 1e-6))
         )
+        want = max(1, min(want, DEFAULT_CHUNK_MAX))
         if max_jobs is not None:
             want = min(want, max_jobs - executed)
         chunk = spool.claim_chunk(worker_id, max_jobs=want)
@@ -493,12 +488,12 @@ def run_worker(
         with _LeaseHeartbeat(spool, leased, heartbeat):
             for job in chunk:
                 try:
-                    result, duration = timed_run(job.scenario)
+                    result, duration = _run_job(job, cache)
                 except Exception as exc:
                     # Deterministic scenarios fail deterministically
-                    # (unknown policy, bad kwargs): re-queueing the job
-                    # would crash the next worker too, one process at a
-                    # time, until the fleet is dead.  Record the failure
+                    # (unknown policy, bad kwargs, a foreign key):
+                    # re-queueing the job would crash the next worker
+                    # too, one process at a time, until the fleet is dead.  Record the failure
                     # and keep serving.
                     spool.mark_failed(
                         job.job_id, error=f"{type(exc).__name__}: {exc}",
@@ -517,11 +512,9 @@ def run_worker(
                     spool.release_many(sorted(leased))
                     telemetry_flush()
                     raise
-                key = cache.key(job.scenario)
-                cache.put(key, result)
+                cache.put(job.job_id, result)
                 spool.mark_done(
-                    job.job_id, key=key, duration=duration,
-                    worker_id=worker_id,
+                    job.job_id, duration=duration, worker_id=worker_id
                 )
                 telemetry.count("worker.done")
                 leased.discard(job.job_id)
@@ -544,7 +537,7 @@ class DistributedBackend(ExecutionBackend):
     ``execute`` submits jobs, optionally spawns ``local_workers`` worker
     processes (``python -m repro.sweep worker``) against the spool, then
     polls done markers and reads each result back from the shared cache
-    by its config hash.  ``spool`` is a :class:`JobSpool` or its
+    by its job id, which is its result key.  ``spool`` is a :class:`JobSpool` or its
     directory.  Remote hosts join the same sweep by running workers
     against the same spool and cache paths — no code changes.
     """
@@ -624,7 +617,7 @@ class DistributedBackend(ExecutionBackend):
         scenarios = list(scenarios)
         if not scenarios:
             return []
-        job_ids = self._spool.submit_many(scenarios)
+        job_ids = self._spool.submit_many(scenarios, self._cache)
         workers = [
             self.spawn_local_worker(i) for i in range(self._local_workers)
         ]
@@ -669,7 +662,7 @@ class DistributedBackend(ExecutionBackend):
                         f"{info.get('worker', '?')}: {info['error']} "
                         f"(spool.reset_job({job_id!r}) re-queues it)"
                     )
-                result = self._cache.get(info["key"], record=False)
+                result = self._cache.get(job_id, record=False)
                 if result is None:
                     # Done marker outlived its cache entry (pruned or torn):
                     # forget the completion so a worker recomputes it.

@@ -1,9 +1,12 @@
 """On-disk content-addressed result cache.
 
 Sweep results are memoized under a key derived from a stable hash of the
-scenario's canonical config payload, so any change to the scenario —
-load, seed, policy, app mix, horizon — lands in a different entry, while
-re-running the identical sweep is a pure disk read.
+scenario's wire payload (:meth:`~repro.sweep.grid.Scenario.to_payload`,
+every field), the code and the numeric environment, so any change to the
+scenario — load, seed, policy, app mix, horizon — or to the code lands
+in a different entry, while re-running the identical sweep is a pure
+disk read.  The key is the scenario's one content address: a spool job
+is named by it too.
 
 Layout: ``<root>/<key[:2]>/<key>.pkl`` — pickled
 :class:`~repro.core.runtime.ColocationResult` payloads, written
@@ -27,7 +30,7 @@ import json
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -86,13 +89,7 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
     def to_payload(self) -> dict:
-        return {
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,7 @@ class PruneResult:
     remaining_bytes: int
 
     def to_payload(self) -> dict:
-        return {
-            "removed": self.removed,
-            "freed_bytes": self.freed_bytes,
-            "remaining": self.remaining,
-            "remaining_bytes": self.remaining_bytes,
-        }
+        return asdict(self)
 
 
 class SweepCache:
@@ -138,7 +130,7 @@ class SweepCache:
                 "format": FORMAT_VERSION,
                 "code": code_fingerprint(),
                 "env": numeric_environment(),
-                "scenario": scenario.key_payload(),
+                "scenario": scenario.to_payload(),
             }
         )
 

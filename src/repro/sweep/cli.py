@@ -41,10 +41,6 @@ import time
 from repro import telemetry
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.sweep.backends import DistributedBackend, JobSpool, run_worker
-from repro.sweep.backends.distributed import (
-    DEFAULT_CHUNK_MAX,
-    DEFAULT_CHUNK_TARGET,
-)
 from repro.sweep.cache import SweepCache
 
 __all__ = ["build_parser", "build_spec", "main"]
@@ -150,10 +146,11 @@ def cmd_submit(args) -> int:
             "round from the previous round's results, so it must stay "
             "attached (workers still do the evaluating)"
         )
+    cache = _cache_from(args)
     if not args.wait:
         scenarios = spec.scenarios()
         spool = JobSpool(args.spool, lease_ttl=args.lease_ttl)
-        spool.submit_many(scenarios)
+        spool.submit_many(scenarios, cache)
         status = spool.status()
         print(
             f"spooled {len(scenarios)} scenarios into {spool.root} "
@@ -161,10 +158,9 @@ def cmd_submit(args) -> int:
         )
         print(
             "start workers with: python -m repro.sweep worker "
-            f"--spool {spool.root} --cache {_cache_from(args).root}"
+            f"--spool {spool.root} --cache {cache.root}"
         )
         return 0
-    cache = _cache_from(args)
     backend = DistributedBackend(
         args.spool,
         cache=cache,
@@ -219,8 +215,6 @@ def cmd_worker(args) -> int:
         exit_when_idle=args.exit_when_idle,
         max_jobs=args.max_jobs,
         worker_id=args.worker_id,
-        chunk_target=args.chunk_target,
-        chunk_max=args.chunk_max,
     )
     print(f"worker drained: executed {executed} jobs")
     return 0
@@ -396,13 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after executing N jobs")
     worker.add_argument("--worker-id", default=None,
                         help="override the hostname-pid worker id")
-    worker.add_argument("--chunk-target", type=float,
-                        default=DEFAULT_CHUNK_TARGET, metavar="SEC",
-                        help="lease chunks sized to roughly this many "
-                        "seconds of measured scenario work")
-    worker.add_argument("--chunk-max", type=int, default=DEFAULT_CHUNK_MAX,
-                        metavar="N",
-                        help="never claim more than N jobs per lease")
     worker.add_argument("--import", dest="import_modules", action="append",
                         metavar="MODULE",
                         help="import MODULE first (custom policy registration)")

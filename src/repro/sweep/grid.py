@@ -10,7 +10,7 @@ hash stably).  A sweep over scenarios is declared as an
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from typing import Any, Callable
 
 from repro.core.runtime import ColocationConfig, check_run_knobs
@@ -36,31 +36,11 @@ def _freeze_pairs(pairs) -> tuple[tuple[str, object], ...]:
     return tuple((str(key), _freeze(value)) for key, value in items)
 
 
-def _canon(value):
-    """Canonical JSON form for content addressing: floats via ``repr``."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, (list, tuple)):
-        return [_canon(item) for item in value]
-    return value
-
-
 def _jsonify(value):
     """JSON-ready form of a frozen field value: tuples become lists."""
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
     return value
-
-
-#: Field metadata flag: the axis is left out of :meth:`Scenario.key_payload`
-#: while it equals its dataclass default, so scenarios that never use it
-#: hash exactly as they did before the axis existed.
-ELIDE_AT_DEFAULT = "elide_at_default"
-#: Field metadata flag: a ``(name, value)`` pair field whose values are
-#: canonicalised with :func:`_canon` in the key (floats via ``repr``).
-CANON_VALUES = "canon_values"
 
 
 @dataclass(frozen=True)
@@ -87,13 +67,9 @@ class Scenario:
     seed: int = 0
     stop_when_apps_done: bool = True
     exploration_seed: int = 0
-    loadgen_shape: str = field(
-        default="constant", metadata={ELIDE_AT_DEFAULT: True}
-    )
-    loadgen_params: tuple[tuple[str, object], ...] = field(
-        default=(), metadata={ELIDE_AT_DEFAULT: True, CANON_VALUES: True}
-    )
-    platform: str = field(default="default", metadata={ELIDE_AT_DEFAULT: True})
+    loadgen_shape: str = "constant"
+    loadgen_params: tuple[tuple[str, object], ...] = ()
+    platform: str = "default"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "apps", _normalize_mix(self.apps))
@@ -140,39 +116,16 @@ class Scenario:
         """The engine config this scenario describes."""
         return ColocationConfig(*_config_values(self))
 
-    def key_payload(self) -> dict:
-        """Canonical JSON-ready payload used for content addressing.
-
-        Derived from the per-field table (:data:`_CODECS`), so every
-        field is in the key unless its metadata marks it
-        :data:`ELIDE_AT_DEFAULT` and it holds its default: a scenario
-        that doesn't use a newer axis hashes exactly as it did before
-        the axis existed, and the cache stays hot.  Pinned by the
-        golden-payload test in ``tests/experiment``.
-        """
-        payload = {
-            codec.name: codec.key(value)
-            for codec, value in zip(_CODECS, _field_values(self))
-            if not (codec.elide and value == codec.default)
-        }
-        # The one explicit special case: the loadgen axes share a single
-        # "loadgen": [shape, params] key, present when either is set.
-        shape = payload.pop("loadgen_shape", None)
-        params = payload.pop("loadgen_params", None)
-        if shape is not None or params is not None:
-            payload["loadgen"] = [
-                _CODECS_BY_NAME["loadgen_shape"].key(self.loadgen_shape),
-                _CODECS_BY_NAME["loadgen_params"].key(self.loadgen_params),
-            ]
-        return payload
-
     def to_payload(self) -> dict:
         """JSON-serializable form that :meth:`from_payload` inverts.
 
         This is how scenarios travel to remote workers through a job
-        spool, so ``policy_kwargs`` values must themselves be
-        JSON-serializable (tuples go out as lists — registered policy
-        builders must accept either).
+        spool, and what a result's cache key hashes: every field is in
+        it, a float as ``float(v)``, which JSON writes with ``repr``.
+        ``policy_kwargs`` values must themselves be JSON-serializable
+        (tuples go out as lists — registered policy builders must accept
+        either).  Pinned by the golden-payload tests in
+        ``tests/experiment``.
         """
         return {
             codec.name: codec.wire(value)
@@ -256,21 +209,16 @@ def _is_pairs(raw) -> bool:
     )
 
 
-def _canon_pairs(pairs) -> list:
-    return [[k, _canon(v)] for k, v in pairs]
-
-
-#: Field annotation -> (key form, wire form, accepted payload values,
-#: what the error says was expected, decoded value).  Decoded tuples
-#: and pairs are frozen by ``Scenario.__post_init__``.
-_ENCODINGS: dict[str, tuple[Callable, Callable, Callable, str, Callable]] = {
-    "str": (str, str, lambda raw: isinstance(raw, str), "a string", _same),
-    "int": (int, int, _is_int, "an integer", _same),
-    "bool": (bool, bool, lambda raw: isinstance(raw, bool), "true or false", _same),
-    "float": (lambda v: repr(float(v)), float, _is_number, "a number", float),
-    "tuple[str, ...]": (list, list, _is_names, "a list of names", _same),
+#: Field annotation -> (wire form, accepted payload values, what the
+#: error says was expected, decoded value).  Decoded tuples and pairs
+#: are frozen by ``Scenario.__post_init__``.
+_ENCODINGS: dict[str, tuple[Callable, Callable, str, Callable]] = {
+    "str": (str, lambda raw: isinstance(raw, str), "a string", _same),
+    "int": (int, _is_int, "an integer", _same),
+    "bool": (bool, lambda raw: isinstance(raw, bool), "true or false", _same),
+    "float": (float, _is_number, "a number", float),
+    "tuple[str, ...]": (list, _is_names, "a list of names", _same),
     "tuple[tuple[str, object], ...]": (
-        lambda pairs: [[k, v] for k, v in pairs],
         lambda pairs: [[k, _jsonify(v)] for k, v in pairs],
         _is_pairs,
         "a list of [name, value] pairs",
@@ -281,12 +229,10 @@ _ENCODINGS: dict[str, tuple[Callable, Callable, Callable, str, Callable]] = {
 
 @dataclass(frozen=True)
 class _FieldCodec:
-    """How one :class:`Scenario` field is keyed, sent and received."""
+    """How one :class:`Scenario` field is sent and received."""
 
     name: str
     default: Any  # ``MISSING`` for required fields
-    elide: bool  # left out of the key while at its default
-    key: Callable[[Any], Any]
     wire: Callable[[Any], Any]
     accepts: Callable[[Any], bool]
     expected: str
@@ -304,17 +250,11 @@ class _FieldCodec:
 def _field_codec(f: Field) -> _FieldCodec:
     if f.type not in _ENCODINGS:
         raise TypeError(f"Scenario.{f.name}: no payload encoding for {f.type!r}")
-    key, *rest = _ENCODINGS[f.type]
-    if f.metadata.get(CANON_VALUES):
-        key = _canon_pairs
-    elide = bool(f.metadata.get(ELIDE_AT_DEFAULT))
-    if elide and f.default is MISSING:
-        raise TypeError(f"Scenario.{f.name}: only a defaulted field can be elided")
-    return _FieldCodec(f.name, f.default, elide, key, *rest)
+    return _FieldCodec(f.name, f.default, *_ENCODINGS[f.type])
 
 
-#: The per-field table behind key_payload/to_payload/from_payload, built
-#: once from the dataclass: a new field joins all three automatically.
+#: The per-field table behind to_payload/from_payload, built once from
+#: the dataclass: a new field joins both automatically.
 _CODECS = tuple(_field_codec(f) for f in fields(Scenario))
 _CODECS_BY_NAME = {codec.name: codec for codec in _CODECS}
 _field_values = operator.attrgetter(*(codec.name for codec in _CODECS))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core import PliantPolicy
 from repro.core.runtime import ColocationConfig
 from repro.sweep import Scenario, SweepCache, stable_hash
-from repro.sweep.grid import ELIDE_AT_DEFAULT
 
 RICH = Scenario(
     service="memcached",
@@ -125,37 +124,6 @@ class TestGoldenCacheKeySchema:
             "platform": "half-llc",
         }
         assert stable_hash(payload) == "ce388fa3db09596e102866afd183983b"
-
-    def test_default_axes_hash_unchanged_since_pr1(self):
-        # Computed by the PR-1-era key_payload(): proof that pre-axis
-        # cache entries stay hot.
-        scenario = Scenario(service="memcached", apps=("canneal",), seed=2)
-        assert stable_hash(scenario.key_payload()) == (
-            "a46c4acc3581f7ae37f26f47036e30f8"
-        )
-
-    def test_new_axes_extend_the_payload(self):
-        payload = RICH.key_payload()
-        assert payload["loadgen"] == [
-            "diurnal",
-            [["low", "0.5"], ["high", "0.95"], ["period", "120.0"]],
-        ]
-        assert payload["platform"] == "half-llc"
-        assert stable_hash(payload) == "72ef37df498fa5bed2084a56b7a0f86a"
-
-    def test_new_axes_at_defaults_are_elided(self):
-        explicit = Scenario(
-            service="memcached",
-            apps=("canneal",),
-            seed=2,
-            loadgen_shape="constant",
-            loadgen_params=(),
-            platform="default",
-        )
-        implicit = Scenario(service="memcached", apps=("canneal",), seed=2)
-        assert explicit.key_payload() == implicit.key_payload()
-        assert "loadgen" not in explicit.key_payload()
-        assert "platform" not in explicit.key_payload()
 
     def test_non_default_axes_change_the_key(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -350,7 +318,3 @@ class TestEveryFieldIsInThePayloads:
         clone = Scenario.from_payload(json.loads(json.dumps(varied.to_payload())))
         assert getattr(clone, field.name) == getattr(varied, field.name)
         assert clone == varied
-
-    def test_elided_at_default_exactly_when_marked(self, field):
-        elided = field.metadata.get(ELIDE_AT_DEFAULT, False)
-        assert (field.name not in BASE.key_payload()) == elided

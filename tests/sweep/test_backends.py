@@ -1,5 +1,6 @@
 """Execution backends: protocol, spool/lease fault tolerance, parity."""
 
+import json
 import threading
 import time
 
@@ -24,6 +25,11 @@ from repro.sweep import (
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
 
 
+def _submit(spool: JobSpool, scenario: Scenario) -> str:
+    """Spool ``scenario`` under its result key, as a submitter does."""
+    return spool.submit(SweepCache().key(scenario), scenario)
+
+
 def _grid(loads=(0.5, 0.8), seeds=(4, 5)) -> ExperimentSpec:
     return ExperimentSpec(
         base={"service": "mongodb", "apps": "kmeans", "horizon": 60.0},
@@ -45,8 +51,6 @@ class TestScenarioPayloadRoundTrip:
         assert Scenario.from_payload(scenario.to_payload()) == scenario
 
     def test_payload_is_json_safe(self):
-        import json
-
         payload = BASE.to_payload()
         assert json.loads(json.dumps(payload)) == payload
 
@@ -90,15 +94,15 @@ class TestLocalBackends:
 class TestJobSpool:
     def test_submit_is_idempotent_and_content_addressed(self, tmp_path):
         spool = JobSpool(tmp_path)
-        first = spool.submit(BASE)
-        second = spool.submit(BASE)
-        assert first == second
+        first = _submit(spool, BASE)
+        second = _submit(spool, BASE)
+        assert first == second == SweepCache().key(BASE)
         assert spool.job_ids() == [first]
         assert spool.load_scenario(first) == BASE
 
     def test_claim_race_claims_exactly_once(self, tmp_path):
         spool = JobSpool(tmp_path)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         wins = []
         barrier = threading.Barrier(8)
 
@@ -116,13 +120,13 @@ class TestJobSpool:
 
     def test_live_lease_blocks_second_claim(self, tmp_path):
         spool = JobSpool(tmp_path, lease_ttl=30.0)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         assert spool.try_claim(job_id, "alice")
         assert not spool.try_claim(job_id, "bob")
 
     def test_expired_lease_is_stolen(self, tmp_path):
         spool = JobSpool(tmp_path, lease_ttl=0.2)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         assert spool.try_claim(job_id, "dead-worker")
         # Expiry is monotonic dwell at a frozen mtime, observed by the
         # would-be stealer itself: the first contact only starts the
@@ -136,7 +140,7 @@ class TestJobSpool:
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         spool = JobSpool(tmp_path, lease_ttl=0.2)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         assert spool.try_claim(job_id, "owner")
         deadline = time.monotonic() + 0.5
         while time.monotonic() < deadline:
@@ -156,7 +160,7 @@ class TestJobSpool:
                 return None
 
         spool = RacingSpool(tmp_path, lease_ttl=30.0)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         assert spool.try_claim(job_id, "owner")
         assert spool.try_claim(job_id, "contender")
         assert "contender" in spool.lease_path(job_id).read_text()
@@ -169,7 +173,7 @@ class TestJobSpool:
         import os
 
         spool = JobSpool(tmp_path, lease_ttl=0.3)
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         assert spool.try_claim(job_id, "remote-worker")
         lease = spool.lease_path(job_id)
 
@@ -196,7 +200,7 @@ class TestJobSpool:
         from dataclasses import replace
 
         spool = JobSpool(tmp_path)
-        ids = [spool.submit(replace(BASE, seed=s)) for s in range(6)]
+        ids = [_submit(spool, replace(BASE, seed=s)) for s in range(6)]
         chunk = spool.claim_chunk("bulk-worker", max_jobs=4)
         assert len(chunk) == 4
         rest = spool.claim_chunk("other-worker", max_jobs=10)
@@ -209,18 +213,20 @@ class TestJobSpool:
         from dataclasses import replace
 
         spool = JobSpool(tmp_path)
-        ids = spool.submit_many([replace(BASE, seed=s) for s in range(5)])
+        ids = spool.submit_many(
+            [replace(BASE, seed=s) for s in range(5)], SweepCache()
+        )
         chunk = spool.claim_chunk("w1", max_jobs=5)
         assert {job.job_id for job in chunk} == set(ids)
         spool.heartbeat_many([job.job_id for job in chunk])
         for job in chunk:
-            spool.mark_done(
-                job.job_id, key="k" * 32, duration=0.01, worker_id="w"
-            )
+            spool.mark_done(job.job_id, duration=0.01, worker_id="w")
         assert spool.all_done()
         infos = spool.done_info_many(ids)
         assert set(infos) == set(ids)
-        assert all(info["key"] == "k" * 32 for info in infos.values())
+        assert all(
+            info == {"duration": 0.01, "worker": "w"} for info in infos.values()
+        )
 
         spool.reset_job(ids[0])
         assert not spool.all_done()
@@ -246,17 +252,17 @@ class TestJobSpool:
 
     def test_done_job_not_claimable(self, tmp_path):
         spool = JobSpool(tmp_path)
-        job_id = spool.submit(BASE)
-        spool.mark_done(job_id, key="k", duration=0.1, worker_id="w")
+        job_id = _submit(spool, BASE)
+        spool.mark_done(job_id, duration=0.1, worker_id="w")
         assert not spool.try_claim(job_id, "late-worker")
-        assert spool.claim_next("late-worker") is None
+        assert spool.claim_chunk("late-worker", max_jobs=1) == []
 
     def test_status_census(self, tmp_path):
         from dataclasses import replace
 
         spool = JobSpool(tmp_path, lease_ttl=0.2)
-        ids = [spool.submit(replace(BASE, seed=s)) for s in range(4)]
-        spool.mark_done(ids[0], key="k", duration=0.1, worker_id="w")
+        ids = [_submit(spool, replace(BASE, seed=s)) for s in range(4)]
+        spool.mark_done(ids[0], duration=0.1, worker_id="w")
         spool.try_claim(ids[1], "alive")
         spool.try_claim(ids[2], "dead")
         first = spool.status()  # starts the observation clocks
@@ -277,7 +283,7 @@ class TestWorkerFaultTolerance:
         lands the exact same bits (the determinism contract)."""
         spool = JobSpool(tmp_path / "spool", lease_ttl=0.3)
         cache = SweepCache(tmp_path / "cache")
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         # A worker claims the job, then "crashes": heartbeats stop, so the
         # survivor's poll loop watches the lease sit frozen for a TTL of
         # monotonic time and then steals it.
@@ -290,14 +296,13 @@ class TestWorkerFaultTolerance:
         assert executed == 1
         info = spool.done_info(job_id)
         assert info["worker"] == "survivor"
-        assert results_identical(cache.get(info["key"]), run_scenario(BASE))
+        assert results_identical(cache.get(job_id), run_scenario(BASE))
 
     def test_worker_drains_spool_and_publishes_to_cache(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         cache = SweepCache(tmp_path / "cache")
         scenarios = _grid().scenarios()
-        for scenario in scenarios:
-            spool.submit(scenario)
+        spool.submit_many(scenarios, cache)
         executed = run_worker(spool, cache=cache, exit_when_idle=True)
         assert executed == len(scenarios)
         assert spool.all_done()
@@ -306,8 +311,7 @@ class TestWorkerFaultTolerance:
     def test_max_jobs_bounds_a_worker(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         cache = SweepCache(tmp_path / "cache")
-        for scenario in _grid().scenarios():
-            spool.submit(scenario)
+        spool.submit_many(_grid().scenarios(), cache)
         assert run_worker(spool, cache=cache, max_jobs=1) == 1
         assert spool.status().done == 1
 
@@ -319,22 +323,20 @@ class TestWorkerFaultTolerance:
         spool = JobSpool(tmp_path / "spool")
         cache = SweepCache(tmp_path / "cache")
         poison = replace(BASE, policy="no-such-policy")
-        spool.submit(poison)
-        spool.submit(BASE)
+        poison_id = _submit(spool, poison)
+        good_id = _submit(spool, BASE)
         executed = run_worker(
             spool, cache=cache, exit_when_idle=True, worker_id="hardy"
         )
         assert executed == 2
         status = spool.status()
         assert (status.done, status.failed) == (2, 1)
-        info = spool.done_info(spool.job_id(poison))
-        assert "no-such-policy" in info["error"]
-        good = spool.done_info(spool.job_id(BASE))
-        assert results_identical(cache.get(good["key"]), run_scenario(BASE))
+        assert "no-such-policy" in spool.done_info(poison_id)["error"]
+        assert results_identical(cache.get(good_id), run_scenario(BASE))
 
     def test_submitter_surfaces_failed_job(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         spool.mark_failed(job_id, error="ValueError: boom", worker_id="w9")
         backend = DistributedBackend(
             tmp_path / "spool", cache=SweepCache(tmp_path / "cache"),
@@ -345,9 +347,9 @@ class TestWorkerFaultTolerance:
 
     def test_malformed_job_file_is_quarantined(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
-        job_id = spool.submit(BASE)
+        job_id = _submit(spool, BASE)
         spool.job_path(job_id).write_text("{not json")
-        assert spool.claim_next("worker") is None
+        assert spool.claim_chunk("worker", max_jobs=1) == []
         assert spool.job_ids() == []          # out of the queue for good
         assert spool.all_done()               # --exit-when-idle workers exit
         assert spool.job_path(job_id).with_suffix(".json.bad").exists()
@@ -357,16 +359,61 @@ class TestWorkerFaultTolerance:
         spool_root = tmp_path / "spool"
         cache = SweepCache(tmp_path / "cache")
         spool = JobSpool(spool_root)
-        job_id = spool.submit(BASE)
-        spool.mark_done(
-            job_id, key="0" * 32, duration=0.0, worker_id="ghost"
-        )
+        job_id = _submit(spool, BASE)
+        spool.mark_done(job_id, duration=0.0, worker_id="ghost")
         backend = DistributedBackend(
             spool_root, cache=cache, timeout=120.0, local_workers=1
         )
         [(result, _)] = backend.execute([BASE])
         assert results_identical(result, run_scenario(BASE))
         assert spool.done_info(job_id)["worker"] != "ghost"
+
+
+class TestOneContentAddress:
+    """A job id is the result key, so neither side of the spool can
+    answer for code it is not running."""
+
+    def test_a_code_change_is_a_new_job(self, tmp_path, monkeypatch):
+        """An old done marker never serves the old code's result."""
+        spool = JobSpool(tmp_path / "spool")
+        cache = SweepCache(tmp_path / "cache")
+        spool.submit_many([BASE], cache)
+        run_worker(spool, cache=cache, exit_when_idle=True)
+        monkeypatch.setattr(
+            "repro.sweep.cache.code_fingerprint", lambda: "edited code"
+        )
+        backend = DistributedBackend(
+            spool.root, cache=cache, timeout=0.5, local_workers=0
+        )
+        with pytest.raises(TimeoutError):
+            SweepEngine(cache=cache, backend=backend).run([BASE])
+
+    def test_worker_refuses_a_job_keyed_by_other_code(
+        self, tmp_path, monkeypatch
+    ):
+        """The job is marked failed, not run, and nothing is published
+        under a key this worker did not compute."""
+        spool = JobSpool(tmp_path / "spool")
+        cache = SweepCache(tmp_path / "cache")
+        own_key = cache.key(BASE)
+        monkeypatch.setattr(
+            "repro.sweep.cache.code_fingerprint", lambda: "submitter code"
+        )
+        foreign_key = cache.key(BASE)
+        spool.submit(foreign_key, BASE)
+        monkeypatch.undo()
+        assert run_worker(spool, cache=cache, exit_when_idle=True) == 1
+        error = spool.done_info(foreign_key)["error"]
+        assert own_key in error and foreign_key in error
+        assert "differs from the submitter's" in error
+        monkeypatch.setattr(
+            "repro.sweep.cache.code_fingerprint", lambda: "submitter code"
+        )
+        backend = DistributedBackend(spool.root, cache=cache, timeout=10.0)
+        with pytest.raises(RuntimeError, match=f"job {foreign_key} failed"):
+            backend.execute([BASE])
+        assert cache.get(foreign_key, record=False) is None
+        assert cache.entry_count() == 0
 
 
 class TestDistributedBackend:
@@ -419,8 +466,7 @@ class TestDistributedBackend:
         cache = SweepCache(tmp_path / "cache")
         spool_root = tmp_path / "spool"
         spool = JobSpool(spool_root)
-        for scenario in _grid().scenarios():
-            spool.submit(scenario)
+        spool.submit_many(_grid().scenarios(), cache)
         run_worker(spool, cache=cache, exit_when_idle=True)
         warm = SweepEngine(
             cache=cache,

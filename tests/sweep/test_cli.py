@@ -34,6 +34,9 @@ class TestSubmit:
         scenarios = [spool.load_scenario(job_id) for job_id in spool.job_ids()]
         assert {scenario.load_fraction for scenario in scenarios} == {0.5, 0.8}
         assert all(scenario.horizon == 60.0 for scenario in scenarios)
+        # Each job is named by its result key.
+        cache = SweepCache(tmp_path / "cache")
+        assert spool.job_ids() == sorted(cache.key(s) for s in scenarios)
 
     def test_resubmit_is_idempotent(self, tmp_path):
         _submit(tmp_path / "spool", tmp_path / "cache")

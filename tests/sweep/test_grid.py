@@ -48,24 +48,6 @@ class TestScenario:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_key_payload_covers_every_axis(self):
-        base = Scenario(service="nginx", apps=("kmeans",))
-        payload = base.key_payload()
-        for field in (
-            "service",
-            "apps",
-            "policy",
-            "load_fraction",
-            "decision_interval",
-            "monitor_epoch",
-            "slack_threshold",
-            "horizon",
-            "seed",
-            "stop_when_apps_done",
-            "exploration_seed",
-        ):
-            assert field in payload
-
     def test_label_mentions_coordinates(self):
         scenario = Scenario(
             service="nginx", apps=("kmeans", "snp"), load_fraction=0.5, seed=3
