@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from repro.sweep.grid import (
@@ -28,6 +28,7 @@ from repro.sweep.grid import (
     _freeze,
     _jsonify,
     _normalize_mix,
+    _same,
     scenario_field_names,
 )
 
@@ -116,16 +117,16 @@ class ExperimentSpec:
 
     Parameters
     ----------
+    name / description:
+        Free-form labels carried through serialization.
+    base:
+        Scenario fields shared by every point.  ``service`` and ``apps``
+        must appear in ``base`` or ``axes``.
     axes:
         Mapping (or pair sequence — order is preserved either way) from a
         scenario field name to the values it sweeps over.  ``apps`` axis
         values are app mixes: a bare string is a single-app mix, a list
         is a multi-app mix.
-    base:
-        Scenario fields shared by every point.  ``service`` and ``apps``
-        must appear in ``base`` or ``axes``.
-    name / description:
-        Free-form labels carried through serialization.
     strategy / budget / objective / rng_seed:
         How to *explore* the axes: a registered search strategy name
         (``grid`` — the exhaustive default — ``random``, ``halving``,
@@ -136,10 +137,11 @@ class ExperimentSpec:
         search through ``run_experiment`` and the CLI alike.
     """
 
-    axes: tuple[tuple[str, tuple], ...] = ()
-    base: tuple[tuple[str, object], ...] = ()
+    # Declared in the order to_dict writes them.
     name: str = ""
     description: str = ""
+    base: tuple[tuple[str, object], ...] = ()
+    axes: tuple[tuple[str, tuple], ...] = ()
     strategy: str = "grid"
     budget: int | None = None
     objective: tuple[str, ...] = ()
@@ -289,25 +291,11 @@ class ExperimentSpec:
 
     # -- builders --------------------------------------------------------
 
-    def _replace(self, **overrides) -> "ExperimentSpec":
-        fields = {
-            "axes": self.axes,
-            "base": self.base,
-            "name": self.name,
-            "description": self.description,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "objective": self.objective,
-            "rng_seed": self.rng_seed,
-        }
-        fields.update(overrides)
-        return ExperimentSpec(**fields)
-
     def with_base(self, **fields) -> "ExperimentSpec":
         """A copy with ``fields`` merged into (and overriding) the base."""
         merged = dict(self.base)
         merged.update(fields)
-        return self._replace(base=merged)
+        return replace(self, base=merged)
 
     def with_axis(self, axis: str, values) -> "ExperimentSpec":
         """A copy with one axis appended (or replaced, keeping its slot)."""
@@ -320,7 +308,7 @@ class ExperimentSpec:
             axes.append((axis, tuple(values)))
         base = dict(self.base)
         base.pop(axis, None)  # the axis now owns this field
-        return self._replace(axes=axes, base=base)
+        return replace(self, axes=axes, base=base)
 
     def with_search(
         self,
@@ -330,7 +318,8 @@ class ExperimentSpec:
         rng_seed: int | None = None,
     ) -> "ExperimentSpec":
         """A copy with the given search fields overridden (None = keep)."""
-        return self._replace(
+        return replace(
+            self,
             strategy=self.strategy if strategy is None else strategy,
             budget=self.budget if budget is None else budget,
             objective=self.objective if objective is None else objective,
@@ -340,33 +329,21 @@ class ExperimentSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = {
-            "format": SPEC_FORMAT,
-            "name": self.name,
-            "description": self.description,
-            "base": {k: _jsonify(v) for k, v in self.base},
-            "axes": [[k, [_jsonify(v) for v in values]] for k, values in self.axes],
-        }
-        # Search fields appear only when set, so pre-search spec files and
-        # their goldens are byte-stable.
-        if self.strategy != "grid":
-            payload["strategy"] = self.strategy
-        if self.budget is not None:
-            payload["budget"] = self.budget
-        if self.objective:
-            payload["objective"] = list(self.objective)
-        if self.rng_seed:
-            payload["rng_seed"] = self.rng_seed
+        payload = {"format": SPEC_FORMAT}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Search fields appear only when set, so pre-search spec files
+            # and their goldens are byte-stable.
+            if f.name in _SEARCH_FIELDS and value == f.default:
+                continue
+            payload[f.name] = _JSON_FORMS.get(f.name, _same)(value)
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
         if not isinstance(payload, dict):
             raise ValueError(f"spec payload must be an object, got {type(payload).__name__}")
-        allowed = {
-            "format", "name", "description", "base", "axes",
-            "strategy", "budget", "objective", "rng_seed",
-        }
+        allowed = {"format", *(f.name for f in fields(cls))}
         unknown = set(payload) - allowed
         if unknown:
             raise ValueError(
@@ -379,16 +356,7 @@ class ExperimentSpec:
                 f"unsupported spec format {version!r} (this build reads "
                 f"format {SPEC_FORMAT})"
             )
-        spec = cls(
-            axes=payload.get("axes", []),
-            base=payload.get("base", {}),
-            name=payload.get("name", ""),
-            description=payload.get("description", ""),
-            strategy=payload.get("strategy", "grid"),
-            budget=payload.get("budget"),
-            objective=payload.get("objective", ()),
-            rng_seed=payload.get("rng_seed", 0),
-        )
+        spec = cls(**{k: v for k, v in payload.items() if k != "format"})
         # A file is held to the value types of a scenario payload, as
         # Scenario.from_payload holds a spooled scenario.
         for field, value in spec.base:
@@ -414,3 +382,13 @@ class ExperimentSpec:
     @classmethod
     def load(cls, path: Path | str) -> "ExperimentSpec":
         return cls.from_json(Path(path).read_text())
+
+
+#: The fields :meth:`ExperimentSpec.to_dict` leaves out at their defaults.
+_SEARCH_FIELDS = frozenset({"strategy", "budget", "objective", "rng_seed"})
+#: JSON forms of the fields that are not JSON-ready as they are held.
+_JSON_FORMS = {
+    "base": lambda base: {k: _jsonify(v) for k, v in base},
+    "axes": lambda axes: [[k, [_jsonify(v) for v in values]] for k, values in axes],
+    "objective": list,
+}
