@@ -114,7 +114,7 @@ from repro.server.platform import Platform, default_platform
 from repro.server.resources import ResourceProfile
 from repro.server.tenant import Tenant, TenantKind
 from repro.services.base import InteractiveService
-from repro.services.loadgen import ConstantLoad, LoadGenerator
+from repro.services.loadgen import MAX_LOAD_FRACTION, ConstantLoad, LoadGenerator
 from repro.telemetry import get_recorder
 
 #: Slowdown an approximate app suffers per unit of contention pressure on
@@ -739,6 +739,11 @@ def check_run_knobs(knobs) -> None:
         value = getattr(knobs, name)
         if not (_is_real(value) and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if knobs.load_fraction > MAX_LOAD_FRACTION:
+        raise ValueError(
+            f"load_fraction must be at most {MAX_LOAD_FRACTION:g} "
+            f"(a fraction of saturation), got {knobs.load_fraction!r}"
+        )
 
 
 def _is_real(value) -> bool:

@@ -130,6 +130,11 @@ class DiurnalLoad(LoadGenerator):
 #: and stay meaningful across services and platforms.
 LOADGEN_SHAPES = ("constant", "step", "diurnal", "bursty")
 
+#: The highest load a scenario may offer, as a fraction of saturation:
+#: far past any overload worth simulating, and far below loads whose
+#: contention terms overflow a float when the engine is built.
+MAX_LOAD_FRACTION = 1e3
+
 
 def loadgen_from_spec(
     shape: str,
@@ -158,9 +163,24 @@ def loadgen_from_spec(
             f"(expected one of {', '.join(LOADGEN_SHAPES)})"
         )
 
-    def need(name: str) -> float:
+    def finite(name: str, raw) -> float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"loadgen parameter {name!r} must be finite, got {raw!r}")
+        return value
+
+    def load(name: str, raw) -> float:
+        value = finite(name, raw)
+        if value > MAX_LOAD_FRACTION:
+            raise ValueError(
+                f"loadgen parameter {name!r} must be at most "
+                f"{MAX_LOAD_FRACTION:g} (a fraction of saturation), got {raw!r}"
+            )
+        return value
+
+    def need(name: str, check=finite) -> float:
         try:
-            return float(params.pop(name))
+            return check(name, params.pop(name))
         except KeyError:
             raise ValueError(
                 f"loadgen shape {shape!r} needs a {name!r} parameter"
@@ -176,7 +196,7 @@ def loadgen_from_spec(
     if shape == "constant":
         if not params:
             return None
-        value = need("fraction")
+        value = need("fraction", load)
         reject_leftovers()
         return ConstantLoad(qps=value * saturation_qps)
     if shape == "step":
@@ -187,13 +207,14 @@ def loadgen_from_spec(
         reject_leftovers()
         return StepLoad(
             steps=tuple(
-                (float(t), float(f) * saturation_qps) for t, f in steps
+                (finite("steps", t), load("steps", f) * saturation_qps)
+                for t, f in steps
             )
         )
     if shape == "diurnal":
-        low, high = need("low"), need("high")
+        low, high = need("low", load), need("high", load)
         period = need("period")
-        phase = float(params.pop("phase", 0.0))
+        phase = finite("phase", params.pop("phase", 0.0))
         reject_leftovers()
         return DiurnalLoad(
             low_qps=low * saturation_qps,
@@ -201,7 +222,7 @@ def loadgen_from_spec(
             period=period,
             phase=phase,
         )
-    base, burst = need("base"), need("burst")
+    base, burst = need("base", load), need("burst", load)
     period, duration = need("period"), need("duration")
     reject_leftovers()
     return BurstyLoad(

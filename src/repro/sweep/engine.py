@@ -26,7 +26,7 @@ from repro.core.baselines import (
     StaticMostApproxPolicy,
 )
 from repro.core.policy import PliantPolicy, RuntimePolicy
-from repro.core.runtime import ColocationResult
+from repro.core.runtime import ColocationEngine, ColocationResult
 from repro.sweep.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.sweep.cache import SweepCache
 from repro.sweep.digest import result_digest
@@ -106,11 +106,16 @@ def make_policy(scenario: Scenario) -> RuntimePolicy:
 
 def run_scenario(scenario: Scenario) -> ColocationResult:
     """Run one scenario to completion (used directly by worker processes)."""
+    return scenario_engine(scenario).run()
+
+
+def scenario_engine(scenario: Scenario) -> ColocationEngine:
+    """The engine ``scenario`` describes, built but not yet run."""
     # Imported lazily: repro.cluster re-exports sweep helpers that import
     # this module, so a top-level import would be circular.
     from repro.cluster.colocation import build_engine
 
-    engine = build_engine(
+    return build_engine(
         scenario.service,
         scenario.apps,
         make_policy(scenario),
@@ -123,7 +128,6 @@ def run_scenario(scenario: Scenario) -> ColocationResult:
             else (scenario.loadgen_shape, scenario.loadgen_params)
         ),
     )
-    return engine.run()
 
 
 def results_identical(a: ColocationResult, b: ColocationResult) -> bool:

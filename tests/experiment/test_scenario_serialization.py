@@ -166,13 +166,15 @@ class TestMalformedPayloads:
 
 #: Run knobs that used to run a wrong experiment or crash mid-run: a NaN or
 #: negative horizon ran no epoch and reported QoS met, a NaN load ran 351
-#: epochs, a zero epoch divided by zero, an infinite interval overflowed.
+#: epochs, a zero epoch divided by zero, an infinite interval overflowed,
+#: and a load of 1e200 times saturation overflowed building the engine.
 MALFORMED_KNOBS = [
     ("horizon", math.nan),
     ("horizon", -1.0),
     ("horizon", 0.0),
     ("load_fraction", math.nan),
     ("load_fraction", 0.0),
+    ("load_fraction", 1e200),
     ("monitor_epoch", 0.0),
     ("monitor_epoch", math.inf),
     ("decision_interval", math.inf),

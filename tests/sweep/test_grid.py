@@ -1,10 +1,17 @@
 """Scenario: one colocation experiment as pure data."""
 
+import math
+
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from repro.core.runtime import ColocationConfig
 from repro.experiment import ExperimentSpec
+from repro.server.platform import registered_platforms
+from repro.services.loadgen import LOADGEN_SHAPES
 from repro.sweep import Scenario
+from repro.sweep.engine import registered_policies, scenario_engine
 
 
 class TestScenario:
@@ -71,6 +78,9 @@ class TestLoadgenParamsFailAtDeclaration:
             ("bursty", {"base": 0.2, "burst": 0.9, "period": 5.0, "duration": 9.0}),
             ("step", {"steps": 5}),
             ("constant", {"fraction": 0.5, "low": 0.1}),
+            ("diurnal", {"low": 0.3, "high": 0.9, "period": 20.0, "phase": math.inf}),
+            ("step", {"steps": [[0.0, math.nan]]}),
+            ("constant", {"fraction": 1e200}),
         ],
     )
     def test_parameters_that_do_not_fit(self, shape, params):
@@ -104,3 +114,86 @@ class TestLoadgenParamsFailAtDeclaration:
                 },
                 axes={"loadgen_shape": ("diurnal", "bursty")},
             )
+
+
+# -- every scenario that constructs builds an engine -----------------------
+
+#: The values a malformed spec or payload carries.  A load of 1e200
+#: overflows the contention terms; 1e300 saturates them to infinity.
+_EDGES = (0, -1.0, 1e-300, 1e200, 1e300, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _numbers(draw, low=0.0, high=2.0):
+    """Mostly a plausible number in ``[low, high]``, one draw in eight an
+    edge value."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_EDGES))
+    return draw(st.floats(min_value=low, max_value=high))
+
+
+@st.composite
+def _loadgens(draw):
+    shape = draw(st.sampled_from(LOADGEN_SHAPES))
+    names = {
+        "constant": ("fraction",),
+        "step": (),
+        "diurnal": ("low", "high", "period", "phase"),
+        "bursty": ("base", "burst", "period", "duration"),
+    }[shape]
+    params = [
+        (name, draw(_numbers()))
+        for name in names
+        if name != "phase" or draw(st.booleans())
+    ]
+    if shape == "constant" and draw(st.booleans()):
+        params = []
+    if shape == "step":
+        steps = draw(st.lists(st.tuples(_numbers(), _numbers()), max_size=3))
+        params = [("steps", tuple(sorted(steps)))]
+    return shape, tuple(params)
+
+
+@st.composite
+def _scenarios(draw):
+    """A scenario that constructs, over the axes a spec sweeps.
+
+    Apps are canneal and kmeans, whose ladders tier-1 explores anyway;
+    ``exploration_seed`` stays 0, since every other seed explores the
+    ladders afresh.
+    """
+    apps = draw(
+        st.sampled_from([("canneal",), ("kmeans",), ("canneal", "kmeans")])
+    )
+    policy = draw(st.sampled_from(registered_policies()))
+    # static-level reads the levels it pins from its kwargs; the other
+    # built-in policies need none.
+    kwargs = ()
+    if policy == "static-level":
+        kwargs = (("levels", tuple((app, 1) for app in apps)),)
+    shape, params = draw(_loadgens())
+    try:
+        return Scenario(
+            service=draw(st.sampled_from(("nginx", "memcached", "mongodb"))),
+            apps=apps,
+            policy=policy,
+            policy_kwargs=kwargs,
+            load_fraction=draw(_numbers(1e-3, 1e3)),
+            decision_interval=draw(_numbers(1e-3, 1e3)),
+            monitor_epoch=draw(_numbers(1e-3, 1e3)),
+            slack_threshold=draw(_numbers(0.0, 1.0)),
+            horizon=draw(_numbers(1e-3, 1e3)),
+            seed=draw(st.integers(min_value=-2**64, max_value=2**64)),
+            stop_when_apps_done=draw(st.booleans()),
+            loadgen_shape=shape,
+            loadgen_params=params,
+            platform=draw(st.sampled_from(registered_platforms())),
+        )
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenarios())
+def test_every_scenario_that_constructs_builds_an_engine(scenario):
+    scenario_engine(scenario)
