@@ -122,9 +122,10 @@ class JobSpool:
     Every operation is a small atomic filesystem action, so any number of
     submitters and workers can share one spool with no coordinator
     process.  A job id is the scenario's result key, which dedupes
-    identical scenarios across submitters for free.  Every claim is *chunked* — one directory scan
-    leases up to ``max_jobs`` scenarios, one heartbeat pass covers the
-    whole chunk — so per-scenario spool overhead amortizes K-fold.
+    identical scenarios across submitters for free.  Every claim is
+    *chunked* — one directory scan leases up to ``max_jobs`` scenarios,
+    one heartbeat pass covers the whole chunk — so per-scenario spool
+    overhead amortizes K-fold.
     """
 
     def __init__(self, root: Path | str, lease_ttl: float = 30.0) -> None:
@@ -176,7 +177,7 @@ class JobSpool:
         self, scenarios: Sequence[Scenario], cache: SweepCache
     ) -> list[str]:
         """Spool each scenario under its key in ``cache``; returns the ids."""
-        return [self.submit(cache.key(scenario), scenario) for scenario in scenarios]
+        return [self.submit(cache.key(s), s) for s in scenarios]
 
     def load_scenario(self, job_id: str) -> Scenario:
         return Scenario.from_payload(json.loads(self.job_path(job_id).read_text()))
@@ -443,11 +444,12 @@ def run_worker(
     :data:`DEFAULT_CHUNK_TARGET` seconds of work (an EWMA of measured
     per-scenario cost decides K — the first claim takes a single job to
     get a measurement).  A job whose id is not this worker's key for its
-    scenario is marked failed, never run (see the module docstring).  ``exit_when_idle`` makes the worker exit once
-    every spooled job has a done marker (it keeps waiting while other
-    workers hold live leases, so it can take over if they die).  Workers
-    are stateless: killing one at any point loses nothing but the lease
-    TTL and the unfinished remainder of its chunk.
+    scenario is marked failed, never run (see the module docstring).
+    ``exit_when_idle`` makes the worker exit once every spooled job has a
+    done marker (it keeps waiting while other workers hold live leases,
+    so it can take over if they die).  Workers are stateless: killing
+    one at any point loses nothing but the lease TTL and the unfinished
+    remainder of its chunk.
     """
     if not isinstance(spool, JobSpool):
         spool = JobSpool(spool, lease_ttl=lease_ttl)
@@ -493,8 +495,8 @@ def run_worker(
                     # Deterministic scenarios fail deterministically
                     # (unknown policy, bad kwargs, a foreign key):
                     # re-queueing the job would crash the next worker
-                    # too, one process at a time, until the fleet is dead.  Record the failure
-                    # and keep serving.
+                    # too, one process at a time, until the fleet is
+                    # dead.  Record the failure and keep serving.
                     spool.mark_failed(
                         job.job_id, error=f"{type(exc).__name__}: {exc}",
                         worker_id=worker_id,
@@ -537,9 +539,10 @@ class DistributedBackend(ExecutionBackend):
     ``execute`` submits jobs, optionally spawns ``local_workers`` worker
     processes (``python -m repro.sweep worker``) against the spool, then
     polls done markers and reads each result back from the shared cache
-    by its job id, which is its result key.  ``spool`` is a :class:`JobSpool` or its
-    directory.  Remote hosts join the same sweep by running workers
-    against the same spool and cache paths — no code changes.
+    by its job id, which is its result key.  ``spool`` is a
+    :class:`JobSpool` or its directory.  Remote hosts join the same sweep
+    by running workers against the same spool and cache paths — no code
+    changes.
     """
 
     name = "distributed"
