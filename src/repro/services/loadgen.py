@@ -144,10 +144,10 @@ def loadgen_from_spec(
     """Build a generator from a declarative ``(shape, params)`` spec.
 
     ``params`` is a mapping (or sequence of pairs) whose QPS-valued
-    entries are fractions of ``saturation_qps``.  Returns ``None`` for a
-    parameterless ``"constant"`` shape — the caller's default (offered
-    load from ``load_fraction``) already covers it, and omitting the
-    object keeps legacy cache keys intact.
+    entries are fractions of ``saturation_qps``, each at most
+    :data:`MAX_LOAD_FRACTION`; every parameter must be finite.  Returns
+    ``None`` for a parameterless ``"constant"`` shape — the caller's
+    default (offered load from ``load_fraction``) already covers it.
 
     Shapes::
 
