@@ -320,3 +320,24 @@ class TestEveryFieldIsInThePayloads:
         clone = Scenario.from_payload(json.loads(json.dumps(varied.to_payload())))
         assert getattr(clone, field.name) == getattr(varied, field.name)
         assert clone == varied
+
+    def test_it_is_in_the_hashed_payload_at_its_default(self, field):
+        # Nothing is elided at its default: a change to a default is a
+        # change to every key that relies on it.
+        payload = BASE.to_payload()
+        assert field.name in payload
+        assert getattr(Scenario.from_payload(payload), field.name) == getattr(
+            BASE, field.name
+        )
+
+    def test_a_payload_that_omits_it(self, field):
+        payload = BASE.to_payload()
+        del payload[field.name]
+        if (
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        ):
+            with pytest.raises(ValueError, match=repr(field.name)):
+                Scenario.from_payload(payload)
+        else:
+            assert Scenario.from_payload(payload) == BASE
