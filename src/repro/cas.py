@@ -18,9 +18,20 @@ from pathlib import Path
 from typing import Any, Iterable
 
 
+#: The canonical JSON form every content address hashes: sorted keys, no
+#: whitespace, ASCII escapes.  One encoder per process; ``json.dumps``
+#: with these options would build a new one per call and write the same
+#: bytes.  Payloads are trees of plain values, so the circular-reference
+#: bookkeeping (a quarter of an encode) is off: a cycle would raise
+#: ``RecursionError`` in place of ``ValueError``.
+_CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
 def stable_hash(payload: Any, length: int = 32) -> str:
     """Hex digest of a JSON-serializable payload, stable across runs."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _CANONICAL_JSON.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
 
 

@@ -25,10 +25,9 @@ touch the entry mtime, so recently-used results survive a prune.
 
 from __future__ import annotations
 
-import fcntl
-import json
 import os
 import pickle
+import re
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -52,6 +51,12 @@ __all__ = [
 FORMAT_VERSION = 2
 
 _CACHE_ENV = "REPRO_SWEEP_CACHE"
+
+#: Lifetime lookup counters under the cache root: one ``"<hits> <misses>"``
+#: line per flush, appended by every process that looks entries up.
+STATS_LOG = "stats.log"
+_STATS_RECORD = re.compile(rb"(\d+) (\d+)\n")
+_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT  # read: is the last record whole?
 
 
 def default_sweep_cache_dir() -> Path:
@@ -113,6 +118,8 @@ class SweepCache:
 
     def __init__(self, root: Path | str | None = None) -> None:
         self._root = Path(root) if root is not None else default_sweep_cache_dir()
+        self._dir = os.fspath(self._root)
+        self._stats_log = os.path.join(self._dir, STATS_LOG)
         self.hits = 0
         self.misses = 0
         self._pending_hits = 0
@@ -145,9 +152,12 @@ class SweepCache:
         result a worker just published) that are not cache *lookups* in
         any meaningful sense.
         """
-        path = self.path(key)
+        # The str form of path(key): a hit is one read and one unpickle,
+        # and pathlib joins would cost a tenth of it.
+        path = f"{self._dir}/{key[:2]}/{key}.pkl"
         try:
-            data = path.read_bytes()
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.readall()
             envelope = pickle.loads(data)
             if envelope["format"] != FORMAT_VERSION:
                 raise ValueError("cache format version mismatch")
@@ -159,7 +169,7 @@ class SweepCache:
         except Exception:
             # Truncated write, foreign payload, version skew: drop and recompute.
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             if record:
@@ -202,20 +212,16 @@ class SweepCache:
 
     # -- bookkeeping -----------------------------------------------------
 
-    @property
-    def _stats_path(self) -> Path:
-        return self._root / "stats.json"
-
     def _record(self, hit: bool) -> None:
         """Count one lookup, in this process and (batched) on disk.
 
         The on-disk counters are what ``python -m repro.sweep cache stats``
         reports — a fresh CLI process has no in-memory history, and
         distributed workers each run in their own process, so the lifetime
-        hit rate only exists on disk.  The locked read-modify-write is
-        deliberately *not* per-lookup: deltas accumulate in memory and
-        flush every :data:`STATS_FLUSH_EVERY` records, on :meth:`stats`,
-        and at process exit, so the warm hot path stays a bare disk read.
+        hit rate only exists on disk.  Deltas accumulate in memory and
+        are appended every :data:`STATS_FLUSH_EVERY` records, on
+        :meth:`stats`, and at process exit, so the warm hot path stays a
+        bare disk read.
         """
         if hit:
             self.hits += 1
@@ -232,33 +238,55 @@ class SweepCache:
             self.flush_stats()
 
     def flush_stats(self) -> None:
-        """Fold pending lookup counts into the shared counter file."""
-        if not (self._pending_hits or self._pending_misses):
-            return
-        try:
-            self._root.mkdir(parents=True, exist_ok=True)
-            with open(self._root / "stats.lock", "w") as lock:
-                fcntl.flock(lock, fcntl.LOCK_EX)
-                counters = self._read_counters()
-                counters["hits"] += self._pending_hits
-                counters["misses"] += self._pending_misses
-                atomic_write_bytes(
-                    self._stats_path, json.dumps(counters).encode()
-                )
-            self._pending_hits = 0
-            self._pending_misses = 0
-        except OSError:
-            pass  # stats are best-effort; never fail a lookup over them
+        """Append pending lookup counts to the shared counter log.
 
-    def _read_counters(self) -> dict:
+        One ``"<hits> <misses>\\n"`` record per flush, written with one
+        ``O_APPEND`` write: appends from any number of processes land
+        whole and in some order, so no lock and no read-modify-write is
+        needed, and :meth:`stats` sums the records.  A log that does not
+        end in a newline holds a torn record (a write cut short by a full
+        disk, say); the append first closes it with ``"!\\n"``, so it
+        reads as malformed instead of running into this record.
+        """
+        hits, misses = self._pending_hits, self._pending_misses
+        if not (hits or misses):
+            return
+        record = f"{hits} {misses}\n".encode()
         try:
-            loaded = json.loads(self._stats_path.read_text())
-            return {
-                "hits": int(loaded.get("hits", 0)),
-                "misses": int(loaded.get("misses", 0)),
-            }
-        except (OSError, ValueError):
-            return {"hits": 0, "misses": 0}
+            try:
+                fd = os.open(self._stats_log, _APPEND, 0o644)
+            except FileNotFoundError:
+                os.makedirs(self._dir, exist_ok=True)
+                fd = os.open(self._stats_log, _APPEND, 0o644)
+            try:
+                end = os.fstat(fd).st_size
+                if end and os.pread(fd, 1, end - 1) != b"\n":
+                    record = b"!\n" + record
+                os.write(fd, record)
+            finally:
+                os.close(fd)
+        except OSError:
+            return  # stats are best-effort; never fail a lookup over them
+        self._pending_hits = 0
+        self._pending_misses = 0
+
+    def _read_counters(self) -> tuple[int, int]:
+        """Summed ``(hits, misses)`` over the counter log's records.
+
+        A line that is not two counts and a newline (a torn record) is
+        skipped.
+        """
+        hits = misses = 0
+        try:
+            with open(self._stats_log, "rb") as log:
+                for line in log:
+                    match = _STATS_RECORD.fullmatch(line)
+                    if match:
+                        hits += int(match[1])
+                        misses += int(match[2])
+        except OSError:
+            pass
+        return hits, misses
 
     def _entries(self) -> list[tuple[Path, os.stat_result]]:
         if not self._root.exists():
@@ -275,12 +303,12 @@ class SweepCache:
         """Entry count, on-disk bytes, and lifetime hit/miss counters."""
         self.flush_stats()
         entries = self._entries()
-        counters = self._read_counters()
+        hits, misses = self._read_counters()
         return CacheStats(
             entries=len(entries),
             total_bytes=sum(st.st_size for _, st in entries),
-            hits=counters["hits"],
-            misses=counters["misses"],
+            hits=hits,
+            misses=misses,
         )
 
     def prune(

@@ -1,6 +1,9 @@
 """SweepCache: content addressing, persistence, corruption recovery."""
 
 import dataclasses
+import hashlib
+import json
+import multiprocessing
 import pickle
 import sys
 
@@ -11,9 +14,10 @@ import repro.sweep.cache as cache_module
 from repro.apps import make_app
 from repro.cas import numeric_environment
 from repro.search.variants import DesignSpaceExplorer
-from repro.sweep import Scenario, SweepCache
+from repro.sweep import JobSpool, Scenario, SweepCache
 from repro.sweep.cache import (
     FORMAT_VERSION,
+    STATS_LOG,
     atomic_write_bytes,
     code_fingerprint,
     stable_hash,
@@ -44,6 +48,22 @@ class TestStableHash:
 
     def test_length_parameter(self):
         assert len(stable_hash({"a": 1}, length=16)) == 16
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"b": [1, {"z": 0.1, "a": None}], "a": True},
+            {"n": [1e-310, 2.5e300, -0.0, 0.1 + 0.2], "i": -(2**70)},
+            {"é": "ü☃", "key\n": ["\u0000", "\ud83d\ude00"]},
+            [],
+            "x",
+        ],
+    )
+    def test_is_sha256_of_canonical_json(self, payload):
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert stable_hash(payload) == digest[:32]
+        assert stable_hash(payload, length=16) == digest[:16]
 
 
 class TestAtomicWrite:
@@ -103,6 +123,55 @@ class TestKeying:
             cache_module, "code_fingerprint", lambda: "deadbeefdeadbeef"
         )
         assert cache.key(_scenario()) != before
+
+
+#: Scenarios whose keys are pinned, with the code and numeric environment
+#: fixed: a float sum, a negative seed, a moving load, a kwargs tree, and
+#: a policy registered elsewhere with non-ASCII kwargs.
+_PINNED_KEYS = {
+    "6e0f1f2094e058592fce791c134abfae": Scenario(service="mongodb", apps=("kmeans",), seed=4),
+    "a1eb78545973c0c1370e3b898d5194c8": Scenario(
+        service="memcached",
+        apps=("canneal", "water_nsquared"),
+        policy="precise",
+        load_fraction=0.1 + 0.2,
+        horizon=123.456,
+        seed=-7,
+    ),
+    "c90d49dd6bafd0231e7de80bdd73eee0": Scenario(
+        service="nginx",
+        apps=("snp",),
+        policy="static-level",
+        policy_kwargs=(("levels", (("snp", 2),)),),
+        loadgen_shape="diurnal",
+        loadgen_params=(("low", 0.2), ("high", 0.9), ("period", 60.0)),
+    ),
+    "d63c827ae77dc2c507adb0b512be3ba9": Scenario(
+        service="nginx",
+        apps=("blast",),
+        policy="politique-é",
+        policy_kwargs=(("nom", "café"), ("poids", 1e-300)),
+    ),
+}
+
+
+class TestPinnedKeys:
+    """Result keys and spool job ids are content addresses other hosts
+    and earlier runs share: a change to how they are computed must not
+    move them."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_code_and_environment(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "0123456789abcdef")
+        monkeypatch.setattr(cache_module, "numeric_environment", lambda: "numpy0.0.0-py3.0")
+
+    def test_result_keys(self, cache):
+        assert {cache.key(s): s for s in _PINNED_KEYS.values()} == _PINNED_KEYS
+
+    def test_spool_job_ids(self, cache, tmp_path):
+        spool = JobSpool(tmp_path / "spool")
+        ids = spool.submit_many(list(_PINNED_KEYS.values()), cache)
+        assert ids == list(_PINNED_KEYS)
 
 
 class TestRoundTrip:
@@ -172,6 +241,74 @@ class TestStatsAndPrune:
         observer = SweepCache(tmp_path / "sweeps")
         assert observer.stats().misses == SweepCache.STATS_FLUSH_EVERY
 
+    def test_caches_on_one_root_sum_their_counts(self, tmp_path):
+        first, second = SweepCache(tmp_path / "sweeps"), SweepCache(tmp_path / "sweeps")
+        key = first.key(_scenario())
+        first.put(key, "value")
+        for _ in range(3):
+            first.get(key)
+        second.get(key)
+        second.get(first.key(_scenario(seed=9)))
+        first.flush_stats()
+        second.flush_stats()
+        stats = SweepCache(tmp_path / "sweeps").stats()
+        assert (stats.hits, stats.misses) == (4, 1)
+
+    def test_counter_log_holds_one_record_per_flush(self, cache):
+        cache.get("0" * 32)
+        cache.flush_stats()
+        cache.flush_stats()  # nothing pending: nothing appended
+        cache.get("0" * 32)
+        cache.get("0" * 32)
+        cache.flush_stats()
+        assert (cache.root / STATS_LOG).read_bytes() == b"0 1\n0 2\n"
+
+    def test_malformed_records_are_skipped(self, cache):
+        cache.root.mkdir(parents=True)
+        (cache.root / STATS_LOG).write_bytes(
+            b"2 1\n7 x\n1_0 1\n-1 3\n5\n\n 4 4\n3 3 3\n1 2\n9 9"
+        )
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (3, 3)
+
+    def test_a_record_appended_after_a_torn_one(self, cache):
+        """A torn record (no newline at the end of the log) is closed
+        as malformed by the next append: it is skipped, later records
+        count."""
+        cache.root.mkdir(parents=True)
+        (cache.root / STATS_LOG).write_bytes(b"4 4\n12 3")
+        cache.get("0" * 32)
+        cache.flush_stats()
+        cache.get("0" * 32)
+        cache.flush_stats()
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (4, 6)
+        assert (cache.root / STATS_LOG).read_bytes() == b"4 4\n12 3!\n0 1\n0 1\n"
+
+    def test_empty_root_reads_zeros(self, tmp_path):
+        cache = SweepCache(tmp_path / "never-created")
+        stats = cache.stats()
+        assert (stats.entries, stats.hits, stats.misses) == (0, 0, 0)
+        assert not cache.root.exists()
+
+    def test_concurrent_flushes_total_exactly(self, tmp_path):
+        """More flushing processes than cores, released together: a lost
+        or torn append would show in the totals."""
+        root = tmp_path / "sweeps"
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(_FLUSHERS)
+        procs = [
+            context.Process(target=_look_up, args=(root, start, seed))
+            for seed in range(_FLUSHERS)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0] * _FLUSHERS
+        stats = SweepCache(root).stats()
+        assert (stats.hits, stats.misses) == (_FLUSHERS * _LOOKUPS,) * 2
+
     def test_unrecorded_reads_skip_counters(self, cache):
         key = cache.key(_scenario())
         cache.put(key, "value")
@@ -221,11 +358,31 @@ class TestStatsAndPrune:
     def test_prune_spares_bookkeeping_files(self, cache):
         key = cache.key(_scenario())
         cache.put(key, "value")
-        cache.get(key)  # creates stats.json
+        cache.get(key)  # a counted lookup, flushed to stats.log by stats()
         cache.prune(older_than=0.0, max_bytes=0)
         assert cache.entry_count() == 0
         stats = cache.stats()
         assert stats.hits == 1  # counters survived the prune
+
+
+#: Processes in the concurrent-flush test, and the hits and misses each
+#: records.
+_FLUSHERS = 4
+_LOOKUPS = 20 * SweepCache.STATS_FLUSH_EVERY + 7
+
+
+def _look_up(root, start, seed):
+    """Record ``_LOOKUPS`` hits and as many misses in a cache on ``root``,
+    flushing every ``STATS_FLUSH_EVERY`` lookups and once at the end."""
+    cache = SweepCache(root)
+    key = cache.key(_scenario(seed=seed))
+    cache.put(key, "value")
+    missing = cache.key(_scenario(seed=100 + seed))
+    start.wait()
+    for _ in range(_LOOKUPS):
+        cache.get(key)
+        cache.get(missing)
+    cache.flush_stats()
 
 
 class TestCorruptionRecovery:
