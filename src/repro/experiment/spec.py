@@ -71,44 +71,50 @@ def _as_pairs(what: str, mapping_or_pairs) -> list[tuple[str, object]]:
 _PROBE = {"service": "probe", "apps": ("probe",)}
 
 
-#: The one pair of scenario fields checked together: a load generator's
-#: parameters must fit its shape.
-_LOADGEN_FIELDS = ("loadgen_shape", "loadgen_params")
+#: The pairs of scenario fields checked together: a load generator's
+#: parameters must fit its shape, and a registered policy's kwargs must
+#: fit its builder.
+_JOINT_FIELDS = (("loadgen_shape", "loadgen_params"), ("policy", "policy_kwargs"))
+_JOINTLY_CHECKED = frozenset(itertools.chain.from_iterable(_JOINT_FIELDS))
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
 def _checked_value(field: str, value):
     """``value`` in canonical form, or a ``ValueError`` naming ``field``.
 
-    The value is tried in a scenario of its own, except for the load
-    generator's fields, which :func:`_check_loadgens` tries together.
-    No other scenario check involves two fields, so every point of a spec
-    whose values all pass constructs: a malformed value fails when the
-    spec is built, not when it expands.
+    The value is tried in a scenario of its own, except for the fields of
+    :data:`_JOINT_FIELDS`, which :func:`_check_joint_fields` tries pair
+    by pair.  No other scenario check involves two fields, so every point
+    of a spec whose values all pass constructs (unless a registered
+    policy's builder reads further fields): a malformed value fails when
+    the spec is built, not when it expands.
     """
     try:
         value = _normalize_value(field, value)
-        if field not in _LOADGEN_FIELDS:
+        if field not in _JOINTLY_CHECKED:
             Scenario(**{**_PROBE, field: value})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"spec field {field!r} = {value!r}: {exc}") from None
     return value
 
 
-def _check_loadgens(base, axes) -> None:
-    """Try every load shape the spec can expand to with every parameter
-    set, each in a scenario of its own; raise a ``ValueError`` naming
-    both fields at the first that does not construct."""
+def _check_joint_fields(base, axes) -> None:
+    """Try every pair of values each field pair of :data:`_JOINT_FIELDS`
+    can expand to, each in a scenario of its own; raise a ``ValueError``
+    naming both fields at the first that does not construct."""
     choices = {field: (value,) for field, value in base}
     choices.update(axes)
-    shapes = choices.get("loadgen_shape", ("constant",))
-    for shape, params in itertools.product(shapes, choices.get("loadgen_params", ((),))):
-        try:
-            Scenario(**_PROBE, loadgen_shape=shape, loadgen_params=params)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"spec fields 'loadgen_shape' = {shape!r}, "
-                f"'loadgen_params' = {params!r}: {exc}"
-            ) from None
+    for first, second in _JOINT_FIELDS:
+        for a, b in itertools.product(
+            choices.get(first, (_SCENARIO_DEFAULTS[first],)),
+            choices.get(second, (_SCENARIO_DEFAULTS[second],)),
+        ):
+            try:
+                Scenario(**_PROBE, **{first: a, second: b})
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"spec fields {first!r} = {a!r}, {second!r} = {b!r}: {exc}"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ class ExperimentSpec:
                 for k, values in axis_pairs
             ),
         )
-        _check_loadgens(self.base, self.axes)
+        _check_joint_fields(self.base, self.axes)
         self._validate_search()
 
     def _validate_search(self) -> None:

@@ -145,9 +145,10 @@ def loadgen_from_spec(
 
     ``params`` is a mapping (or sequence of pairs) whose QPS-valued
     entries are fractions of ``saturation_qps``, each at most
-    :data:`MAX_LOAD_FRACTION`; every parameter must be finite.  Returns
-    ``None`` for a parameterless ``"constant"`` shape — the caller's
-    default (offered load from ``load_fraction``) already covers it.
+    :data:`MAX_LOAD_FRACTION`; every parameter must be a finite ``int`` or
+    ``float`` (not a bool, not a numeric string).  Returns ``None`` for a
+    parameterless ``"constant"`` shape — the caller's default (offered
+    load from ``load_fraction``) already covers it.
 
     Shapes::
 
@@ -164,6 +165,11 @@ def loadgen_from_spec(
         )
 
     def finite(name: str, raw) -> float:
+        # Numbers only, as a scenario payload takes them: a numeric string
+        # or a bool would run the experiment of the number it coerces to
+        # under a scenario that keys apart from it.
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ValueError(f"loadgen parameter {name!r} must be a number, got {raw!r}")
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError(f"loadgen parameter {name!r} must be finite, got {raw!r}")

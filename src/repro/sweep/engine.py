@@ -88,6 +88,30 @@ def registered_policies() -> tuple[str, ...]:
     return tuple(sorted(POLICY_REGISTRY))
 
 
+def check_policy(scenario: Scenario) -> None:
+    """Build the scenario's policy once if its name is registered here.
+
+    Called where a scenario is declared, so kwargs the builder cannot
+    take (``static-level`` without ``levels``, an unknown keyword) raise
+    a ``ValueError`` there, not in a worker.  A policy registered only
+    inside workers is unknown here and passes unchecked.
+    """
+    builder = POLICY_REGISTRY.get(scenario.policy)
+    if builder is None:
+        return
+    try:
+        builder(scenario, dict(scenario.policy_kwargs))
+    except KeyError as exc:
+        raise ValueError(
+            f"policy {scenario.policy!r} needs the policy kwarg {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"policy_kwargs {dict(scenario.policy_kwargs)!r} do not fit "
+            f"policy {scenario.policy!r}: {exc}"
+        ) from None
+
+
 def make_policy(scenario: Scenario) -> RuntimePolicy:
     """Instantiate the policy a scenario names."""
     try:

@@ -107,6 +107,10 @@ class Scenario:
         value = self.slack_threshold
         if not (_is_number(value) and 0 <= value < 1):
             raise ValueError(f"slack_threshold must lie in [0, 1), got {value!r}")
+        # Imported here: the engine module imports this one.
+        from repro.sweep.engine import check_policy
+
+        check_policy(self)
 
     def has_default_loadgen(self) -> bool:
         """True when the scenario uses the legacy constant-load default."""

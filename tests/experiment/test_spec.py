@@ -146,7 +146,7 @@ class TestSerialization:
                 "apps": ("canneal", "bayesian"),
                 "loadgen_shape": "step",
                 "loadgen_params": (("steps", ((0.0, 0.5), (60.0, 0.9))),),
-                "policy_kwargs": {"slack_margin": 0.5},
+                "policy_kwargs": {"max_backoff": 16},
             },
             axes={"platform": ("default", "half-llc")},
         )

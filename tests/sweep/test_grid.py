@@ -11,7 +11,7 @@ from repro.experiment import ExperimentSpec
 from repro.server.platform import registered_platforms
 from repro.services.loadgen import LOADGEN_SHAPES
 from repro.sweep import Scenario
-from repro.sweep.engine import registered_policies, scenario_engine
+from repro.sweep.engine import make_policy, registered_policies, scenario_engine
 
 
 class TestScenario:
@@ -115,6 +115,60 @@ class TestLoadgenParamsFailAtDeclaration:
                 axes={"loadgen_shape": ("diurnal", "bursty")},
             )
 
+    @pytest.mark.parametrize("fraction", ["0.5", True])
+    def test_a_parameter_that_is_not_a_number(self, fraction):
+        """A numeric string or a bool is not coerced: it would key apart
+        from the number it runs as."""
+        with pytest.raises(ValueError, match="parameter 'fraction' must be a number"):
+            Scenario("memcached", "canneal", loadgen_params=(("fraction", fraction),))
+
+    def test_ints_and_floats_construct(self):
+        for fraction in (1, 0.5):
+            scenario = Scenario("memcached", "canneal", loadgen_params=(("fraction", fraction),))
+            assert scenario.loadgen_params == (("fraction", fraction),)
+
+
+class TestPolicyKwargsFailAtDeclaration:
+    """A registered policy is built where the scenario is declared, so
+    kwargs its builder cannot take fail there, not in a worker."""
+
+    def test_static_level_without_levels(self):
+        with pytest.raises(ValueError, match="policy 'static-level' needs the policy kwarg 'levels'"):
+            Scenario("memcached", "canneal", policy="static-level")
+
+    def test_a_keyword_the_builder_does_not_take(self):
+        with pytest.raises(ValueError, match="do not fit policy 'pliant'.*'bogus'"):
+            Scenario("memcached", "canneal", policy_kwargs=(("bogus", 1),))
+
+    def test_fitting_kwargs_construct(self):
+        scenario = Scenario(
+            "memcached",
+            "canneal",
+            policy="static-level",
+            policy_kwargs=(("levels", (("canneal", 1),)),),
+        )
+        assert make_policy(scenario).name == "static-level"
+
+    def test_a_policy_registered_only_in_workers_constructs(self):
+        scenario = Scenario("memcached", "canneal", policy="registered-in-workers")
+        assert scenario.policy == "registered-in-workers"
+
+    def test_spec_policy_and_kwargs_checked_together(self):
+        spec = ExperimentSpec(
+            base={
+                "service": "memcached",
+                "apps": "canneal",
+                "policy": "static-level",
+                "policy_kwargs": {"levels": [["canneal", 1]]},
+            },
+        )
+        assert len(spec.scenarios()) == 1
+        with pytest.raises(ValueError, match="'policy' = 'static-level', 'policy_kwargs' = \\(\\)"):
+            ExperimentSpec(
+                base={"service": "memcached", "apps": "canneal"},
+                axes={"policy": ("precise", "static-level")},
+            )
+
 
 # -- every scenario that constructs builds an engine -----------------------
 
@@ -166,10 +220,10 @@ def _scenarios(draw):
         st.sampled_from([("canneal",), ("kmeans",), ("canneal", "kmeans")])
     )
     policy = draw(st.sampled_from(registered_policies()))
-    # static-level reads the levels it pins from its kwargs; the other
-    # built-in policies need none.
+    # static-level reads the levels it pins from its kwargs, and declaring
+    # it without them fails; the other built-in policies need none.
     kwargs = ()
-    if policy == "static-level":
+    if policy == "static-level" and draw(st.integers(0, 7)):
         kwargs = (("levels", tuple((app, 1) for app in apps)),)
     shape, params = draw(_loadgens())
     try:
