@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+import repro.sweep.cache as cache_module
 from repro.experiment import ExperimentSpec
 from repro.sweep import (
     DistributedBackend,
@@ -27,6 +28,7 @@ from repro.sweep import (
     SweepCache,
     SweepEngine,
     results_identical,
+    stable_hash,
 )
 
 from benchmarks._common import SEED, bench_spec, record_bench, scenario
@@ -120,21 +122,41 @@ def test_sweep_engine_speedup(capsys):
 
 
 def _dist_grid() -> ExperimentSpec:
-    """64 scenarios: big enough that chunked leases amortize the broker."""
+    """64 scenarios of 6,000 epochs each, declared: no scenario stops
+    when its apps finish, so each runs its whole 600 s horizon at the
+    0.1 s monitor epoch.  ~1.5 s serial on a 2-CPU container, ~25 ms per
+    scenario: enough that the broker's per-job cost (a few ms) does not
+    decide the ratio."""
     return ExperimentSpec(
         name="distributed-vs-serial",
+        base={"horizon": 600.0, "stop_when_apps_done": False},
         axes={
             "service": ("memcached", "mongodb"),
-            "apps": ("canneal", "kmeans"),
-            "load_fraction": (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-            "seed": (SEED, SEED + 1),
+            "apps": (("canneal", "kmeans"), ("kmeans", "snp")),
+            "load_fraction": (0.3, 0.5, 0.7, 0.9),
+            "seed": (SEED, SEED + 1, SEED + 2, SEED + 3),
         },
     )
 
 
+#: Digest of the distributed grid's result keys with the code and the
+#: numeric environment fixed: the grid the speedup gate was sized on.
+DIST_GRID_KEYS = "0fd8e726fdbc8892"
+
+
+def test_distributed_grid_is_the_one_sized(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "fixed")
+    monkeypatch.setattr(cache_module, "numeric_environment", lambda: "fixed")
+    grid = list(_dist_grid().scenarios())
+    keys = list(map(SweepCache(tmp_path).key, grid))
+    assert stable_hash(keys, length=16) == DIST_GRID_KEYS
+    assert len(grid) == 64  # bench_check's distributed gate binds from 64
+    assert sum(round(s.horizon / s.monitor_epoch) for s in grid) == 64 * 6000
+
+
 def test_distributed_speedup(tmp_path, capsys):
-    """Distributed-vs-serial on a 64-scenario grid: identical bits, and on
-    a multi-core host the distributed pass must actually be faster.
+    """Distributed-vs-serial on the 64-scenario grid: identical bits, and
+    on a multi-core host the distributed pass must actually be faster.
 
     Workers are spawned and warmed (interpreter import plus one throwaway
     sweep) *before* the timed pass — the steady-state cost of the
