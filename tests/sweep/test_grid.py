@@ -223,7 +223,7 @@ def _scenarios(draw):
     # static-level reads the levels it pins from its kwargs, and declaring
     # it without them fails; the other built-in policies need none.
     kwargs = ()
-    if policy == "static-level" and draw(st.integers(0, 7)):
+    if policy == "static-level" and draw(st.booleans()):
         kwargs = (("levels", tuple((app, 1) for app in apps)),)
     shape, params = draw(_loadgens())
     try:
