@@ -7,13 +7,10 @@ from repro.cluster.colocation import (
     run_colocation,
 )
 from repro.cluster.metrics import ColocationSummary, ViolinStats, summarize_pair
-from repro.cluster.placement import PlacementAdvisor, PlacementPrediction
 from repro.cluster.sweeps import breakdown_outcomes, combination_mixes
 
 __all__ = [
     "ColocationSummary",
-    "PlacementAdvisor",
-    "PlacementPrediction",
     "ViolinStats",
     "breakdown_outcomes",
     "build_engine",

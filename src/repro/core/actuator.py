@@ -1,27 +1,35 @@
 """Actuator: enforces controller decisions on the node (Section 4.1-4.2).
 
 Two levers, exactly the paper's: switch an application's approximate
-variant (a Linux signal trapped by the DynamoRIO analog, which retargets
-the function table and re-scales the tenant's contention profile), and move
-cores between an approximate application and the interactive service.
+variant, and move cores between an approximate application and the
+interactive service.
+
+The paper switches a variant by sending the app a signal that DynamoRIO
+traps to retarget its function table.  The simulation keeps what a
+result can see of that: an instrumented app runs slower by its measured
+DynamoRIO overhead (the engine's ``AppSim.instrumentation_factor``),
+pauses :data:`SWITCH_PAUSE` per switch, and counts one switch per entry
+of its level trace.
 """
 
 from __future__ import annotations
 
-from repro.dynrio.overhead import OverheadModel
+#: Pause per variant switch (seconds).  Coarse-grained function
+#: replacement makes this tiny; it exists so pathological ping-ponging
+#: has a price.
+SWITCH_PAUSE = 0.02
 
 
 class Actuator:
     """Binds policy decisions to the simulated node.
 
     The engine provides callbacks for the actual state mutation; the
-    actuator adds signal delivery and switch-pause accounting.  Policies
-    only ever talk to this object.
+    actuator adds the checks on a switch and its pause.  Policies only
+    ever talk to this object.
     """
 
-    def __init__(self, engine, overhead: OverheadModel | None = None) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self._overhead = overhead or OverheadModel()
 
     # -- observation ------------------------------------------------------
 
@@ -54,7 +62,7 @@ class Actuator:
     # -- actuation ---------------------------------------------------------
 
     def set_level(self, app_name: str, level: int) -> None:
-        """Signal the instrumented app to switch approximation degree."""
+        """Switch the instrumented app's approximation degree."""
         sim = self._engine.app_sim(app_name)
         if level == sim.level:
             return
@@ -62,8 +70,13 @@ class Actuator:
             raise IndexError(
                 f"{app_name}: level {level} outside [0, {sim.ladder.max_level}]"
             )
+        if not sim.instrumented:
+            raise ValueError(
+                f"{app_name}: only an instrumented app switches levels; "
+                "the policy must set requires_instrumentation = True"
+            )
         self._engine.apply_level(app_name, level)
-        sim.pause_remaining += self._overhead.switch_pause()
+        sim.pause_remaining += SWITCH_PAUSE
 
     def reclaim_core(self, app_name: str) -> None:
         """Move one core from the app to the interactive service."""

@@ -17,7 +17,8 @@ from repro.core.monitor import IntervalObservation
 class RuntimePolicy(ABC):
     """Per-interval decision logic."""
 
-    #: Whether apps run under the DynamoRIO analog (and pay its overhead).
+    #: Whether apps run instrumented, as under DynamoRIO: they pay its
+    #: measured overhead, and only then may the policy switch their levels.
     requires_instrumentation: bool = False
 
     #: Display name for results tables.

@@ -96,10 +96,6 @@ from repro.core.actuator import Actuator
 from repro.core.arbiter import AppView
 from repro.core.monitor import IntervalObservation, PerformanceMonitor
 from repro.core.policy import RuntimePolicy
-from repro.dynrio.binary import FatBinary
-from repro.dynrio.instrument import Instrumentor
-from repro.dynrio.overhead import OverheadModel
-from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
 from repro.server.interference import (
@@ -183,7 +179,8 @@ class AppSim:
     app: ApproximableApp
     ladder: ApproxLadder
     tenant: Tenant
-    instrumentor: Instrumentor | None = None
+    #: Whether the app runs instrumented: only then may it switch levels.
+    instrumented: bool = False
     level: int = 0
     progress: float = 0.0
     pause_remaining: float = 0.0
@@ -191,8 +188,10 @@ class AppSim:
     finish_time: float | None = None
     inaccuracy_integral: float = 0.0
     elided_progress: float = 0.0
+    #: ``(time, level)`` of every switch; its length is the switch count.
     level_trace: list[tuple[float, int]] = field(default_factory=list)
-    #: Multiplier on execution time while instrumented (1.0 otherwise).
+    #: Multiplier on execution time while instrumented (1.0 otherwise):
+    #: one plus the app's measured DynamoRIO overhead.
     instrumentation_factor: float = 1.0
     #: Per-level constants, from the ladder's :func:`_level_tables`.
     level_profiles: tuple[ResourceProfile, ...] = field(init=False, repr=False)
@@ -791,8 +790,6 @@ class ColocationEngine:
         self._normals = _standard_normals(
             child_generator(self._config.seed, f"engine/{service.name}")
         )
-        self._overhead = OverheadModel()
-        self._bus = SignalBus()
         self._now = 0.0
 
         shares = self._node.fair_allocation(len(apps))
@@ -817,20 +814,14 @@ class ColocationEngine:
                 cores=cores,
             )
             self._node.add_tenant(tenant)
-            instrumentor = None
-            if policy.requires_instrumentation:
-                instrumentor = Instrumentor(
-                    FatBinary(app, ladder), self._bus, process=app.name
-                )
+            instrumented = policy.requires_instrumentation
             sim = AppSim(
                 app=app,
                 ladder=ladder,
                 tenant=tenant,
-                instrumentor=instrumentor,
+                instrumented=instrumented,
                 instrumentation_factor=(
-                    self._overhead.instrumentation_factor(app.metadata)
-                    if policy.requires_instrumentation
-                    else 1.0
+                    1.0 + app.metadata.dynrio_overhead if instrumented else 1.0
                 ),
             )
             tenant.set_profile(sim.active_profile())
@@ -842,7 +833,7 @@ class ColocationEngine:
         # Unserved requests of saturation episodes, as a BacklogTracker
         # would hold them.
         self._backlog = 0.0
-        self._actuator = Actuator(self, overhead=self._overhead)
+        self._actuator = Actuator(self)
         self._inflation_ema = 1.0
         # Tail-latency effects of an allocation or variant change develop
         # over cache-refill / queue-drain timescales (~1 s), not instantly.
@@ -912,8 +903,6 @@ class ColocationEngine:
         sim = self._apps[name]
         if self._before is None:
             self._before = self._action_fingerprint()
-        if sim.instrumentor is not None:
-            sim.instrumentor.request_level(level)
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
@@ -998,9 +987,7 @@ class ColocationEngine:
                 name=name,
                 finish_time=sim.finish_time,
                 inaccuracy_pct=self._final_inaccuracy(sim),
-                switches=(
-                    sim.instrumentor.switches if sim.instrumentor is not None else 0
-                ),
+                switches=len(sim.level_trace),
                 min_cores=min_cores[name],
                 max_reclaimed=max(0, sim.tenant.nominal_cores - min_cores[name]),
                 level_trace=list(sim.level_trace),

@@ -13,6 +13,8 @@ from repro.core.policy import RuntimePolicy
 from repro.core.runtime import AppSim, ColocationConfig, ColocationEngine
 from repro.search.ladder import ApproxLadder
 from repro.server.tenant import Tenant, TenantKind
+from repro.sweep import Scenario
+from repro.sweep.engine import make_policy, registered_policies, scenario_engine
 
 
 def engine_for(service="memcached", apps=("kmeans",), policy=None, **cfg_kwargs):
@@ -39,10 +41,47 @@ class TestSetup:
             ColocationEngine(make_service("nginx"), [], PrecisePolicy())
 
     def test_instrumentation_only_when_required(self):
-        precise_engine = engine_for(policy=PrecisePolicy())
-        assert precise_engine.app_sim("kmeans").instrumentor is None
-        pliant_engine = engine_for(policy=PliantPolicy(seed=5))
-        assert pliant_engine.app_sim("kmeans").instrumentor is not None
+        precise = engine_for(policy=PrecisePolicy()).app_sim("kmeans")
+        assert not precise.instrumented
+        assert precise.instrumentation_factor == 1.0
+        pliant = engine_for(policy=PliantPolicy(seed=5)).app_sim("kmeans")
+        assert pliant.instrumented
+        overhead = make_app("kmeans").metadata.dynrio_overhead
+        assert pliant.instrumentation_factor == 1.0 + overhead > 1.0
+
+    @pytest.mark.parametrize("name", ALL_APP_NAMES)
+    def test_each_app_pays_its_measured_overhead(self, name):
+        """An instrumented app runs slower by its own measured DynamoRIO
+        overhead, inside the paper's band (8.9% at most); a precise one
+        pays nothing."""
+        overhead = make_app(name).metadata.dynrio_overhead
+        pliant = engine_for(apps=(name,), policy=PliantPolicy(seed=5)).app_sim(name)
+        assert pliant.instrumented
+        assert pliant.instrumentation_factor == 1.0 + overhead
+        assert 1.0 < pliant.instrumentation_factor <= 1.089 + 1e-9
+        precise = engine_for(apps=(name,)).app_sim(name)
+        assert not precise.instrumented
+        assert precise.instrumentation_factor == 1.0
+
+    @pytest.mark.parametrize("policy", registered_policies())
+    def test_each_registered_policy_instruments_as_it_declares(self, policy):
+        """Instrumentation follows ``requires_instrumentation``, and a run
+        counts one switch per entry of the level trace (none for a policy
+        that runs uninstrumented)."""
+        kwargs = (("levels", (("kmeans", 1),)),) if policy == "static-level" else ()
+        scenario = Scenario(
+            "memcached", "kmeans", policy=policy, policy_kwargs=kwargs, horizon=5.0
+        )
+        engine = scenario_engine(scenario)
+        sim = engine.app_sim("kmeans")
+        instrumented = make_policy(scenario).requires_instrumentation
+        assert sim.instrumented == instrumented
+        overhead = make_app("kmeans").metadata.dynrio_overhead
+        assert sim.instrumentation_factor == (1.0 + overhead if instrumented else 1.0)
+        (outcome,) = engine.run().apps
+        assert outcome.switches == len(sim.level_trace)
+        if not instrumented:
+            assert outcome.switches == 0
 
 
 class TestRun:

@@ -402,7 +402,7 @@ def reference_run(engine):
                 name=sim.name,
                 finish_time=sim.finish_time,
                 inaccuracy_pct=engine._final_inaccuracy(sim),
-                switches=sim.instrumentor.switches if sim.instrumentor else 0,
+                switches=len(sim.level_trace),
                 min_cores=fewest,
                 max_reclaimed=max(0, sim.tenant.nominal_cores - fewest),
                 level_trace=list(sim.level_trace),

@@ -186,6 +186,13 @@ def _numbers(draw, low=0.0, high=2.0):
     return draw(st.floats(min_value=low, max_value=high))
 
 
+#: The parameter pairs a shape needs in order (``low <= high``,
+#: ``duration <= period``).  Drawn unordered, half of them would fail to
+#: construct and be filtered out; tests/services/test_loadgen.py checks
+#: that a pair out of order, or an empty step list, is refused.
+_ORDERED_PARAMS = {"diurnal": ("low", "high"), "bursty": ("duration", "period")}
+
+
 @st.composite
 def _loadgens(draw):
     shape = draw(st.sampled_from(LOADGEN_SHAPES))
@@ -195,15 +202,21 @@ def _loadgens(draw):
         "diurnal": ("low", "high", "period", "phase"),
         "bursty": ("base", "burst", "period", "duration"),
     }[shape]
-    params = [
-        (name, draw(_numbers()))
+    values = {
+        name: draw(_numbers())
         for name in names
         if name != "phase" or draw(st.booleans())
-    ]
+    }
+    if shape in _ORDERED_PARAMS:
+        first, second = _ORDERED_PARAMS[shape]
+        values[first], values[second] = sorted((values[first], values[second]))
+    params = list(values.items())
     if shape == "constant" and draw(st.booleans()):
         params = []
     if shape == "step":
-        steps = draw(st.lists(st.tuples(_numbers(), _numbers()), max_size=3))
+        steps = draw(
+            st.lists(st.tuples(_numbers(), _numbers()), min_size=1, max_size=3)
+        )
         params = [("steps", tuple(sorted(steps)))]
     return shape, tuple(params)
 
