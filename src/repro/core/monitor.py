@@ -91,7 +91,7 @@ class PerformanceMonitor:
     qos: float
     adaptive: bool = True
     _samples: list[float] = field(default_factory=list)
-    _history: list[IntervalObservation] = field(default_factory=list)
+    _last_p99: float = 0.0
     _last_slack: float = 1.0
 
     def __post_init__(self) -> None:
@@ -126,22 +126,12 @@ class PerformanceMonitor:
         else:
             # No samples this interval (fully backed-off monitor): assume
             # the last observation still holds.
-            p99 = self._history[-1].p99 if self._history else 0.0
+            p99 = self._last_p99
             count = 0
         observation = IntervalObservation(
             time=time, p99=p99, qos=self.qos, sample_count=count
         )
         self._samples.clear()
-        self._history.append(observation)
+        self._last_p99 = p99
         self._last_slack = observation.slack
         return observation
-
-    @property
-    def history(self) -> list[IntervalObservation]:
-        return list(self._history)
-
-    def qos_met_fraction(self) -> float:
-        if not self._history:
-            return 1.0
-        met = sum(1 for obs in self._history if obs.qos_met)
-        return met / len(self._history)

@@ -86,7 +86,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, le
 from numbers import Real
 
 import numpy as np
@@ -508,7 +508,13 @@ class IntervalRecord:
 
 @dataclass
 class ColocationResult:
-    """Everything a benchmark needs from one run."""
+    """Everything a benchmark needs from one run.
+
+    A result rebuilt from its pickled payload (:func:`_rebuild_result`)
+    keeps its interval columns and builds :attr:`intervals` on the first
+    read; until then :meth:`qos_met_fraction` and pickling read the
+    columns.
+    """
 
     service_name: str
     policy_name: str
@@ -564,10 +570,12 @@ class ColocationResult:
         return self.aggregate_p99 <= self.qos
 
     def qos_met_fraction(self) -> float:
-        if not self.intervals:
-            return 1.0
-        met = sum(1 for r in self.intervals if r.observation.qos_met)
-        return met / len(self.intervals)
+        columns = self._undecoded_columns()
+        if columns is None:
+            met = [r.observation.qos_met for r in self.intervals]
+        else:
+            met = list(map(le, columns[_P99_COLUMN], columns[_QOS_COLUMN]))
+        return sum(met) / len(met) if met else 1.0
 
     def app_outcome(self, name: str) -> AppOutcome:
         for outcome in self.apps:
@@ -593,16 +601,47 @@ class ColocationResult:
             total += int(reclaimed.max()) if reclaimed.size else 0
         return total
 
+    def __getattr__(self, name: str):
+        """Build the interval records of a rebuilt result on the first read
+        of :attr:`intervals`, then drop its columns.
+
+        Only reached when ``intervals`` is not in the instance dict.  Two
+        threads reading first may both decode; ``setdefault`` keeps one
+        list, so both return it.
+        """
+        if name == "intervals":
+            state = self.__dict__
+            columns = state.get(_INTERVAL_COLUMNS)
+            if columns is not None:
+                intervals = state.setdefault("intervals", _interval_records(columns))
+                state.pop(_INTERVAL_COLUMNS, None)
+                return intervals
+            if "intervals" in state:  # decoded by another thread since the miss
+                return state["intervals"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _undecoded_columns(self) -> list[list] | None:
+        """The interval columns while :attr:`intervals` is not built, else ``None``."""
+        state = self.__dict__
+        return None if "intervals" in state else state.get(_INTERVAL_COLUMNS)
+
     def __reduce__(self):
         """Pickle as one columnar payload, rebuilt by :func:`_rebuild_result`.
 
         The float epoch columns travel as one buffer and the int columns
         (service cores, then each app's levels, then each app's cores) as
         a second, each with its dtype; every interval field travels as a
-        plain list and every app outcome as a tuple.
+        plain list and every app outcome as a tuple.  A rebuilt result
+        whose records are not built yet passes its interval columns on
+        as they are.
         """
         levels, cores = self.epoch_app_levels, self.epoch_app_cores
-        observations = [record.observation for record in self.intervals]
+        interval_columns = self._undecoded_columns()
+        if interval_columns is None:
+            observations = [record.observation for record in self.intervals]
+            interval_columns = [list(map(get, observations)) for get in _OBSERVATION_GETTERS] + [
+                list(map(get, self.intervals)) for get in _RECORD_GETTERS
+            ]
         return (
             _rebuild_result,
             (
@@ -614,8 +653,7 @@ class ColocationResult:
                 *_pack_columns(
                     (self.epoch_service_cores, *levels.values(), *cores.values())
                 ),
-                [list(map(get, observations)) for get in _OBSERVATION_GETTERS]
-                + [list(map(get, self.intervals)) for get in _RECORD_GETTERS],
+                interval_columns,
                 tuple(map(_app_values, self.apps)),
             ),
         )
@@ -630,6 +668,12 @@ _OBSERVATION_SETTERS = tuple(
     getattr(IntervalObservation, f.name).__set__ for f in fields(IntervalObservation)
 )
 _RECORD_GETTERS = tuple(attrgetter(f.name) for f in fields(IntervalRecord)[1:])
+_INTERVAL_FIELDS = len(_OBSERVATION_GETTERS) + len(_RECORD_GETTERS)
+_P99_COLUMN, _QOS_COLUMN = (
+    [f.name for f in fields(IntervalObservation)].index(name) for name in ("p99", "qos")
+)
+#: Where a rebuilt result keeps its interval columns until they are decoded.
+_INTERVAL_COLUMNS = "_interval_columns"
 _app_values = attrgetter(*(f.name for f in fields(AppOutcome)))
 #: The result fields that travel as columns; the others as plain values.
 _RESULT_COLUMNS = (
@@ -660,6 +704,12 @@ def _observations(columns: list[list]) -> list[IntervalObservation]:
     for set_field, column in zip(_OBSERVATION_SETTERS, columns):
         deque(map(set_field, observations, column), maxlen=0)
     return observations
+
+
+def _interval_records(columns: list[list]) -> list[IntervalRecord]:
+    """The interval records the payload's interval columns hold."""
+    observed = len(_OBSERVATION_GETTERS)
+    return list(map(IntervalRecord, _observations(columns[:observed]), *columns[observed:]))
 
 
 def _pack_columns(columns: tuple[np.ndarray, ...]) -> tuple[str, bytes]:
@@ -702,24 +752,33 @@ def _rebuild_result(
 ) -> ColocationResult:
     """Invert :meth:`ColocationResult.__reduce__`.
 
+    The interval records are not built here: the result keeps the
+    interval columns and builds them on the first read of ``intervals``.
     Raises ``ValueError`` when a buffer's length disagrees with its
-    column count, so a damaged payload never rebuilds a short result.
+    column count, or the interval columns with their field count or with
+    each other, so a damaged payload never rebuilds a short result.
     """
     epoch_times, epoch_p99 = _unpack_columns(float_dtype, floats, 2, length)
     count = 1 + len(level_names) + len(core_names)
     service_cores, *app_columns = _unpack_columns(int_dtype, ints, count, length)
-    observed = len(_OBSERVATION_GETTERS)
-    observations = _observations(interval_columns[:observed])
-    return ColocationResult(
+    lengths = {len(column) for column in interval_columns}
+    if len(interval_columns) != _INTERVAL_FIELDS or len(lengths) != 1:
+        raise ValueError(
+            f"result payload holds {len(interval_columns)} interval columns of "
+            f"lengths {sorted(lengths)} for {_INTERVAL_FIELDS} of one length"
+        )
+    result = object.__new__(ColocationResult)
+    result.__dict__.update(
+        zip(_RESULT_SCALARS, scalars),
         epoch_times=epoch_times,
         epoch_p99=epoch_p99,
         epoch_service_cores=service_cores,
         epoch_app_levels=dict(zip(level_names, app_columns)),
         epoch_app_cores=dict(zip(core_names, app_columns[len(level_names) :])),
-        intervals=list(map(IntervalRecord, observations, *interval_columns[observed:])),
         apps=[AppOutcome(*values) for values in apps],
-        **dict(zip(_RESULT_SCALARS, scalars)),
     )
+    result.__dict__[_INTERVAL_COLUMNS] = interval_columns
+    return result
 
 
 #: Run knobs that must be finite and > 0.

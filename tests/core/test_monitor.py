@@ -55,14 +55,18 @@ class TestMonitor:
         assert second.p99 == first.p99
         assert second.sample_count == 0
 
-    def test_history(self):
+    def test_empty_interval_holds_the_latest_sampled_p99(self):
+        # The fallback is the last sampled interval's p99, not the first,
+        # and it carries through consecutive empty intervals.
         monitor = PerformanceMonitor(qos=1.0)
         monitor.record(0.5)
         monitor.close_interval(1.0)
         monitor.record(2.0)
-        monitor.close_interval(2.0)
-        assert len(monitor.history) == 2
-        assert monitor.qos_met_fraction() == pytest.approx(0.5)
+        monitor.record(3.0)
+        sampled = monitor.close_interval(2.0)
+        empty = [monitor.close_interval(t) for t in (3.0, 4.0)]
+        assert [obs.p99 for obs in empty] == [sampled.p99] * 2 == [2.5] * 2
+        assert all(obs.sample_count == 0 and not obs.qos_met for obs in empty)
 
     @given(
         st.lists(

@@ -6,7 +6,9 @@ interval field as a plain list and every app outcome as a tuple.  A round
 trip must keep the structural digest, every array's dtype and shape, and
 give arrays that are C-contiguous, writeable and own their data.  A
 damaged payload must fail loudly, and a field added to any of the four
-result dataclasses must travel with the rest.
+result dataclasses must travel with the rest.  A rebuilt result keeps
+its interval columns until ``intervals`` is first read: a cache hit,
+its metrics and a re-pickle build no records.
 """
 
 from __future__ import annotations
@@ -15,16 +17,26 @@ import copyreg
 import dataclasses
 import io
 import pickle
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import runtime
 from repro.core.monitor import IntervalObservation
 from repro.core.runtime import AppOutcome, ColocationResult, IntervalRecord
+from repro.experiment.resultset import METRICS
 from repro.server.platform import registered_platforms
-from repro.sweep import Scenario, SweepCache, registered_policies, run_scenario
+from repro.sweep import (
+    ProcessBackend,
+    Scenario,
+    SweepCache,
+    SweepEngine,
+    registered_policies,
+    run_scenario,
+)
 from repro.sweep.cache import FORMAT_VERSION
 from repro.sweep.digest import result_digest
 from tests.conftest import FAST_APPS
@@ -131,7 +143,14 @@ def _bad_payload(result, change):
 
 
 #: Argument positions in the payload (see ``ColocationResult.__reduce__``).
-FLOATS, INTS = 5, 7
+FLOATS, INTS, INTERVALS = 5, 7, 8
+
+
+def _ragged(args):
+    """Cut five values off two of the interval columns."""
+    args[INTERVALS] = [
+        column[:-5] if i in (1, 3) else column for i, column in enumerate(args[INTERVALS])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -142,8 +161,18 @@ FLOATS, INTS = 5, 7
         lambda args: args.__setitem__(INTS, args[INTS][:-3]),
         lambda args: args.__setitem__(3, args[3] + 1),
         lambda args: args.__setitem__(1, args[1] + ("ghost",)),
+        _ragged,
+        lambda args: args.__setitem__(INTERVALS, args[INTERVALS][:-1]),
     ],
-    ids=["short-floats", "long-ints", "ragged-ints", "wrong-length", "extra-column"],
+    ids=[
+        "short-floats",
+        "long-ints",
+        "ragged-ints",
+        "wrong-length",
+        "extra-column",
+        "ragged-intervals",
+        "missing-interval-column",
+    ],
 )
 def test_inconsistent_payload_raises_value_error(result, change):
     blob = pickle.dumps(_bad_payload(result, change))
@@ -182,6 +211,16 @@ class TestCacheReadsOfDamagedEntries:
     def test_length_inconsistent_entry(self, cache, result):
         key = self._key(cache)
         damaged = _bad_payload(result, lambda args: args.__setitem__(FLOATS, args[FLOATS][:-8]))
+        path = cache.path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({"format": FORMAT_VERSION, "result": damaged}))
+        assert cache.get(key) is None
+        assert not path.exists()
+        assert cache.misses == 1
+
+    def test_ragged_interval_columns(self, cache, result):
+        key = self._key(cache)
+        damaged = _bad_payload(result, _ragged)
         path = cache.path(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"format": FORMAT_VERSION, "result": damaged}))
@@ -297,3 +336,140 @@ def test_result_without_epochs_round_trips(result):
     clone = _round_trip(bare)
     assert result_digest(clone) == result_digest(bare)
     assert clone.epoch_service_cores.dtype == np.float64
+
+
+def _decoded(result) -> bool:
+    return "intervals" in vars(result)
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Counts the decodes of interval columns into records."""
+    calls = []
+    decode = runtime._interval_records
+
+    def spy(columns):
+        calls.append(len(columns[0]))
+        return decode(columns)
+
+    monkeypatch.setattr(runtime, "_interval_records", spy)
+    return calls
+
+
+class TestLazyIntervals:
+    """A rebuilt result builds its interval records on the first read."""
+
+    def test_warm_engine_run_builds_no_records(self, tmp_path):
+        scenarios = [Scenario(service="nginx", apps=("kmeans",), seed=seed) for seed in (0, 1)]
+        SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(scenarios)
+        warm = SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(scenarios)
+        assert all(o.from_cache for o in warm)
+        assert not any(_decoded(o.result) for o in warm)
+
+    def test_first_read_decodes_once(self, result, decodes):
+        clone = _round_trip(result)
+        intervals = clone.intervals
+        assert decodes == [len(result.intervals)]
+        assert clone.intervals is intervals
+        assert "_interval_columns" not in vars(clone)
+        assert decodes == [len(result.intervals)]
+        assert result_digest(intervals) == result_digest(result.intervals)
+
+    def test_concurrent_first_reads_share_one_list(self, result):
+        clones = [_round_trip(result) for _ in range(50)]
+        start = threading.Barrier(2)
+        seen = [[], []]
+
+        def read(into):
+            start.wait()
+            into.extend(clone.intervals for clone in clones)
+
+        threads = [threading.Thread(target=read, args=(into,)) for into in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(a is b for a, b in zip(*seen))
+        assert len(seen[0]) == len(clones)
+
+    def test_undecoded_result_repickles_without_decoding(self, result, decodes):
+        clone = _round_trip(result)
+        copy = _round_trip(clone)
+        assert decodes == []
+        assert not _decoded(clone) and not _decoded(copy)
+        assert result_digest(copy) == result_digest(result)
+
+    def test_field_views_see_the_records(self, result):
+        assert repr(_round_trip(result)) == repr(result)
+        assert result_digest(dataclasses.replace(_round_trip(result))) == result_digest(result)
+        assert [(f.name, f.default) for f in dataclasses.fields(ColocationResult)] == [
+            (name, dataclasses.MISSING)
+            for name in (
+                "service_name",
+                "policy_name",
+                "qos",
+                "epoch_times",
+                "epoch_p99",
+                "epoch_service_cores",
+                "epoch_app_levels",
+                "epoch_app_cores",
+                "intervals",
+                "apps",
+                "offered_qps",
+            )
+        ] + [("warmup_seconds", 3.0)]
+
+    def test_other_missing_attributes_still_raise(self, result):
+        clone = _round_trip(result)
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            clone.nothing
+        assert not hasattr(clone, "_interval_records")
+        assert not _decoded(clone)
+
+    def test_qos_met_fraction_reads_the_columns(self, result):
+        # Per-interval QoS that differs from the result's, meeting it in
+        # every third interval only.
+        mixed = dataclasses.replace(
+            result,
+            intervals=[
+                dataclasses.replace(
+                    record,
+                    observation=dataclasses.replace(
+                        record.observation,
+                        qos=record.observation.p99 * (2.0 if i % 3 == 0 else 0.5),
+                    ),
+                )
+                for i, record in enumerate(result.intervals)
+            ],
+        )
+        expected = sum(1 for i in range(len(result.intervals)) if i % 3 == 0)
+        bare = dataclasses.replace(result, intervals=[])
+        for fresh in (result, _perturbed(result), mixed, bare):
+            clone = _round_trip(fresh)
+            undecoded = clone.qos_met_fraction()
+            assert not _decoded(clone)
+            clone.intervals
+            assert undecoded == clone.qos_met_fraction() == fresh.qos_met_fraction()
+        assert mixed.qos_met_fraction() == expected / len(result.intervals) < 1.0
+        assert bare.qos_met_fraction() == 1.0
+
+    def test_cache_hit_and_its_metrics_build_no_records(self, tmp_path, result):
+        cache = SweepCache(tmp_path)
+        key = cache.key(Scenario(service="memcached", apps=("kmeans",)))
+        cache.put(key, result)
+        hit = cache.get(key)
+        assert not _decoded(hit)
+        for name, projection in METRICS.items():
+            assert projection(hit) == projection(result), name
+            assert not _decoded(hit), name
+
+    def test_process_backend_write_back_decodes_nothing(self, tmp_path, decodes):
+        scenarios = [Scenario(service="nginx", apps=("kmeans",), seed=seed) for seed in (0, 1)]
+        cache = SweepCache(tmp_path)
+        outcomes = SweepEngine(cache=cache, backend=ProcessBackend(2)).run(scenarios)
+        assert decodes == []
+        assert not any(o.from_cache or _decoded(o.result) for o in outcomes)
+        for scenario in scenarios:
+            assert result_digest(cache.get(cache.key(scenario))) == result_digest(
+                run_scenario(scenario)
+            )
