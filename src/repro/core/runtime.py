@@ -10,10 +10,11 @@ The engine runs one decision interval at a time, as one loop over its
 epochs.  A policy acts only between intervals, so inside one the service's
 cores, every app's level and cores, and with them the saturation
 throughput, stay fixed; only the offered load, the noise and the apps'
-progress move.  The loop keeps in locals what an interval cannot change —
-the saturation throughput, the latency curve's constants and the
-monitor's sampling rule — and the latency noise's sigma, recomputed only
-when the offered QPS changes.  Each epoch it:
+progress move.  The run keeps the loop's state and the latency curve's
+constants in locals, reads what an interval cannot change — the
+saturation throughput and the monitor's sampling rule — once per
+interval, and recomputes the latency noise's sigma only when the offered
+QPS changes.  Each epoch it:
 
 1. samples the offered load,
 2. steps the smoothed service-time inflation, the saturation backlog and
@@ -27,9 +28,10 @@ when the offered QPS changes.  Each epoch it:
    DynamoRIO overhead (when instrumented) and the contention it suffers
    itself (:meth:`AppSim.advance`).
 
-The per-epoch service-core and per-app level and core traces are
-extended once per interval, and a count of running apps ends a run whose
-apps are all done.
+The service's cores and each app's level and cores are recorded once per
+interval and expanded into per-epoch columns at the end; a run keeps its
+interval observations as columns too (:class:`ColocationResult`).  A
+count of running apps ends a run whose apps are all done.
 
 Contention follows a per-configuration plan (:class:`ContentionPlan`).
 A configuration is every tenant's profile and cores; it changes only at
@@ -94,7 +96,7 @@ import numpy as np
 from repro.apps.base import ApproximableApp, MeasuredVariant
 from repro.core.actuator import Actuator
 from repro.core.arbiter import AppView
-from repro.core.monitor import IntervalObservation, PerformanceMonitor
+from repro.core.monitor import OBSERVATION_SETTERS, IntervalObservation, PerformanceMonitor
 from repro.core.policy import RuntimePolicy
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
@@ -506,14 +508,14 @@ class IntervalRecord:
     action_summary: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ColocationResult:
     """Everything a benchmark needs from one run.
 
-    A result rebuilt from its pickled payload (:func:`_rebuild_result`)
-    keeps its interval columns and builds :attr:`intervals` on the first
-    read; until then :meth:`qos_met_fraction` and pickling read the
-    columns.
+    A result, fresh from a run or rebuilt from its pickle, keeps its
+    interval columns and builds :attr:`intervals` on the first read;
+    until then :meth:`qos_met_fraction` and pickling read the columns.
+    Results compare by identity (``results_identical`` by content).
     """
 
     service_name: str
@@ -602,8 +604,8 @@ class ColocationResult:
         return total
 
     def __getattr__(self, name: str):
-        """Build the interval records of a rebuilt result on the first read
-        of :attr:`intervals`, then drop its columns.
+        """Build the interval records on the first read of
+        :attr:`intervals`, then drop the interval columns.
 
         Only reached when ``intervals`` is not in the instance dict.  Two
         threads reading first may both decode; ``setdefault`` keeps one
@@ -664,9 +666,6 @@ class ColocationResult:
 #: The interval record's first field is its observation; its other fields
 #: and the observation's each travel as one list.
 _OBSERVATION_GETTERS = tuple(attrgetter(f.name) for f in fields(IntervalObservation))
-_OBSERVATION_SETTERS = tuple(
-    getattr(IntervalObservation, f.name).__set__ for f in fields(IntervalObservation)
-)
 _RECORD_GETTERS = tuple(attrgetter(f.name) for f in fields(IntervalRecord)[1:])
 _INTERVAL_FIELDS = len(_OBSERVATION_GETTERS) + len(_RECORD_GETTERS)
 _P99_COLUMN, _QOS_COLUMN = (
@@ -691,25 +690,18 @@ _RESULT_SCALARS = tuple(
 _result_scalars = attrgetter(*_RESULT_SCALARS)
 
 
-def _observations(columns: list[list]) -> list[IntervalObservation]:
-    """Observations, the i-th holding the i-th value of each column (one
-    per field, in field order).
-
-    Built without the frozen ``__init__``, which only sets the fields
-    through ``object.__setattr__``: each slot's descriptor fills one
-    field of every observation in one ``map``, for about two thirds of
-    the cost of a call per observation.
-    """
-    observations = list(map(object.__new__, repeat(IntervalObservation, len(columns[0]))))
-    for set_field, column in zip(_OBSERVATION_SETTERS, columns):
-        deque(map(set_field, observations, column), maxlen=0)
-    return observations
-
-
 def _interval_records(columns: list[list]) -> list[IntervalRecord]:
-    """The interval records the payload's interval columns hold."""
-    observed = len(_OBSERVATION_GETTERS)
-    return list(map(IntervalRecord, _observations(columns[:observed]), *columns[observed:]))
+    """The interval records the interval columns hold, the i-th from the
+    i-th value of each column.
+
+    Each observation's slot setters (not the frozen ``__init__``) fill
+    one field of every observation in one ``map``.
+    """
+    observed = len(OBSERVATION_SETTERS)
+    observations = list(map(object.__new__, repeat(IntervalObservation, len(columns[0]))))
+    for set_field, column in zip(OBSERVATION_SETTERS, columns):
+        deque(map(set_field, observations, column), maxlen=0)
+    return list(map(IntervalRecord, observations, *columns[observed:]))
 
 
 def _pack_columns(columns: tuple[np.ndarray, ...]) -> tuple[str, bytes]:
@@ -750,25 +742,15 @@ def _rebuild_result(
     interval_columns: list[list],
     apps: tuple[tuple, ...],
 ) -> ColocationResult:
-    """Invert :meth:`ColocationResult.__reduce__`.
-
-    The interval records are not built here: the result keeps the
-    interval columns and builds them on the first read of ``intervals``.
-    Raises ``ValueError`` when a buffer's length disagrees with its
-    column count, or the interval columns with their field count or with
-    each other, so a damaged payload never rebuilds a short result.
+    """Invert :meth:`ColocationResult.__reduce__`, building no interval
+    record.  Raises ``ValueError`` when a buffer's length disagrees with
+    its column count, or the interval columns with their field count or
+    with each other, so a damaged payload never rebuilds a short result.
     """
     epoch_times, epoch_p99 = _unpack_columns(float_dtype, floats, 2, length)
     count = 1 + len(level_names) + len(core_names)
     service_cores, *app_columns = _unpack_columns(int_dtype, ints, count, length)
-    lengths = {len(column) for column in interval_columns}
-    if len(interval_columns) != _INTERVAL_FIELDS or len(lengths) != 1:
-        raise ValueError(
-            f"result payload holds {len(interval_columns)} interval columns of "
-            f"lengths {sorted(lengths)} for {_INTERVAL_FIELDS} of one length"
-        )
-    result = object.__new__(ColocationResult)
-    result.__dict__.update(
+    state = dict(
         zip(_RESULT_SCALARS, scalars),
         epoch_times=epoch_times,
         epoch_p99=epoch_p99,
@@ -777,7 +759,23 @@ def _rebuild_result(
         epoch_app_cores=dict(zip(core_names, app_columns[len(level_names) :])),
         apps=[AppOutcome(*values) for values in apps],
     )
-    result.__dict__[_INTERVAL_COLUMNS] = interval_columns
+    return _columnar_result(state, interval_columns)
+
+
+def _columnar_result(state: dict, interval_columns: list[list]) -> ColocationResult:
+    """A result whose instance dict is ``state`` (field values; any other
+    field keeps its default) that builds ``intervals`` from
+    ``interval_columns`` when first read.  Raises ``ValueError`` unless
+    they are one list per interval field, all of one length."""
+    lengths = {len(column) for column in interval_columns}
+    if len(interval_columns) != _INTERVAL_FIELDS or len(lengths) != 1:
+        raise ValueError(
+            f"result payload holds {len(interval_columns)} interval columns of "
+            f"lengths {sorted(lengths)} for {_INTERVAL_FIELDS} of one length"
+        )
+    state[_INTERVAL_COLUMNS] = interval_columns
+    result = object.__new__(ColocationResult)
+    result.__dict__ = state
     return result
 
 
@@ -990,82 +988,170 @@ class ColocationEngine:
 
     def run(self) -> ColocationResult:
         cfg = self._config
-        epochs_per_interval = max(1, int(round(cfg.decision_interval / cfg.monitor_epoch)))
+        dt = cfg.monitor_epoch
+        horizon = cfg.horizon
+        stop_when_done = cfg.stop_when_apps_done
+        epochs_per_interval = max(1, int(round(cfg.decision_interval / dt)))
+        qps_at = self._loadgen.qps_at
+        normals = self._normals
+        monitor = self._monitor
+        record = monitor.record
+        curve = self._service.curve
+        base_p99 = curve.params.base_p99
+        amplitude = curve.amplitude
+        max_utilization = curve.params.max_utilization
+        noise_sigma = curve.params.noise_sigma
+        alpha = self._inflation_alpha
+        sims = self._sims
+        now = self._now
+        inflation = self._inflation_ema
+        backlog = self._backlog
+        running = self._running
+        # `plan` is `self._plan`, None after an app finishes or the policy
+        # acts until it is rebuilt; `raw_inflation` is its value at
+        # `plan_qps`, which is None until it is evaluated; `noise_qps` is
+        # the QPS `sigma` is for.
+        plan_qps = self._plan_qps
+        raw_inflation = self._raw_inflation
+        noise_qps = None
+        sigma = log_mean = 0.0
+
         times: list[float] = []
         p99s: list[float] = []
+        # Per interval: the epochs it ran, the cores and levels it held
+        # (they move only between intervals), its observation and action.
+        ran_counts: list[int] = []
         service_cores: list[int] = []
-        app_levels: dict[str, list[int]] = {n: [] for n in self._apps}
-        app_cores: dict[str, list[int]] = {n: [] for n in self._apps}
-        app_traces = [
-            (sim, app_levels[n], app_cores[n]) for n, sim in self._apps.items()
-        ]
-        intervals: list[IntervalRecord] = []
-        start_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
+        app_traces = [(sim, [], [], sim.tenant.cores) for sim in sims]
+        observations: list[IntervalObservation] = []
+        summaries: list[str] = []
 
-        # Phase timings (monitor epochs vs. policy decisions vs. actuator
-        # work) are the profile that justifies the tensorization refactor.
-        # The recorder's injected clock is the only clock named here —
-        # simulation time (`self._now`) stays untouched, and everything
-        # below is guarded so an uninstrumented run pays one bool check per
-        # interval.
+        # Phase timings use the recorder's injected clock, never simulation
+        # time; an uninstrumented run pays one bool check per phase.
         telemetry = get_recorder()
         instrumented = telemetry.enabled
         tick = 0.0
 
         epoch_index = 0
-        while self._now < cfg.horizon:
+        while now < horizon:
             if instrumented:
                 tick = telemetry.now()
-            ran = self._run_interval(epoch_index, epochs_per_interval, times, p99s)
-            epoch_index += ran
-            # Cores and levels move only between intervals.
-            service_cores.extend([self._service_tenant.cores] * ran)
-            for sim, levels, cores in app_traces:
-                levels.extend([sim.level] * ran)
-                cores.extend([sim.tenant.cores] * ran)
+            # Only the policy, between intervals, changes the plan's
+            # saturation throughput and the monitor's sampling rule.
+            plan = self._plan
+            saturation = 0.0 if plan is None else plan.saturation_qps
+            every_epoch = monitor.samples_every_epoch
+            ran = 0
+            while ran < epochs_per_interval and now < horizon:
+                qps = qps_at(now)
+                if plan is None:
+                    plan = self._build_plan(qps)
+                    plan_qps = None
+                    saturation = plan.saturation_qps
+                if qps != plan_qps:
+                    raw_inflation = plan.evaluate(qps)
+                    plan_qps = qps
+                if qps != noise_qps:
+                    if qps < 0:
+                        raise ValueError("qps must be non-negative")
+                    requests_observed = max(qps * dt, 10.0)
+                    sigma = noise_sigma * (1.0 + 30.0 / math.sqrt(requests_observed))
+                    log_mean = -0.5 * sigma * sigma
+                    noise_qps = qps
+
+                inflation += alpha * (raw_inflation - inflation)
+                capacity = saturation / inflation
+                backlog = max(0.0, backlog + (qps - capacity) * dt)
+                penalty = 0.0 if capacity <= 0 else backlog / capacity
+                utilization = qps * inflation / saturation
+                if utilization < 0:
+                    raise ValueError("utilization must be non-negative")
+                u = min(utilization, max_utilization)
+                sample = (base_p99 + amplitude * u / (1.0 - u) + penalty) * math.exp(
+                    log_mean + sigma * next(normals)
+                )
+                if every_epoch or epoch_index % 2 == 0:
+                    record(sample)
+
+                for sim in sims:
+                    if not sim.finished:
+                        if plan is None:
+                            # An app advanced earlier in this epoch finished.
+                            plan = self._build_plan(qps)
+                            raw_inflation = plan.evaluate(qps)
+                            plan_qps = qps
+                        if sim.advance(dt, now):
+                            running -= 1
+                            self._plan = plan = None
+                            self._views = None
+
+                times.append(now)
+                p99s.append(sample)
+                now += dt
+                epoch_index += 1
+                ran += 1
+                if stop_when_done and not running:
+                    break
+
+            self._now = now
+            ran_counts.append(ran)
+            service_cores.append(self._service_tenant.cores)
+            for sim, levels, cores, _ in app_traces:
+                levels.append(sim.level)
+                cores.append(sim.tenant.cores)
             if ran < epochs_per_interval:
                 break  # at the horizon, or every app is done
-            obs = self._monitor.close_interval(self._now)
+            obs = monitor.close_interval(now)
+            observations.append(obs)
             if instrumented:
                 telemetry.observe("runtime.monitor_phase_s", telemetry.now() - tick)
                 tick = telemetry.now()
             self._before = None
             self._policy.on_interval(obs, self._actuator)
-            summary = self._describe_action()
+            summaries.append(self._describe_action())
             if instrumented:
                 telemetry.observe("runtime.policy_phase_s", telemetry.now() - tick)
-            intervals.append(IntervalRecord(observation=obs, action_summary=summary))
-            if cfg.stop_when_apps_done and not self._running:
+            if stop_when_done and not running:
                 break
 
-        # Every epoch records each app's cores after it ran, so the fewest
-        # cores an app held is the least of those and its start allocation.
-        min_cores = {n: min([start_cores[n], *app_cores[n]]) for n in self._apps}
-        outcomes = [
-            AppOutcome(
-                name=name,
-                finish_time=sim.finish_time,
-                inaccuracy_pct=self._final_inaccuracy(sim),
-                switches=len(sim.level_trace),
-                min_cores=min_cores[name],
-                max_reclaimed=max(0, sim.tenant.nominal_cores - min_cores[name]),
-                level_trace=list(sim.level_trace),
+        self._inflation_ema = inflation
+        self._backlog = backlog
+        self._running = running
+        self._plan_qps = plan_qps
+        self._raw_inflation = raw_inflation
+        counts = np.array(ran_counts, dtype=np.int64)
+
+        def per_epoch(values: list[int]) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=np.int64), counts)
+
+        outcomes = []
+        for sim, _, cores, start in app_traces:
+            fewest = min([start, *cores])
+            outcomes.append(
+                AppOutcome(
+                    name=sim.name,
+                    finish_time=sim.finish_time,
+                    inaccuracy_pct=self._final_inaccuracy(sim),
+                    switches=len(sim.level_trace),
+                    min_cores=fewest,
+                    max_reclaimed=max(0, sim.tenant.nominal_cores - fewest),
+                    level_trace=list(sim.level_trace),
+                )
             )
-            for name, sim in self._apps.items()
-        ]
-        return ColocationResult(
+        interval_columns = [list(map(get, observations)) for get in _OBSERVATION_GETTERS]
+        state = dict(
             service_name=self._service.name,
             policy_name=self._policy.name,
             qos=self._service.qos,
-            epoch_times=np.asarray(times),
-            epoch_p99=np.asarray(p99s),
-            epoch_service_cores=np.asarray(service_cores),
-            epoch_app_levels={n: np.asarray(v) for n, v in app_levels.items()},
-            epoch_app_cores={n: np.asarray(v) for n, v in app_cores.items()},
-            intervals=intervals,
+            epoch_times=np.array(times, dtype=np.float64),
+            epoch_p99=np.array(p99s, dtype=np.float64),
+            epoch_service_cores=per_epoch(service_cores),
+            epoch_app_levels={sim.name: per_epoch(v) for sim, v, _, _ in app_traces},
+            epoch_app_cores={sim.name: per_epoch(v) for sim, _, v, _ in app_traces},
             apps=outcomes,
             offered_qps=self._offered_reference,
         )
+        return _columnar_result(state, [*interval_columns, summaries])
 
     # -- internals --------------------------------------------------------
 
@@ -1078,105 +1164,6 @@ class ColocationEngine:
             self._platform, self._service, service_tenant, self._sims
         )
         return self._plan
-
-    def _run_interval(
-        self, epoch_index: int, epochs: int, times: list[float], p99s: list[float]
-    ) -> int:
-        """Run the ``epochs`` monitor epochs of one decision interval,
-        numbered from ``epoch_index`` on; return how many ran.
-
-        Fewer run when the horizon comes first or, in a run that stops with
-        its apps, once the last app finished.  Every epoch appends its start
-        time to ``times`` and its latency observation to ``p99s``.
-        """
-        cfg = self._config
-        dt = cfg.monitor_epoch
-        horizon = cfg.horizon
-        stop_when_done = cfg.stop_when_apps_done
-        qps_at = self._loadgen.qps_at
-        normals = self._normals
-        record = self._monitor.record
-        every_epoch = self._monitor.samples_every_epoch
-        curve = self._service.curve
-        base_p99 = curve.params.base_p99
-        amplitude = curve.amplitude
-        max_utilization = curve.params.max_utilization
-        noise_sigma = curve.params.noise_sigma
-        alpha = self._inflation_alpha
-        sims = self._sims
-        now = self._now
-        inflation = self._inflation_ema
-        backlog = self._backlog
-        running = self._running
-        # `plan` is `self._plan`, None after an app finishes until it is
-        # rebuilt; `raw_inflation` is its value at `plan_qps`, which is None
-        # until it is evaluated; `noise_qps` is the QPS `sigma` is for.
-        plan = self._plan
-        plan_qps = self._plan_qps
-        raw_inflation = self._raw_inflation
-        saturation = 0.0 if plan is None else plan.saturation_qps
-        noise_qps = None
-        sigma = log_mean = 0.0
-
-        ran = 0
-        while ran < epochs and now < horizon:
-            qps = qps_at(now)
-            if plan is None:
-                plan = self._build_plan(qps)
-                plan_qps = None
-                saturation = plan.saturation_qps
-            if qps != plan_qps:
-                raw_inflation = plan.evaluate(qps)
-                plan_qps = qps
-            if qps != noise_qps:
-                if qps < 0:
-                    raise ValueError("qps must be non-negative")
-                requests_observed = max(qps * dt, 10.0)
-                sigma = noise_sigma * (1.0 + 30.0 / math.sqrt(requests_observed))
-                log_mean = -0.5 * sigma * sigma
-                noise_qps = qps
-
-            inflation += alpha * (raw_inflation - inflation)
-            capacity = saturation / inflation
-            backlog = max(0.0, backlog + (qps - capacity) * dt)
-            penalty = 0.0 if capacity <= 0 else backlog / capacity
-            utilization = qps * inflation / saturation
-            if utilization < 0:
-                raise ValueError("utilization must be non-negative")
-            u = min(utilization, max_utilization)
-            sample = (base_p99 + amplitude * u / (1.0 - u) + penalty) * math.exp(
-                log_mean + sigma * next(normals)
-            )
-            if every_epoch or epoch_index % 2 == 0:
-                record(sample)
-
-            for sim in sims:
-                if not sim.finished:
-                    if plan is None:
-                        # An app advanced earlier in this epoch finished.
-                        plan = self._build_plan(qps)
-                        raw_inflation = plan.evaluate(qps)
-                        plan_qps = qps
-                    if sim.advance(dt, now):
-                        running -= 1
-                        self._plan = plan = None
-                        self._views = None
-
-            times.append(now)
-            p99s.append(sample)
-            now += dt
-            epoch_index += 1
-            ran += 1
-            if stop_when_done and not running:
-                break
-
-        self._now = now
-        self._inflation_ema = inflation
-        self._backlog = backlog
-        self._running = running
-        self._plan_qps = plan_qps
-        self._raw_inflation = raw_inflation
-        return ran
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

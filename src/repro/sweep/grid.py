@@ -75,6 +75,14 @@ class Scenario:
         object.__setattr__(self, "apps", _normalize_mix(self.apps))
         if not self.apps:
             raise ValueError("a scenario needs at least one approximate app")
+        repeated = [app for i, app in enumerate(self.apps) if app in self.apps[:i]]
+        if repeated:
+            # Each app is a tenant named after it, so the engine build
+            # would fail on the repeat, in a worker.
+            raise ValueError(
+                f"apps must not repeat an app: {repeated[0]!r} is in "
+                f"{self.apps!r} more than once"
+            )
         object.__setattr__(
             self, "policy_kwargs", _freeze_pairs(self.policy_kwargs)
         )

@@ -8,7 +8,8 @@ import pytest
 from repro.apps import ALL_APP_NAMES, make_app
 from repro.cluster import build_engine
 from repro.cluster.colocation import ladder_for
-from repro.core import PliantPolicy, PrecisePolicy
+from repro.core import PliantPolicy, PrecisePolicy, runtime
+from repro.core.monitor import IntervalObservation
 from repro.core.policy import RuntimePolicy
 from repro.core.runtime import AppSim, ColocationConfig, ColocationEngine
 from repro.search.ladder import ApproxLadder
@@ -202,6 +203,98 @@ class TestActionSummary:
             "kmeans: level 0->2; kmeans: cores 8->6",
             "hold",
         ]
+
+
+class TestColumnarResult:
+    """A run keeps its intervals as columns and builds no record until
+    ``intervals`` is read; its traces are one int64 value per epoch."""
+
+    def test_run_builds_no_interval_record(self, monkeypatch):
+        seen = []
+        policy = ScriptedPolicy(lambda actuator: None)
+        policy.on_interval = lambda obs, actuator: seen.append(obs)
+        built = []
+        record = runtime.IntervalRecord
+        monkeypatch.setattr(
+            runtime,
+            "IntervalRecord",
+            lambda *args, **kwargs: built.append(1) or record(*args, **kwargs),
+        )
+        result = engine_for(policy=policy, horizon=10.0).run()
+        assert built == []
+        assert "intervals" not in vars(result)
+        assert result.qos_met_fraction() >= 0.0
+        assert "intervals" not in vars(result)
+        assert all(type(obs) is IntervalObservation for obs in seen)
+        assert [r.observation for r in result.intervals] == seen
+        assert len(built) == len(seen) == 10
+        assert all(type(r) is record for r in result.intervals)
+
+    @staticmethod
+    def _assert_one_int64_per_epoch(result):
+        n = len(result.epoch_times)
+        columns = [
+            result.epoch_service_cores,
+            *result.epoch_app_levels.values(),
+            *result.epoch_app_cores.values(),
+        ]
+        for column in columns:
+            assert column.dtype == np.int64
+            assert column.shape == (n,)
+        assert result.epoch_times.dtype == result.epoch_p99.dtype == np.float64
+        assert result.epoch_p99.shape == (n,)
+
+    @staticmethod
+    def _levels_from_trace(result, name):
+        """Each epoch's level, from the app's ``(time, level)`` switches: a
+        switch at a boundary holds from the epoch that starts there."""
+        trace = result.app_outcome(name).level_trace
+        return [
+            ([0] + [level for time, level in trace if time <= t])[-1]
+            for t in result.epoch_times
+        ]
+
+    def test_run_ending_mid_interval_at_the_horizon(self):
+        result = engine_for(
+            apps=("kmeans", "raytrace"), policy=PliantPolicy(seed=5), horizon=12.35
+        ).run()
+        assert len(result.epoch_times) == 124
+        assert len(result.intervals) == 12
+        self._assert_one_int64_per_epoch(result)
+        for name in ("kmeans", "raytrace"):
+            assert result.epoch_app_levels[name].tolist() == self._levels_from_trace(
+                result, name
+            )
+
+    def test_run_whose_apps_finish_mid_interval(self):
+        result = engine_for(policy=PliantPolicy(seed=5), load_fraction=0.3).run()
+        epochs = len(result.epoch_times)
+        finish = result.app_outcome("kmeans").finish_time
+        assert epochs % 10 != 0
+        assert len(result.intervals) == epochs // 10
+        assert result.epoch_times[-1] < finish <= result.epoch_times[-1] + 0.1 + 1e-9
+        self._assert_one_int64_per_epoch(result)
+        assert result.epoch_app_levels["kmeans"].tolist() == self._levels_from_trace(
+            result, "kmeans"
+        )
+
+    def test_cores_after_a_reclaimed_core(self):
+        intervals = []
+
+        def script(actuator):
+            intervals.append(1)
+            if len(intervals) == 3:
+                actuator.reclaim_core("kmeans")
+            elif len(intervals) == 5:
+                actuator.return_core("kmeans")
+
+        result = engine_for(policy=ScriptedPolicy(script), horizon=7.95).run()
+        assert result.epoch_app_cores["kmeans"].tolist() == [8] * 30 + [7] * 20 + [8] * 30
+        assert result.epoch_service_cores.tolist() == [8] * 30 + [9] * 20 + [8] * 30
+        outcome = result.app_outcome("kmeans")
+        assert (outcome.min_cores, outcome.max_reclaimed) == (7, 1)
+        assert result.max_cores_reclaimed() == 1
+        self._assert_one_int64_per_epoch(result)
 
 
 class TestPreciseBaseline:

@@ -27,6 +27,20 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(service="nginx", apps=())
 
+    @pytest.mark.parametrize(
+        "apps", [("canneal", "canneal"), ["kmeans", "canneal", "kmeans"]]
+    )
+    def test_repeated_app_rejected(self, apps):
+        with pytest.raises(ValueError, match="apps must not repeat an app"):
+            Scenario(service="memcached", apps=apps)
+
+    def test_spec_axis_with_a_repeated_mix(self):
+        with pytest.raises(ValueError, match="'kmeans' is in .* more than once"):
+            ExperimentSpec(
+                base={"service": "memcached"},
+                axes={"apps": (("canneal",), ("kmeans", "kmeans"))},
+            )
+
     def test_config_round_trip(self):
         scenario = Scenario(
             service="nginx",
@@ -225,12 +239,15 @@ def _loadgens(draw):
 def _scenarios(draw):
     """A scenario that constructs, over the axes a spec sweeps.
 
-    Apps are canneal and kmeans, whose ladders tier-1 explores anyway;
+    Apps are canneal and kmeans, whose ladders tier-1 explores anyway,
+    sometimes repeated (a mix that must not construct);
     ``exploration_seed`` stays 0, since every other seed explores the
     ladders afresh.
     """
     apps = draw(
-        st.sampled_from([("canneal",), ("kmeans",), ("canneal", "kmeans")])
+        st.sampled_from(
+            [("canneal",), ("kmeans",), ("canneal", "kmeans"), ("kmeans", "kmeans")]
+        )
     )
     policy = draw(st.sampled_from(registered_policies()))
     # static-level reads the levels it pins from its kwargs, and declaring
