@@ -16,7 +16,6 @@ from repro import units
 from repro.apps.base import AppMetadata, ApproximableApp, KernelCounters
 from repro.apps.knobs import Knob, LoopPerforation, PrecisionReduction
 from repro.apps.quality import relative_error_pct
-from repro.cluster import compare_policies
 from repro.core import PliantPolicy, PrecisePolicy
 from repro.core.runtime import ColocationConfig, ColocationEngine
 from repro.search import DesignSpaceExplorer

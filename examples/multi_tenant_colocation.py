@@ -10,19 +10,18 @@ Usage:  python examples/multi_tenant_colocation.py [service]
 
 import sys
 
-from repro.cluster import build_engine, ladder_for
-from repro.core import ImpactAwareArbiter, PliantPolicy
-from repro.core.runtime import ColocationConfig
+from repro.cluster import ladder_for
+from repro.experiment import ExperimentSpec, run_experiment
+from repro.sweep import SweepCache
 from repro.viz import format_table, format_timeline
 
 MIX = ("canneal", "bayesian", "snp")
 
+#: The two Pliant policies, by the arbiter each shares the burden with.
+ARBITERS = {"pliant": "round-robin", "pliant-impact": "impact-aware"}
 
-def run(service: str, arbiter=None, label: str = "round-robin"):
-    policy = PliantPolicy(seed=4, arbiter=arbiter)
-    engine = build_engine(service, list(MIX), policy, config=ColocationConfig(seed=4))
-    result = engine.run()
 
+def report(service: str, result, label: str) -> None:
     print(f"\n== {service} + {'+'.join(MIX)}  ({label} arbiter) ==")
     print(format_timeline(result.epoch_p99 / result.qos, label="p99/QoS", ceiling=3))
     rows = []
@@ -50,16 +49,22 @@ def run(service: str, arbiter=None, label: str = "round-robin"):
         f"({result.qos_met_fraction() * 100:.0f}% of intervals), "
         f"fair share was 4 cores each"
     )
-    return result
 
 
 def main() -> None:
     service = sys.argv[1] if len(sys.argv) > 1 else "nginx"
-    round_robin = run(service)
-    impact = run(service, arbiter=ImpactAwareArbiter(), label="impact-aware")
+    spec = ExperimentSpec(
+        name="multi-tenant-colocation",
+        base={"service": service, "apps": MIX, "seed": 4},
+        axes={"policy": tuple(ARBITERS)},
+    )
+    results = run_experiment(spec, cache=SweepCache())
+    by_label = {label: results.lookup(policy=p) for p, label in ARBITERS.items()}
+    for label, result in by_label.items():
+        report(service, result, label)
 
     print("\n== arbiter comparison ==")
-    for label, result in (("round-robin", round_robin), ("impact-aware", impact)):
+    for label, result in by_label.items():
         worst = max(a.inaccuracy_pct for a in result.apps)
         total_cores = sum(a.max_reclaimed for a in result.apps)
         print(

@@ -4,19 +4,20 @@ Runs the paper's flagship scenario end to end:
 
 1. explore canneal's approximation design space (measured on the real
    kernel, cached on disk),
-2. run the colocation under the static-fair-share Precise baseline,
-3. run it again under Pliant,
-4. print the timelines and the outcome comparison,
-5. execute the real canneal kernel at the ladder level Pliant used most,
+2. run the colocation under the static-fair-share Precise baseline and
+   under Pliant: one experiment with a policy axis (results are cached
+   under ``~/.cache/repro-pliant/sweeps``),
+3. print the timelines and the outcome comparison,
+4. execute the real canneal kernel at the ladder level Pliant used most,
    to show the actual output-quality cost.
 
 Usage:  python examples/quickstart.py
 """
 
 from repro.apps import make_app
-from repro.cluster import compare_policies, ladder_for
-from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
+from repro.cluster import ladder_for
+from repro.experiment import ExperimentSpec, run_experiment
+from repro.sweep import SweepCache
 from repro.viz import format_table, format_timeline
 
 
@@ -34,17 +35,19 @@ def main() -> None:
         )
 
     print(f"\n== running {service} + {app_name} at 77.5% load ==")
-    config = ColocationConfig(seed=1)
-    results = compare_policies(
-        service, [app_name], [PrecisePolicy(), PliantPolicy(seed=1)], config=config
+    spec = ExperimentSpec(
+        name="quickstart",
+        base={"service": service, "apps": app_name, "seed": 1},
+        axes={"policy": ("precise", "pliant")},
     )
+    results = run_experiment(spec, cache=SweepCache())
 
     rows = []
-    for name, result in results.items():
-        outcome = result.app_outcome(app_name)
+    for run in results:
+        result, outcome = run.result, run.result.app_outcome(app_name)
         rows.append(
             [
-                name,
+                run.scenario.policy,
                 f"{result.aggregate_p99 * 1e6:.0f}us",
                 f"{result.qos * 1e6:.0f}us",
                 "yes" if result.qos_met else "NO",
@@ -60,7 +63,7 @@ def main() -> None:
         )
     )
 
-    pliant = results["pliant"]
+    pliant = results.lookup(policy="pliant")
     print("\n== Pliant timeline ==")
     print(format_timeline(pliant.epoch_p99 / pliant.qos, label="p99/QoS  ", ceiling=3))
     print(

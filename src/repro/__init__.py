@@ -15,7 +15,7 @@ Public API tour
                           strategies (grid/random/halving/pareto) plus
                           the paper's Section 3 variant exploration
 ``repro.core``         -- the Pliant runtime (monitor, actuator, policy)
-``repro.cluster``      -- colocation experiment harness, mix enumeration
+``repro.cluster``      -- build_engine(scenario), ladders, mix enumeration
 ``repro.experiment``   -- declarative specs, run_experiment, ResultSet
 ``repro.analysis``     -- repro-lint: AST checker for the determinism,
                           lease-clock and serialization invariants

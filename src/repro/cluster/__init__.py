@@ -1,11 +1,6 @@
-"""Experiment harness: builds colocations, runs policies, aggregates."""
+"""Experiment harness: the engine builder, mix enumeration, aggregation."""
 
-from repro.cluster.colocation import (
-    build_engine,
-    compare_policies,
-    ladder_for,
-    run_colocation,
-)
+from repro.cluster.colocation import build_engine, ladder_for
 from repro.cluster.metrics import ColocationSummary, ViolinStats, summarize_pair
 from repro.cluster.sweeps import breakdown_outcomes, combination_mixes
 
@@ -15,8 +10,6 @@ __all__ = [
     "breakdown_outcomes",
     "build_engine",
     "combination_mixes",
-    "compare_policies",
     "ladder_for",
-    "run_colocation",
     "summarize_pair",
 ]

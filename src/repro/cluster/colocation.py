@@ -1,8 +1,11 @@
-"""Colocation experiment builders.
+"""The colocation engine builder.
 
-Convenience layer over :class:`repro.core.runtime.ColocationEngine`: build a
-service + N apps (ladders from the cached design-space exploration), attach
-a policy, run, and return the result.
+:func:`build_engine` turns a :class:`~repro.sweep.grid.Scenario` into a
+:class:`repro.core.runtime.ColocationEngine`: the service, its apps (with
+ladders from the cached design-space exploration), the named policy,
+platform and load.  Every scenario run goes through it
+(:func:`repro.sweep.engine.run_scenario`); a test that needs an object a
+scenario cannot name constructs the engine itself.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.apps import make_app
-from repro.core.policy import PliantPolicy, RuntimePolicy
-from repro.core.runtime import ColocationConfig, ColocationEngine, ColocationResult
+from repro.core.runtime import ColocationEngine
 from repro.search.ladder import ApproxLadder
 from repro.search.variants import DesignSpaceExplorer
-from repro.server.platform import Platform, default_platform, make_platform
+from repro.server.platform import make_platform
 from repro.services import make_service
-from repro.services.loadgen import LoadGenerator, loadgen_from_spec
+from repro.services.loadgen import loadgen_from_spec
+from repro.sweep.grid import Scenario
+from repro.sweep.policies import make_policy
 
 
 @lru_cache(maxsize=64)
@@ -26,79 +30,33 @@ def ladder_for(app_name: str, seed: int = 0) -> ApproxLadder:
     return DesignSpaceExplorer(app, seed=seed).explore().ladder
 
 
-def _resolve_platform(platform: Platform | str | None) -> Platform:
-    if platform is None:
-        return default_platform()
-    if isinstance(platform, str):
-        return make_platform(platform)
-    return platform
+def build_engine(scenario: Scenario) -> ColocationEngine:
+    """The engine ``scenario`` describes, built but not yet run.
 
-
-def build_engine(
-    service_name: str,
-    app_names: list[str] | tuple[str, ...],
-    policy: RuntimePolicy,
-    config: ColocationConfig | None = None,
-    loadgen: LoadGenerator | None = None,
-    exploration_seed: int = 0,
-    platform: Platform | str | None = None,
-    loadgen_spec: tuple[str, tuple] | None = None,
-) -> ColocationEngine:
-    """Assemble an engine for one colocation scenario.
-
-    ``platform`` is a registered platform name or an instance (default:
-    the paper's Table 1 server).  ``loadgen_spec`` is a declarative
-    ``(shape, params)`` pair — see
-    :func:`repro.services.loadgen.loadgen_from_spec` — whose QPS-valued
-    parameters are fractions of the service's saturation at its nominal
-    fair-share core count; an explicit ``loadgen`` object wins over it.
+    A shaped load's QPS-valued parameters are fractions of the service's
+    saturation at its nominal fair-share core count (see
+    :func:`repro.services.loadgen.loadgen_from_spec`).
     """
-    service = make_service(service_name)
-    resolved_platform = _resolve_platform(platform)
+    policy = make_policy(scenario)
+    service = make_service(scenario.service)
+    platform = make_platform(scenario.platform)
     apps = [
-        (make_app(name), ladder_for(name, seed=exploration_seed))
-        for name in app_names
+        (make_app(name), ladder_for(name, seed=scenario.exploration_seed))
+        for name in scenario.apps
     ]
-    if loadgen is None and loadgen_spec is not None:
-        shape, params = loadgen_spec
-        nominal_cores = resolved_platform.fair_share(1 + len(apps))[0]
+    loadgen = None
+    if not scenario.has_default_loadgen():
+        nominal_cores = platform.fair_share(1 + len(apps))[0]
         loadgen = loadgen_from_spec(
-            shape, params, service.saturation_qps(nominal_cores)
+            scenario.loadgen_shape,
+            scenario.loadgen_params,
+            service.saturation_qps(nominal_cores),
         )
     return ColocationEngine(
         service=service,
         apps=apps,
         policy=policy,
-        config=config,
-        platform=resolved_platform,
+        config=scenario.config(),
+        platform=platform,
         loadgen=loadgen,
     )
-
-
-def run_colocation(
-    service_name: str,
-    app_names: list[str] | tuple[str, ...],
-    policy: RuntimePolicy | None = None,
-    config: ColocationConfig | None = None,
-    loadgen: LoadGenerator | None = None,
-) -> ColocationResult:
-    """Run one colocation under ``policy`` (Pliant by default)."""
-    chosen = policy or PliantPolicy(seed=(config.seed if config else 0))
-    engine = build_engine(
-        service_name, app_names, chosen, config=config, loadgen=loadgen
-    )
-    return engine.run()
-
-
-def compare_policies(
-    service_name: str,
-    app_names: list[str] | tuple[str, ...],
-    policies: list[RuntimePolicy],
-    config: ColocationConfig | None = None,
-) -> dict[str, ColocationResult]:
-    """Run the same scenario under several policies; key by policy name."""
-    results: dict[str, ColocationResult] = {}
-    for policy in policies:
-        engine = build_engine(service_name, app_names, policy, config=config)
-        results[policy.name] = engine.run()
-    return results

@@ -17,9 +17,10 @@ This package runs such sweeps:
   (:class:`DistributedBackend`) over a shared filesystem spool
   (:class:`JobSpool`) with chunked leases that claim ~1s of work at a
   time,
+* :mod:`repro.sweep.policies` — the policy registry
+  (:func:`register_policy`) that scenarios name their policy through,
 * :mod:`repro.sweep.engine` — :class:`SweepEngine`, the facade that
-  probes the cache and hands misses to a backend, plus the policy
-  registry (:func:`register_policy`),
+  probes the cache and hands misses to a backend,
 * :mod:`repro.sweep.cli` — ``python -m repro.sweep``: submit grids,
   serve a spool as a worker, inspect spool/cache state.
 
@@ -48,12 +49,11 @@ from repro.sweep.cache import (
 from repro.sweep.engine import (
     SweepEngine,
     SweepOutcome,
-    register_policy,
-    registered_policies,
     results_identical,
     run_scenario,
 )
 from repro.sweep.grid import Scenario
+from repro.sweep.policies import register_policy, registered_policies
 
 __all__ = [
     "CacheStats",

@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 from repro.core.runtime import ColocationConfig, check_run_knobs
 from repro.services.loadgen import LOADGEN_SHAPES, loadgen_from_spec
+from repro.sweep.policies import check_policy
 
 
 def _normalize_mix(mix: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
@@ -48,7 +49,7 @@ class Scenario:
     """One sweep coordinate: a colocation experiment as pure data.
 
     ``policy`` names a registered policy (see
-    :data:`repro.sweep.engine.POLICY_REGISTRY`); ``policy_kwargs`` is a
+    :data:`repro.sweep.policies.POLICY_REGISTRY`); ``policy_kwargs`` is a
     tuple of ``(name, value)`` pairs passed to its builder so the spec
     stays hashable and JSON-serializable.  ``slack_threshold`` is a field,
     never a policy kwarg: the builders of the slack-driven policies read
@@ -115,9 +116,6 @@ class Scenario:
         value = self.slack_threshold
         if not (_is_number(value) and 0 <= value < 1):
             raise ValueError(f"slack_threshold must lie in [0, 1), got {value!r}")
-        # Imported here: the engine module imports this one.
-        from repro.sweep.engine import check_policy
-
         check_policy(self)
 
     def has_default_loadgen(self) -> bool:

@@ -15,7 +15,7 @@ from repro.analysis.symbols import SymbolTable, summarize_module
 
 #: Where each registry family lives in this repository.
 REPO_REGISTRIES = {
-    "policy": "repro.sweep.engine",
+    "policy": "repro.sweep.policies",
     "strategy": "repro.search.strategies",
     "platform": "repro.server.platform",
     "metric": "repro.experiment.resultset",

@@ -145,8 +145,8 @@ class TestSourcesAndWaivers:
 class TestRegistrations:
     def test_registration_and_registry_read(self):
         summary = summarize(
-            "from repro.sweep.engine import register_policy\n"
-            "from repro.sweep.engine import POLICY_REGISTRY\n"
+            "from repro.sweep.policies import register_policy\n"
+            "from repro.sweep.policies import POLICY_REGISTRY\n"
             "def build(sc, kw):\n"
             "    return None\n"
             "register_policy('mine', build)\n"

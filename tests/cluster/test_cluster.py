@@ -1,20 +1,24 @@
-"""Cluster harness: builders, metrics, sweeps."""
+"""Cluster harness: ladders, metrics, sweeps."""
 
 import math
 
 import pytest
 
+from repro.apps import make_app
 from repro.cluster import (
     ViolinStats,
     breakdown_outcomes,
     combination_mixes,
-    compare_policies,
     ladder_for,
-    run_colocation,
     summarize_pair,
 )
-from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
+from repro.cluster.colocation import build_engine
+from repro.core import PliantPolicy
+from repro.core.runtime import ColocationConfig, ColocationEngine
+from repro.experiment import ExperimentSpec, run_experiment
+from repro.services import make_service
+from repro.services.loadgen import ConstantLoad
+from repro.sweep import Scenario, run_scenario, results_identical
 
 
 class TestLadderFor:
@@ -25,45 +29,48 @@ class TestLadderFor:
         assert ladder_for("kmeans").max_level >= 1
 
 
-class TestRunColocation:
+class TestBuildEngine:
     def test_default_policy_is_pliant(self):
-        result = run_colocation(
-            "mongodb", ["kmeans"], config=ColocationConfig(seed=4)
-        )
+        result = build_engine(Scenario("mongodb", "kmeans", seed=4)).run()
         assert result.policy_name == "pliant"
 
-    def test_custom_loadgen(self):
-        from repro.services.loadgen import ConstantLoad
+    def test_run_scenario_runs_the_built_engine(self):
+        scenario = Scenario("mongodb", "kmeans", seed=4, horizon=8.0)
+        assert results_identical(
+            build_engine(scenario).run(), run_scenario(scenario)
+        )
 
-        result = run_colocation(
-            "mongodb",
-            ["kmeans"],
+    def test_custom_loadgen(self):
+        # An absolute-QPS load is no scenario field: build the engine directly.
+        engine = ColocationEngine(
+            service=make_service("mongodb"),
+            apps=[(make_app("kmeans"), ladder_for("kmeans"))],
+            policy=PliantPolicy(seed=4),
             config=ColocationConfig(seed=4, horizon=8.0, stop_when_apps_done=False),
             loadgen=ConstantLoad(100.0),
         )
-        assert result.offered_qps > 0
+        assert engine.run().offered_qps > 0
 
 
-class TestComparePolicies:
+class TestPolicyAxis:
     def test_keyed_by_policy_name(self):
-        results = compare_policies(
-            "mongodb",
-            ["kmeans"],
-            [PrecisePolicy(), PliantPolicy(seed=4)],
-            config=ColocationConfig(seed=4),
+        spec = ExperimentSpec(
+            base={"service": "mongodb", "apps": "kmeans", "seed": 4},
+            axes={"policy": ("precise", "pliant")},
         )
-        assert set(results) == {"precise", "pliant"}
+        groups = run_experiment(spec, workers=0).group_by("policy")
+        assert set(groups) == {"precise", "pliant"}
+        for name, results in groups.items():
+            assert [r.policy_name for r in results.results] == [name]
 
 
 class TestSummarizePair:
     def test_summary_fields(self):
-        config = ColocationConfig(seed=4)
-        results = compare_policies(
-            "mongodb", ["kmeans"], [PrecisePolicy(), PliantPolicy(seed=4)], config
+        precise, pliant = (
+            run_scenario(Scenario("mongodb", "kmeans", policy=policy, seed=4))
+            for policy in ("precise", "pliant")
         )
-        summary = summarize_pair(
-            results["precise"], results["pliant"], "kmeans", dynrio_overhead=0.034
-        )
+        summary = summarize_pair(precise, pliant, "kmeans", dynrio_overhead=0.034)
         assert summary.precise_ratio > summary.pliant_ratio
         assert summary.pliant_meets_qos
         assert not math.isnan(summary.relative_exec_time)
@@ -105,8 +112,7 @@ class TestCombinationMixes:
 
 class TestBreakdown:
     def test_buckets(self):
-        config = ColocationConfig(seed=4)
-        result = run_colocation("mongodb", ["snp"], config=config)
+        result = run_scenario(Scenario("mongodb", "snp", seed=4))
         breakdown = breakdown_outcomes([result])
         assert breakdown.total == 1
         fractions = breakdown.fractions()

@@ -1,32 +1,13 @@
-"""Shared fixtures.
-
-Exploration results are cached on disk (session-scoped here), so the first
-test run pays kernel-execution cost once; later runs are fast.
-"""
+"""Shared fixtures."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps import make_app
-from repro.search import DesignSpaceExplorer
 
 #: Apps with sub-100ms kernels, safe for use in per-test exploration.
 FAST_APPS = ("water_spatial", "kmeans", "semphy", "raytrace", "bayesian")
-
-
-@pytest.fixture(scope="session")
-def ladder_cache():
-    """Session-scoped ladder factory backed by the on-disk cache."""
-    cache: dict[str, object] = {}
-
-    def get(app_name: str):
-        if app_name not in cache:
-            app = make_app(app_name)
-            cache[app_name] = DesignSpaceExplorer(app, seed=0).explore().ladder
-        return cache[app_name]
-
-    return get
 
 
 @pytest.fixture()

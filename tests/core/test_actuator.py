@@ -3,18 +3,17 @@
 import pytest
 
 from repro.apps import ALL_APP_NAMES, make_app
-from repro.cluster import build_engine
-from repro.core import PliantPolicy, PrecisePolicy
+from repro.cluster.colocation import build_engine, ladder_for
 from repro.core.actuator import SWITCH_PAUSE
 from repro.core.policy import RuntimePolicy
-from repro.core.runtime import ColocationConfig
+from repro.core.runtime import ColocationConfig, ColocationEngine
+from repro.services import make_service
+from repro.sweep import Scenario
 
 
 @pytest.fixture()
 def engine():
-    return build_engine(
-        "nginx", ["kmeans"], PliantPolicy(seed=8), config=ColocationConfig(seed=8)
-    )
+    return build_engine(Scenario("nginx", "kmeans", seed=8))
 
 
 class TestSetLevel:
@@ -61,9 +60,7 @@ class TestSetLevel:
 def test_every_app_switches_through_its_ladder(name):
     """Each switch, up through every level and back to precise, adds one
     trace entry and one pause, and gives the tenant that level's profile."""
-    engine = build_engine(
-        "memcached", [name], PliantPolicy(seed=8), config=ColocationConfig(seed=8)
-    )
+    engine = build_engine(Scenario("memcached", name, seed=8))
     actuator, sim = engine._actuator, engine.app_sim(name)
     levels = [*range(1, sim.ladder.max_level + 1), 0]
     for count, level in enumerate(levels, start=1):
@@ -78,9 +75,7 @@ def test_every_app_switches_through_its_ladder(name):
 
 
 def test_precise_engine_refuses_a_switch():
-    engine = build_engine(
-        "nginx", ["kmeans"], PrecisePolicy(), config=ColocationConfig(seed=8)
-    )
+    engine = build_engine(Scenario("nginx", "kmeans", policy="precise", seed=8))
     with pytest.raises(ValueError, match="requires_instrumentation"):
         engine._actuator.set_level("kmeans", 1)
     assert engine.app_sim("kmeans").level_trace == []
@@ -97,11 +92,11 @@ class UninstrumentedSwitch(RuntimePolicy):
 
 
 def test_uninstrumented_switch_fails_loudly():
-    engine = build_engine(
-        "nginx",
-        ["kmeans"],
+    engine = ColocationEngine(
+        make_service("nginx"),
+        [(make_app("kmeans"), ladder_for("kmeans"))],
         UninstrumentedSwitch(),
-        config=ColocationConfig(seed=8, horizon=3.0),
+        ColocationConfig(seed=8, horizon=3.0),
     )
     # The no-op and range checks come first.
     engine._actuator.set_level("kmeans", 0)

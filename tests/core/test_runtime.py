@@ -6,21 +6,30 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APP_NAMES, make_app
-from repro.cluster import build_engine
-from repro.cluster.colocation import ladder_for
+from repro.cluster.colocation import build_engine, ladder_for
 from repro.core import PliantPolicy, PrecisePolicy, runtime
 from repro.core.monitor import IntervalObservation
 from repro.core.policy import RuntimePolicy
 from repro.core.runtime import AppSim, ColocationConfig, ColocationEngine
 from repro.search.ladder import ApproxLadder
 from repro.server.tenant import Tenant, TenantKind
+from repro.services import make_service
 from repro.sweep import Scenario
-from repro.sweep.engine import make_policy, registered_policies, scenario_engine
+from repro.sweep.policies import make_policy, registered_policies
 
 
-def engine_for(service="memcached", apps=("kmeans",), policy=None, **cfg_kwargs):
-    config = ColocationConfig(seed=5, **cfg_kwargs)
-    return build_engine(service, list(apps), policy or PrecisePolicy(), config=config)
+def engine_for(
+    service="memcached", apps=("kmeans",), policy=None, loadgen=None, seed=5, **cfg_kwargs
+):
+    """An engine under ``policy`` (precise by default).  Built from
+    objects: most policies and loads here are ones no scenario names."""
+    return ColocationEngine(
+        make_service(service),
+        [(make_app(name), ladder_for(name)) for name in apps],
+        policy or PrecisePolicy(),
+        ColocationConfig(seed=seed, **cfg_kwargs),
+        loadgen=loadgen,
+    )
 
 
 class TestSetup:
@@ -36,8 +45,6 @@ class TestSetup:
             assert engine.app_sim(name).tenant.cores == 4
 
     def test_requires_an_app(self):
-        from repro.services import make_service
-
         with pytest.raises(ValueError):
             ColocationEngine(make_service("nginx"), [], PrecisePolicy())
 
@@ -73,7 +80,7 @@ class TestSetup:
         scenario = Scenario(
             "memcached", "kmeans", policy=policy, policy_kwargs=kwargs, horizon=5.0
         )
-        engine = scenario_engine(scenario)
+        engine = build_engine(scenario)
         sim = engine.app_sim("kmeans")
         instrumented = make_policy(scenario).requires_instrumentation
         assert sim.instrumented == instrumented
@@ -123,8 +130,7 @@ class TestRun:
 
     def test_seed_matters(self):
         a = engine_for().run()
-        config = ColocationConfig(seed=6)
-        b = build_engine("memcached", ["kmeans"], PrecisePolicy(), config=config).run()
+        b = engine_for(seed=6).run()
         assert not np.array_equal(a.epoch_p99, b.epoch_p99)
 
     def test_negative_qps_mid_run_raises(self):
@@ -134,15 +140,11 @@ class TestRun:
             def qps_at(self, time):
                 return 20000.0 if time < 1.55 else -1.0
 
-        engine = build_engine(
-            "memcached", ["kmeans"], PrecisePolicy(), loadgen=GoesNegative()
-        )
+        engine = engine_for(seed=0, loadgen=GoesNegative())
         with pytest.raises(ValueError, match="qps must be non-negative"):
             engine.run()
 
     def test_negative_utilization_raises(self):
-        from repro.cluster import ladder_for
-        from repro.services import make_service
         from repro.services.base import InterferenceSensitivity
 
         # Contention that deflates service time drives inflation below zero.
@@ -426,11 +428,8 @@ class TestContentionCache:
     def test_qps_change_evaluates_without_rebuilding(self, counts):
         from repro.services.loadgen import StepLoad
 
-        engine = build_engine(
-            "memcached",
-            ["kmeans"],
-            PrecisePolicy(),
-            config=ColocationConfig(seed=5, horizon=3.0),
+        engine = engine_for(
+            horizon=3.0,
             loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
         )
         engine.run()
@@ -442,11 +441,8 @@ class TestContentionCache:
         from repro.server.tenant import Tenant
         from repro.services.loadgen import StepLoad
 
-        engine = build_engine(
-            "memcached",
-            ["kmeans"],
-            PrecisePolicy(),
-            config=ColocationConfig(seed=5, horizon=3.0),
+        engine = engine_for(
+            horizon=3.0,
             loadgen=StepLoad(steps=((0.0, 20000.0), (1.0, 30000.0), (2.0, 25000.0))),
         )
         refreshed: list[str] = []

@@ -29,13 +29,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import build_engine
-from repro.core import ImpactAwareArbiter, PliantPolicy, PrecisePolicy
+from repro.cluster.colocation import build_engine
 from repro.core.runtime import (
     _APP_PRESSURE_SENSITIVITY,
     _INFLATION_TIME_CONSTANT,
     AppOutcome,
-    ColocationConfig,
     ColocationResult,
     ContentionPlan,
     IntervalRecord,
@@ -45,16 +43,18 @@ from repro.server.platform import registered_platforms
 from repro.server.tenant import Tenant, TenantKind
 from repro.services.base import BacklogTracker
 from repro.services.loadgen import LoadGenerator
-from repro.sweep import results_identical
+from repro.sweep import Scenario, results_identical
 
 #: Apps with fast kernels, so their ladders are cheap to explore once.
 APPS = ("kmeans", "semphy", "raytrace")
 
-POLICIES = {
-    "precise": lambda seed: PrecisePolicy(),
-    "pliant": lambda seed: PliantPolicy(seed=seed),
-    "pliant-impact": lambda seed: PliantPolicy(seed=seed, arbiter=ImpactAwareArbiter()),
+#: A moving load over which APPS, in this order, finish at different times.
+DIURNAL = {
+    "loadgen_shape": "diurnal",
+    "loadgen_params": {"low": 0.4, "high": 1.0, "period": 30.0},
 }
+
+POLICIES = ("precise", "pliant", "pliant-impact")
 
 
 def load_spec(shape, fraction, horizon):
@@ -76,13 +76,32 @@ SCENARIO_FIELDS = {
     "apps": st.lists(st.sampled_from(APPS), min_size=1, max_size=3, unique=True),
     "shape": st.sampled_from(["constant", "step", "diurnal", "bursty"]),
     "fraction": st.floats(min_value=0.3, max_value=1.0),
-    "policy": st.sampled_from(sorted(POLICIES)),
+    "policy": st.sampled_from(POLICIES),
     "horizon": st.floats(min_value=0.5, max_value=20.0),
     "monitor_epoch": st.sampled_from([0.05, 0.1, 0.2]),
     "decision_interval": st.sampled_from([0.5, 1.0, 2.0]),
     "seed": st.integers(min_value=0, max_value=2**16),
 }
 scenarios = st.fixed_dictionaries(SCENARIO_FIELDS)
+
+
+def as_scenario(case, **fields):
+    """The :class:`Scenario` a draw of :data:`scenarios` describes;
+    ``fields`` set the fields the draw does not."""
+    horizon = fields.pop("horizon", case["horizon"])
+    shape, params = load_spec(case["shape"], case["fraction"], horizon)
+    return Scenario(
+        case["service"],
+        case["apps"],
+        policy=case["policy"],
+        seed=case["seed"],
+        horizon=horizon,
+        monitor_epoch=case["monitor_epoch"],
+        decision_interval=case["decision_interval"],
+        loadgen_shape=shape,
+        loadgen_params=params,
+        **fields,
+    )
 
 
 class EpochStarts(LoadGenerator):
@@ -120,18 +139,7 @@ def record_progress(engine, sims):
 @settings(max_examples=50, deadline=None)
 @given(scenario=scenarios)
 def test_epoch_loop_invariants(scenario):
-    engine = build_engine(
-        scenario["service"],
-        scenario["apps"],
-        POLICIES[scenario["policy"]](scenario["seed"]),
-        config=ColocationConfig(
-            seed=scenario["seed"],
-            horizon=scenario["horizon"],
-            monitor_epoch=scenario["monitor_epoch"],
-            decision_interval=scenario["decision_interval"],
-        ),
-        loadgen_spec=load_spec(scenario["shape"], scenario["fraction"], scenario["horizon"]),
-    )
+    engine = build_engine(as_scenario(scenario))
     sims = {name: engine.app_sim(name) for name in scenario["apps"]}
     start = {name: sim.tenant.cores for name, sim in sims.items()}
     allocated = engine.service_cores + sum(start.values())
@@ -275,19 +283,7 @@ def checking_contention_every_epoch(engine):
     horizon=st.floats(min_value=1.0, max_value=45.0),
 )
 def test_contention_matches_fresh_node_every_epoch(scenario, platform, horizon):
-    engine = build_engine(
-        scenario["service"],
-        scenario["apps"],
-        POLICIES[scenario["policy"]](scenario["seed"]),
-        config=ColocationConfig(
-            seed=scenario["seed"],
-            horizon=horizon,
-            monitor_epoch=scenario["monitor_epoch"],
-            decision_interval=scenario["decision_interval"],
-        ),
-        platform=platform,
-        loadgen_spec=load_spec(scenario["shape"], scenario["fraction"], horizon),
-    )
+    engine = build_engine(as_scenario(scenario, horizon=horizon, platform=platform))
     with checking_contention_every_epoch(engine) as checks:
         result = engine.run()
     assert checks["service"] == len(result.epoch_times)
@@ -296,13 +292,7 @@ def test_contention_matches_fresh_node_every_epoch(scenario, platform, horizon):
 
 def test_apps_after_a_finish_see_it_idle():
     # kmeans, first in the list, finishes well before the others.
-    engine = build_engine(
-        "nginx",
-        ["kmeans", "semphy", "raytrace"],
-        PliantPolicy(seed=7),
-        config=ColocationConfig(seed=7),
-        loadgen_spec=("diurnal", {"low": 0.4, "high": 1.0, "period": 30.0}),
-    )
+    engine = build_engine(Scenario("nginx", APPS, seed=7, **DIURNAL))
     with checking_contention_every_epoch(engine) as checks:
         result = engine.run()
     assert all(outcome.completed for outcome in result.apps)
@@ -427,17 +417,7 @@ def loop_engine(case):
     """An engine for ``case``: a run of :data:`scenarios` plus the knobs
     that reach the interval loop's edges."""
     engine = build_engine(
-        case["service"],
-        case["apps"],
-        POLICIES[case["policy"]](case["seed"]),
-        config=ColocationConfig(
-            seed=case["seed"],
-            horizon=case["horizon"],
-            monitor_epoch=case["monitor_epoch"],
-            decision_interval=case["decision_interval"],
-            stop_when_apps_done=case["stop_when_apps_done"],
-        ),
-        loadgen_spec=load_spec(case["shape"], case["fraction"], case["horizon"]),
+        as_scenario(case, stop_when_apps_done=case["stop_when_apps_done"])
     )
     engine._monitor.adaptive = case["adaptive"]
     first = engine._sims[0]
@@ -569,13 +549,7 @@ def test_running_views_match_fresh_views_every_interval(case):
 
 
 def test_views_are_checked_across_finishes_level_switches_and_core_moves():
-    engine = build_engine(
-        "memcached",
-        ["kmeans", "semphy", "raytrace"],
-        PliantPolicy(seed=7),
-        config=ColocationConfig(seed=7),
-        loadgen_spec=("diurnal", {"low": 0.4, "high": 1.0, "period": 30.0}),
-    )
+    engine = build_engine(Scenario("memcached", APPS, seed=7, **DIURNAL))
     with checking_views_every_interval(engine) as seen:
         engine.run()
     assert seen["finish"] >= 2 and seen["level"] >= 2 and seen["cores"] >= 2

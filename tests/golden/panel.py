@@ -19,9 +19,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.cluster import build_engine
+from repro.apps import make_app
+from repro.cluster import ladder_for
 from repro.core.policy import RuntimePolicy
-from repro.core.runtime import ColocationConfig, ColocationResult
+from repro.core.runtime import ColocationConfig, ColocationEngine, ColocationResult
+from repro.server.platform import default_platform
+from repro.services import make_service
+from repro.services.loadgen import loadgen_from_spec
 from repro.sweep import Scenario, run_scenario
 
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
@@ -144,13 +148,22 @@ class ScriptedPolicy(RuntimePolicy):
 
 
 def scripted_result() -> ColocationResult:
-    """The scripted policy's run on a step load."""
-    engine = build_engine(
-        "memcached",
-        [SCRIPTED_APP],
-        ScriptedPolicy(),
+    """The scripted policy's run on a step load.
+
+    A scenario cannot name this policy, so the engine is built here, the
+    way the scenario builder would build it: the step load's fractions
+    scale the service's saturation at its fair-share cores.
+    """
+    service, platform = make_service("memcached"), default_platform()
+    shape, params = SCRIPTED_LOAD
+    saturation = service.saturation_qps(platform.fair_share(2)[0])
+    engine = ColocationEngine(
+        service=service,
+        apps=[(make_app(SCRIPTED_APP), ladder_for(SCRIPTED_APP))],
+        policy=ScriptedPolicy(),
         config=ColocationConfig(seed=SEED, horizon=12.0),
-        loadgen_spec=SCRIPTED_LOAD,
+        platform=platform,
+        loadgen=loadgen_from_spec(shape, params, saturation),
     )
     return engine.run()
 

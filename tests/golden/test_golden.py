@@ -12,7 +12,7 @@ import pytest
 from repro import telemetry
 from repro.sweep import run_scenario
 from repro.sweep.digest import result_digest
-from repro.sweep.engine import POLICY_REGISTRY
+from repro.sweep.policies import POLICY_REGISTRY
 from tests.golden.panel import (
     DIGESTS_PATH,
     SCRIPTED_LABEL,
@@ -39,7 +39,7 @@ def test_panel_covers_every_registered_policy():
     builtin = {
         name
         for name, builder in POLICY_REGISTRY.items()
-        if builder.__module__ == "repro.sweep.engine"
+        if builder.__module__ == "repro.sweep.policies"
     }
     assert {s.policy for s in PANEL.values()} == builtin
 

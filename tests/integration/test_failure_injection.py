@@ -3,27 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.cluster import build_engine, run_colocation
-from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
-from repro.services.loadgen import BurstyLoad, StepLoad
+from repro.cluster.colocation import build_engine
+from repro.sweep import Scenario, run_scenario
 
 
 class TestLoadSpikes:
     def test_survives_flash_crowd(self):
         """A burst to 105% of saturation must not wedge the runtime; QoS
         recovers after the burst passes."""
-        from repro.services import make_service
-
-        svc = make_service("memcached")
-        sat = svc.saturation_qps(8)
-        loadgen = BurstyLoad(
-            base_qps=0.6 * sat, burst_qps=1.05 * sat, burst_period=20.0, burst_duration=4.0
-        )
-        config = ColocationConfig(seed=9, horizon=60.0, stop_when_apps_done=False)
-        result = run_colocation(
-            "memcached", ["snp"], policy=PliantPolicy(seed=9), config=config,
-            loadgen=loadgen,
+        result = run_scenario(
+            Scenario(
+                "memcached",
+                "snp",
+                seed=9,
+                horizon=60.0,
+                stop_when_apps_done=False,
+                loadgen_shape="bursty",
+                loadgen_params={"base": 0.6, "burst": 1.05, "period": 20.0, "duration": 4.0},
+            )
         )
         # After each burst, latency must come back under QoS.
         times = result.epoch_times
@@ -33,15 +30,16 @@ class TestLoadSpikes:
 
     def test_step_load_drop_triggers_relaxation(self):
         """When load halves, Pliant should walk approximation back."""
-        from repro.services import make_service
-
-        svc = make_service("mongodb")
-        sat = svc.saturation_qps(8)
-        loadgen = StepLoad(steps=((0.0, 0.775 * sat), (30.0, 0.40 * sat)))
-        config = ColocationConfig(seed=9, horizon=70.0, stop_when_apps_done=False)
-        result = run_colocation(
-            "mongodb", ["kmeans"], policy=PliantPolicy(seed=9), config=config,
-            loadgen=loadgen,
+        result = run_scenario(
+            Scenario(
+                "mongodb",
+                "kmeans",
+                seed=9,
+                horizon=70.0,
+                stop_when_apps_done=False,
+                loadgen_shape="step",
+                loadgen_params={"steps": ((0.0, 0.775), (30.0, 0.40))},
+            )
         )
         levels = result.epoch_app_levels["kmeans"]
         late = levels[result.epoch_times > 55.0]
@@ -53,46 +51,68 @@ class TestOverloadBeyondHelp:
     def test_saturating_load_cannot_be_fixed(self):
         """Above ~100% load no amount of approximation restores QoS
         (paper: beyond 90% load violations persist)."""
-        config = ColocationConfig(
-            seed=9, load_fraction=1.05, horizon=30.0, stop_when_apps_done=False
-        )
-        result = run_colocation(
-            "memcached", ["snp"], policy=PliantPolicy(seed=9), config=config
+        result = run_scenario(
+            Scenario(
+                "memcached",
+                "snp",
+                seed=9,
+                load_fraction=1.05,
+                horizon=30.0,
+                stop_when_apps_done=False,
+            )
         )
         assert not result.qos_met
 
     def test_engine_survives_zero_load(self):
-        from repro.services.loadgen import ConstantLoad
-
-        config = ColocationConfig(seed=9, horizon=5.0, stop_when_apps_done=False)
-        result = run_colocation(
-            "nginx", ["raytrace"], policy=PliantPolicy(seed=9), config=config,
-            loadgen=ConstantLoad(0.0),
+        result = run_scenario(
+            Scenario(
+                "nginx",
+                "raytrace",
+                seed=9,
+                horizon=5.0,
+                stop_when_apps_done=False,
+                loadgen_params={"fraction": 0.0},
+            )
         )
         assert result.qos_met  # no load, no violation
 
 
 class TestDegenerateConfigs:
     def test_single_epoch_interval(self):
-        config = ColocationConfig(
-            seed=9, decision_interval=0.1, monitor_epoch=0.1, horizon=10.0
+        result = run_scenario(
+            Scenario(
+                "mongodb",
+                "kmeans",
+                seed=9,
+                decision_interval=0.1,
+                monitor_epoch=0.1,
+                horizon=10.0,
+            )
         )
-        result = run_colocation("mongodb", ["kmeans"], config=config)
         assert len(result.intervals) >= 90
 
     def test_interval_coarser_than_run(self):
-        config = ColocationConfig(seed=9, decision_interval=500.0, horizon=20.0,
-                                  stop_when_apps_done=False)
-        result = run_colocation("mongodb", ["kmeans"], config=config)
+        result = run_scenario(
+            Scenario(
+                "mongodb",
+                "kmeans",
+                seed=9,
+                decision_interval=500.0,
+                horizon=20.0,
+                stop_when_apps_done=False,
+            )
+        )
         assert len(result.intervals) == 0  # never reached a boundary
 
     def test_many_apps_fair_split(self):
-        config = ColocationConfig(seed=9, horizon=5.0)
         engine = build_engine(
-            "nginx",
-            ["kmeans", "semphy", "raytrace", "water_spatial", "bayesian"],
-            PrecisePolicy(),
-            config=config,
+            Scenario(
+                "nginx",
+                ("kmeans", "semphy", "raytrace", "water_spatial", "bayesian"),
+                policy="precise",
+                seed=9,
+                horizon=5.0,
+            )
         )
         assert engine.service_cores == 3
         total = engine.service_cores + sum(
@@ -104,8 +124,9 @@ class TestDegenerateConfigs:
 
 class TestActuatorEdges:
     def test_cannot_take_last_core(self):
-        config = ColocationConfig(seed=9, horizon=4.0)
-        engine = build_engine("nginx", ["kmeans"], PrecisePolicy(), config=config)
+        engine = build_engine(
+            Scenario("nginx", "kmeans", policy="precise", seed=9, horizon=4.0)
+        )
         sim = engine.app_sim("kmeans")
         for _ in range(7):
             engine.move_core("kmeans", to_service=True)
@@ -114,7 +135,6 @@ class TestActuatorEdges:
             engine.move_core("kmeans", to_service=True)
 
     def test_invalid_level_rejected(self):
-        config = ColocationConfig(seed=9, horizon=4.0)
-        engine = build_engine("nginx", ["kmeans"], PliantPolicy(seed=9), config=config)
+        engine = build_engine(Scenario("nginx", "kmeans", seed=9, horizon=4.0))
         with pytest.raises(IndexError):
             engine._actuator.set_level("kmeans", 99)

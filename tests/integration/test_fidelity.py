@@ -10,18 +10,13 @@ import numpy as np
 import pytest
 
 from repro.apps import make_app
-from repro.cluster import compare_policies, ladder_for
-from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
+from repro.cluster import ladder_for
+from repro.sweep import Scenario, run_scenario
 
 
 @pytest.mark.parametrize("service,app_name", [("memcached", "kmeans"), ("mongodb", "semphy")])
 def test_simulated_inaccuracy_consistent_with_kernel(service, app_name):
-    config = ColocationConfig(seed=11)
-    results = compare_policies(
-        service, [app_name], [PrecisePolicy(), PliantPolicy(seed=11)], config=config
-    )
-    pliant = results["pliant"]
+    pliant = run_scenario(Scenario(service, app_name, seed=11))
     levels = pliant.epoch_app_levels[app_name]
     simulated = pliant.app_outcome(app_name).inaccuracy_pct
 
@@ -49,28 +44,25 @@ def test_simulated_inaccuracy_consistent_with_kernel(service, app_name):
 
 
 def test_precise_mode_has_exactly_zero_loss():
-    config = ColocationConfig(seed=11)
-    results = compare_policies(
-        "nginx", ["raytrace"], [PrecisePolicy(), PliantPolicy(seed=11)], config=config
-    )
-    assert results["precise"].app_outcome("raytrace").inaccuracy_pct == 0.0
+    precise = run_scenario(Scenario("nginx", "raytrace", policy="precise", seed=11))
+    assert precise.app_outcome("raytrace").inaccuracy_pct == 0.0
 
 
 def test_dynrio_overhead_visible_in_finish_times():
     """Pliant's finish-time advantage must already net out instrumentation
     overhead: pinning an app at level 0 under instrumentation is slower
     than the uninstrumented precise baseline by ~the app's overhead."""
-    from repro.cluster import build_engine
-    from repro.core.baselines import StaticLevelPolicy
-
-    config = ColocationConfig(seed=11)
     app_name = "water_spatial"
-    precise = build_engine(
-        "mongodb", [app_name], PrecisePolicy(), config=config
-    ).run()
-    pinned = build_engine(
-        "mongodb", [app_name], StaticLevelPolicy({app_name: 0}), config=config
-    ).run()
+    precise = run_scenario(Scenario("mongodb", app_name, policy="precise", seed=11))
+    pinned = run_scenario(
+        Scenario(
+            "mongodb",
+            app_name,
+            policy="static-level",
+            policy_kwargs={"levels": ((app_name, 0),)},
+            seed=11,
+        )
+    )
     t_precise = precise.app_outcome(app_name).finish_time
     t_pinned = pinned.app_outcome(app_name).finish_time
     overhead = make_app(app_name).metadata.dynrio_overhead

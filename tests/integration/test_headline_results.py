@@ -13,9 +13,7 @@ the Fig. 5 benchmark); the claims checked:
 import numpy as np
 import pytest
 
-from repro.cluster import compare_policies
-from repro.core import PliantPolicy, PrecisePolicy
-from repro.core.runtime import ColocationConfig
+from repro.sweep import Scenario, run_scenario
 
 #: Subset spanning suites, services, and contention behaviors.
 PAIRS = [
@@ -36,13 +34,13 @@ PAIRS = [
 
 @pytest.fixture(scope="module")
 def matrix():
-    out = {}
-    for service, app in PAIRS:
-        config = ColocationConfig(seed=7)
-        out[(service, app)] = compare_policies(
-            service, [app], [PrecisePolicy(), PliantPolicy(seed=7)], config=config
-        )
-    return out
+    return {
+        (service, app): {
+            policy: run_scenario(Scenario(service, app, policy=policy, seed=7))
+            for policy in ("precise", "pliant")
+        }
+        for service, app in PAIRS
+    }
 
 
 class TestPreciseViolations:

@@ -7,7 +7,7 @@ import pytest
 from repro.cas import stable_hash
 from repro.sweep import JobSpool, Scenario, SweepCache
 from repro.sweep.cli import build_parser, build_spec, main
-from repro.sweep.engine import make_policy
+from repro.sweep.policies import make_policy
 
 BASE_ARGS = [
     "--services", "mongodb",

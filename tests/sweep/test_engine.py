@@ -1,7 +1,11 @@
 """SweepEngine: fan-out determinism, memoization, policy registry."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.sweep.engine as sweep_engine
+from repro.cluster import colocation
 from repro.core.policy import PliantPolicy
 from repro.experiment import ExperimentSpec
 from repro.sweep import (
@@ -13,7 +17,7 @@ from repro.sweep import (
     results_identical,
     run_scenario,
 )
-from repro.sweep.engine import POLICY_REGISTRY, make_policy
+from repro.sweep.policies import POLICY_REGISTRY, make_policy
 
 #: Short-horizon scenario template: fast but long enough for decisions.
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
@@ -120,8 +124,6 @@ class TestDeterminism:
         assert results_identical(a, b)
 
     def test_seed_changes_results(self):
-        from dataclasses import replace
-
         a = run_scenario(BASE)
         b = run_scenario(replace(BASE, seed=5))
         assert not results_identical(a, b)
@@ -155,8 +157,6 @@ class TestMemoization:
         assert all(o.from_cache for o in warm)
 
     def test_config_change_misses(self, tmp_path):
-        from dataclasses import replace
-
         engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
         engine.run([BASE])
         changed = engine.run([replace(BASE, load_fraction=0.9)])
@@ -204,6 +204,33 @@ class TestMemoization:
         first = engine.run([BASE])
         second = engine.run([BASE])
         assert not first[0].from_cache and not second[0].from_cache
+
+
+class TestModuleHooks:
+    """A profiler times each scenario by replacing ``run_scenario`` on
+    :mod:`repro.sweep.engine` and each build by replacing ``build_engine``
+    on :mod:`repro.cluster.colocation`, so both are looked up at call time."""
+
+    def test_each_scenario_runs_and_builds_through_the_module_attributes(
+        self, monkeypatch
+    ):
+        ran, built = [], []
+        run, build = sweep_engine.run_scenario, colocation.build_engine
+
+        def counting_run(scenario):
+            ran.append(scenario)
+            return run(scenario)
+
+        def counting_build(scenario):
+            built.append(scenario)
+            return build(scenario)
+
+        monkeypatch.setattr(sweep_engine, "run_scenario", counting_run)
+        monkeypatch.setattr(colocation, "build_engine", counting_build)
+        scenarios = [BASE, replace(BASE, load_fraction=0.5)]
+        outcomes = SweepEngine(workers=0).run(scenarios)
+        assert ran == built == scenarios
+        assert [o.scenario for o in outcomes] == scenarios
 
 
 class TestApi:

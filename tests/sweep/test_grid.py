@@ -11,7 +11,8 @@ from repro.experiment import ExperimentSpec
 from repro.server.platform import registered_platforms
 from repro.services.loadgen import LOADGEN_SHAPES
 from repro.sweep import Scenario
-from repro.sweep.engine import make_policy, registered_policies, scenario_engine
+from repro.cluster.colocation import build_engine
+from repro.sweep.policies import make_policy, registered_policies
 
 
 class TestScenario:
@@ -280,4 +281,4 @@ def _scenarios(draw):
 @settings(max_examples=150, deadline=None)
 @given(_scenarios())
 def test_every_scenario_that_constructs_builds_an_engine(scenario):
-    scenario_engine(scenario)
+    build_engine(scenario)

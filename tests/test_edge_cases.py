@@ -53,12 +53,9 @@ class TestCacheDirOverride:
 class TestSwitchPauseConsumption:
     def test_pause_delays_progress(self):
         from repro.cluster import build_engine
-        from repro.core import PrecisePolicy
-        from repro.core.runtime import ColocationConfig
+        from repro.sweep import Scenario
 
-        engine = build_engine(
-            "mongodb", ["kmeans"], PrecisePolicy(), config=ColocationConfig(seed=12)
-        )
+        engine = build_engine(Scenario("mongodb", "kmeans", policy="precise", seed=12))
         sim = engine.app_sim("kmeans")
         sim.pause_remaining = 0.25
         sim.advance(0.1, engine.now)
@@ -71,11 +68,10 @@ class TestSwitchPauseConsumption:
 
 class TestResultOfferedQps:
     def test_reference_load_recorded(self):
-        from repro.cluster import run_colocation
-        from repro.core.runtime import ColocationConfig
         from repro.services import make_service
+        from repro.sweep import Scenario, run_scenario
 
-        config = ColocationConfig(seed=12, horizon=4.0, load_fraction=0.5)
-        result = run_colocation("nginx", ["raytrace"], config=config)
+        scenario = Scenario("nginx", "raytrace", seed=12, horizon=4.0, load_fraction=0.5)
+        result = run_scenario(scenario)
         expected = 0.5 * make_service("nginx").saturation_qps(8)
         assert result.offered_qps == pytest.approx(expected)
