@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs perfbench perfbench-check sweep-smoke search-smoke lint
+.PHONY: test bench bench-check bench-figs perfbench perfbench-check sweep-smoke search-smoke lint guard-matrix
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
@@ -23,8 +23,9 @@ sweep-smoke:
 	$(PY) -m pytest benchmarks/test_distributed_sweep.py -m benchmark -q
 
 ## Adaptive-search smoke: budgeted halving over a 256-point space must
-## evaluate <= 25% of it and land within 5% of the exhaustive optimum;
-## records adaptive_vs_exhaustive in BENCH_sweep.json.
+## evaluate <= 25% of it and land within 5% of the exhaustive optimum,
+## while a blind pick misses that gate; records adaptive_vs_exhaustive
+## in BENCH_sweep.json.
 search-smoke:
 	$(PY) -m pytest benchmarks/test_adaptive_search.py -m benchmark -q
 
@@ -65,3 +66,11 @@ lint:
 	PYTHONPYCACHEPREFIX=$$prefix $(PY) -m compileall -q src tests benchmarks examples scripts; \
 	status=$$?; rm -rf $$prefix; exit $$status
 	$(PY) -m repro.analysis
+
+## Mutation matrix: plant a clock read or unseeded draw per row in a
+## temporary copy of the tree and report which guard catches it (lint,
+## golden digests, kernel contract, parity tests, perfbench-check).
+## Fails when a result-changing row is caught by none.  ~13 min on 2
+## CPUs, so not in CI.
+guard-matrix:
+	$(PY) scripts/guard_matrix.py

@@ -17,10 +17,12 @@ Public API tour
 ``repro.core``         -- the Pliant runtime (monitor, actuator, policy)
 ``repro.cluster``      -- build_engine(scenario), ladders, mix enumeration
 ``repro.experiment``   -- declarative specs, run_experiment, ResultSet
-``repro.analysis``     -- repro-lint: AST checker for the determinism,
-                          lease-clock and serialization invariants
-                          (zones, a fixed rule set, inline pragmas
-                          as the only waiver; ``python -m repro.analysis``)
+``repro.analysis``     -- repro-lint: per-file AST checker for the
+                          determinism, lease-clock and serialization
+                          invariants (zones, a fixed rule set whose
+                          free-zone-import rule is the deterministic
+                          zone's boundary, inline pragmas as the only
+                          waiver; ``python -m repro.analysis``)
 """
 
 __version__ = "1.0.0"

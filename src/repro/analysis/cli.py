@@ -9,8 +9,8 @@ Usage::
     # check one file as if it lived in a zone (fixture checking)
     python -m repro.analysis --zone deterministic bad.py
 
-    # check a miniature project, reporting paths relative to it
-    python -m repro.analysis --root fixtures/project/x fixtures/project/x
+    # report paths relative to another directory
+    python -m repro.analysis --root src src/repro
 
 Exit status: ``0`` clean, ``1`` findings, ``2`` usage errors.
 """
@@ -76,8 +76,6 @@ def main(argv=None) -> int:
         print(f"{finding.location}: {finding.rule}: {finding.message}", file=out)
         if finding.code:
             print(f"    {finding.code}", file=out)
-        if finding.chain:
-            print(f"    chain: {finding.render_chain()}", file=out)
     failed = bool(report.findings)
     status = "FAILED" if failed else "ok"
     print(

@@ -1,13 +1,8 @@
 """The analyzer: parse files, run rules, honor pragmas.
 
-Per-file pass: one parse per file; every rule in
+One parse per file; every rule in
 :data:`~repro.analysis.rules.FILE_RULES` whose zone set contains the
-file's zone runs over the shared tree, and the same tree is summarized
-for the project pass.  Project pass: the module summaries are stitched
-into a symbol table and call graph, the determinism taint is computed
-once over them, and every rule in
-:data:`~repro.analysis.rules.PROJECT_RULES` runs over that
-:class:`~repro.analysis.dataflow.ProjectContext`.
+file's zone runs over the shared tree.
 
 Findings can be suppressed inline with a pragma anywhere in the
 *enclosing statement* (or on a comment line directly above it)::
@@ -30,12 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.dataflow import ProjectContext, compute_taint
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.rulebase import FileContext
-from repro.analysis.rules import FILE_RULES, PROJECT_RULES
-from repro.analysis.symbols import ModuleSummary, SymbolTable, summarize_module
+from repro.analysis.rules import FILE_RULES
 from repro.analysis.zones import Zone, zone_for
 
 __all__ = [
@@ -197,10 +189,8 @@ def analyze_source(
 ) -> list[Finding]:
     """Analyze one source string (fixture tests and editor integrations).
 
-    Runs the per-file rules only — cross-file rules need a project to
-    cross, so they live in :func:`analyze_paths`.  ``zone`` defaults to
-    whatever :func:`zone_for` derives from ``relpath``.  Findings come
-    back sorted.
+    ``zone`` defaults to whatever :func:`zone_for` derives from
+    ``relpath``.  Findings come back sorted.
     """
     zone = zone if zone is not None else zone_for(relpath)
     lines = tuple(source.splitlines())
@@ -213,31 +203,12 @@ def analyze_source(
     return sort_findings(kept)
 
 
-def _run_project_rules(
-    summaries: list[ModuleSummary],
-    waivers_by_path: Mapping[str, Mapping[int, frozenset[str]]],
-) -> tuple[list[Finding], int]:
-    table = SymbolTable(summaries)
-    graph = CallGraph.build(table)
-    ctx = ProjectContext(table, graph, tuple(compute_taint(table, graph)))
-    kept: list[Finding] = []
-    suppressed = 0
-    for rule in PROJECT_RULES:
-        for finding in rule.check(ctx):
-            file_waivers = waivers_by_path.get(finding.path, {})
-            if _waived(finding.rule, finding.line, file_waivers):
-                suppressed += 1
-            else:
-                kept.append(finding)
-    return kept, suppressed
-
-
 def analyze_paths(
     paths: Iterable[Path | str],
     root: Path | str | None = None,
     zone: Zone | None = None,
 ) -> AnalysisReport:
-    """Analyze every Python file under ``paths``, then the whole program.
+    """Analyze every Python file under ``paths``.
 
     ``root`` anchors the repo-relative paths used in reports (default:
     the current directory — ``make lint`` runs from the repo root).
@@ -247,8 +218,6 @@ def analyze_paths(
     root = Path(root) if root is not None else Path.cwd()
     report = AnalysisReport()
     collected: list[Finding] = []
-    summaries: list[ModuleSummary] = []
-    waivers_by_path: dict[str, Mapping[int, frozenset[str]]] = {}
     for path in iter_python_files(paths):
         try:
             relpath = path.resolve().relative_to(root.resolve()).as_posix()
@@ -263,26 +232,12 @@ def analyze_paths(
         except SyntaxError as exc:
             collected.append(_parse_error_finding(exc, relpath, lines))
             continue
-        waivers = build_waivers(tree, lines)
-        waivers_by_path[relpath] = waivers
         ctx = FileContext(
             relpath=relpath, zone=file_zone, tree=tree, lines=lines
         )
-        kept, suppressed = _analyze_tree(ctx, waivers)
+        kept, suppressed = _analyze_tree(ctx, build_waivers(tree, lines))
         collected.extend(kept)
         report.suppressed += suppressed
-        summaries.append(
-            summarize_module(
-                tree, relpath, lines, zone=file_zone, waivers=waivers
-            )
-        )
-
-    if summaries:
-        project_findings, project_suppressed = _run_project_rules(
-            summaries, waivers_by_path
-        )
-        collected.extend(project_findings)
-        report.suppressed += project_suppressed
 
     report.findings = sort_findings(collected)
     return report

@@ -10,12 +10,7 @@ __all__ = ["Finding", "sort_findings"]
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation, pinned to a source line.
-
-    Interprocedural findings additionally carry a ``chain``: the call
-    path from the flagged location down to the underlying source, as
-    ``(label, path, line)`` hops.
-    """
+    """One rule violation, pinned to a source line."""
 
     rule: str
     path: str  # repo-relative posix path, as reported
@@ -23,17 +18,10 @@ class Finding:
     col: int
     message: str
     code: str  # stripped source line text
-    chain: tuple[tuple[str, str, int], ...] = ()
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def render_chain(self) -> str:
-        """``a (p:1) -> b (q:2)`` rendering, empty for chainless findings."""
-        return " -> ".join(
-            f"{label} ({path}:{line})" for label, path, line in self.chain
-        )
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:

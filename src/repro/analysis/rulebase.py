@@ -1,8 +1,7 @@
-"""The rule base classes and the per-file context a rule sees.
+"""The rule base class and the per-file context a rule sees.
 
 The analyzer runs a fixed set of instances,
-:data:`repro.analysis.rules.FILE_RULES` and
-:data:`~repro.analysis.rules.PROJECT_RULES`.  A per-file rule sees one
+:data:`repro.analysis.rules.FILE_RULES`.  A rule sees one
 :class:`FileContext` per analyzed file (parsed tree, source lines,
 resolved import aliases, and the file's enforcement
 :class:`~repro.analysis.zones.Zone`) and yields
@@ -21,7 +20,7 @@ from repro.analysis.astutil import ImportAliases
 from repro.analysis.findings import Finding
 from repro.analysis.zones import Zone
 
-__all__ = ["ALL_ZONES", "FileContext", "ProjectRule", "Rule"]
+__all__ = ["ALL_ZONES", "FileContext", "Rule"]
 
 #: Convenience for rules that apply everywhere (the serialization rule
 #: cares about call shape, not zone).
@@ -80,26 +79,3 @@ class Rule(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(id={self.id!r})"
-
-
-class ProjectRule(ABC):
-    """One machine-checked *whole-program* invariant.
-
-    Where a :class:`Rule` sees one file at a time, a project rule sees
-    the stitched-together view of every analyzed file — a
-    :class:`~repro.analysis.dataflow.ProjectContext` holding the symbol
-    table, call graph and determinism taint — and yields findings that
-    may span files (via ``Finding.chain``).  Project rules run once per
-    analysis pass, after every file has been summarized.
-    """
-
-    #: Stable identifier used in reports and pragmas.
-    id: str = "abstract"
-
-    @abstractmethod
-    def check(self, ctx) -> Iterator[Finding]:
-        """Yield every violation visible in the project context."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(id={self.id!r})"
-

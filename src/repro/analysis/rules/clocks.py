@@ -25,7 +25,6 @@ from typing import Iterator
 from repro.analysis.astutil import canonical
 from repro.analysis.findings import Finding
 from repro.analysis.rulebase import FileContext, Rule
-from repro.analysis.sources import MONOTONIC_CALLS, WALLCLOCK_CALLS
 from repro.analysis.zones import Zone
 
 __all__ = [
@@ -34,6 +33,34 @@ __all__ = [
     "NoWallclockRule",
     "WALLCLOCK_CALLS",
 ]
+
+#: Wall clocks: readings are comparable across hosts only up to skew.
+WALLCLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Monotonic/CPU clocks: skew-free but still nondeterministic inputs.
+MONOTONIC_CALLS = frozenset(
+    {
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.thread_time",
+        "time.thread_time_ns",
+        "time.clock_gettime",
+        "time.clock_gettime_ns",
+    }
+)
 
 #: Spellings that mean "another participant's file timestamp".
 _MTIME_NAMES = frozenset({"mtime", "mtime_ns", "st_mtime", "st_mtime_ns"})

@@ -41,7 +41,9 @@ ZONE_MAP: dict[str, Zone] = {
     "repro/sweep/backends": Zone.DISTRIBUTED,
     # The sweep CLI is entry-point tooling: it sleeps in --watch loops and
     # flushes telemetry shards; nothing it computes is a result payload.
+    # ``python -m repro.sweep`` is its three-line entry point.
     "repro/sweep/cli.py": Zone.FREE,
+    "repro/sweep/__main__.py": Zone.FREE,
     "repro/viz": Zone.FREE,
     # The linter itself walks filesystems and is not part of any result.
     "repro/analysis": Zone.FREE,

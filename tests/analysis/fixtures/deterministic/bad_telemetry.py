@@ -3,7 +3,7 @@
 Expected findings: telemetry-side-channel x5 — a recorder.snapshot()
 read, a module-level summary() merge, a returned clock reading, a
 clock-derived value stored into object state, and one passed to a
-non-recorder call.
+non-recorder call — and free-zone-import x1 for the module import.
 """
 
 from repro import telemetry

@@ -1,7 +1,6 @@
-"""The analyzer pass itself: file discovery, report paths, ordering,
-waiver accounting and the once-per-pass taint."""
+"""The analyzer pass itself: file discovery, report paths, ordering and
+waiver accounting."""
 
-import shutil
 from pathlib import Path
 
 import pytest
@@ -9,21 +8,17 @@ import pytest
 from repro.analysis import Zone, analyze_paths
 from repro.analysis import engine
 from repro.analysis.cli import main
-from repro.analysis.dataflow import ProjectContext
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.rulebase import ALL_ZONES
-from repro.analysis.rules import FILE_RULES, PROJECT_RULES
+from repro.analysis.rules import FILE_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PROJECTS = FIXTURES / "project"
 
 WALLCLOCK = "import time\n\ndef f():\n    return time.time()\n"
 
 
-def finding(path="a.py", line=1, col=0, rule="no-wallclock", chain=()):
-    return Finding(
-        rule=rule, path=path, line=line, col=col, message="m", code="c", chain=chain
-    )
+def finding(path="a.py", line=1, col=0, rule="no-wallclock"):
+    return Finding(rule=rule, path=path, line=line, col=col, message="m", code="c")
 
 
 class TestFindings:
@@ -43,33 +38,15 @@ class TestFindings:
         items = [finding(line=2), finding(line=1)]
         assert sort_findings(iter(items)) == items[::-1]
 
-    def test_location_and_chain_rendering(self):
-        plain = finding("src/x.py", 7, 3)
-        assert plain.location == "src/x.py:7:3"
-        assert plain.render_chain() == ""
-        hops = (("a", "p.py", 1), ("b", "q.py", 2))
-        assert finding(chain=hops).render_chain() == "a (p.py:1) -> b (q.py:2)"
+    def test_location(self):
+        assert finding("src/x.py", 7, 3).location == "src/x.py:7:3"
 
 
 class TestRuleSet:
-    def test_project_rules_in_id_order(self):
-        assert [rule.id for rule in PROJECT_RULES] == [
-            "transitive-rng",
-            "transitive-wallclock",
-        ]
-
     def test_every_file_rule_runs_somewhere(self):
         for rule in FILE_RULES:
             assert rule.zones, rule.id
             assert rule.zones <= ALL_ZONES, rule.id
-
-    def test_project_rules_only_report_their_own_taint(self):
-        root = PROJECTS / "bad_taint_chain"
-        report = analyze_paths([root], root=root)
-        assert {f.rule for f in report.findings} == {"transitive-wallclock"}
-        no_taint = ProjectContext(table=None, graph=None, taint=())
-        for rule in PROJECT_RULES:
-            assert list(rule.check(no_taint)) == []
 
 
 class TestFileDiscovery:
@@ -154,35 +131,6 @@ class TestAnalyzePaths:
         report = analyze_paths([tmp_path], root=tmp_path, zone=Zone.DETERMINISTIC)
         assert report.suppressed == 2
         assert [(f.rule, f.line) for f in report.findings] == [("no-wallclock", 7)]
-
-    def test_pragma_on_the_boundary_waives_the_project_finding(self, tmp_path):
-        root = tmp_path / "project"
-        shutil.copytree(PROJECTS / "bad_taint_chain", root)
-        entry = root / "repro" / "entry.py"
-        entry.write_text(
-            entry.read_text().replace(
-                "def simulate(ticks):",
-                "def simulate(ticks):  "
-                "# repro-lint: ignore[transitive-wallclock] -- test",
-            )
-        )
-        report = analyze_paths([root], root=root)
-        assert report.findings == []
-        assert report.suppressed == 1
-
-    def test_taint_is_computed_once_per_pass(self, monkeypatch):
-        calls = []
-        real = engine.compute_taint
-
-        def counting(table, graph):
-            calls.append(1)
-            return real(table, graph)
-
-        monkeypatch.setattr(engine, "compute_taint", counting)
-        root = PROJECTS / "bad_taint_chain"
-        report = analyze_paths([root], root=root)
-        assert len(calls) == 1  # shared by both project rules
-        assert [f.rule for f in report.findings] == ["transitive-wallclock"]
 
 
 class TestCliUsage:

@@ -42,8 +42,9 @@ class TestFixtureContract:
             "bad_lease_clock.py",
             "bad_serialization.py",
             "bad_telemetry.py",
+            "bad_free_zone_import.py",
         } <= names
-        assert len([n for n in names if n.startswith("good_")]) >= 5
+        assert len([n for n in names if n.startswith("good_")]) >= 6
 
     @pytest.mark.parametrize(
         "zone_name,name",
@@ -130,6 +131,50 @@ class TestSerializationSafety:
         for zone in Zone:
             findings = analyze_source(source, "m.py", zone=zone)
             assert [f.rule for f in findings] == ["serialization-safety"], zone
+
+
+class TestFreeZoneImport:
+    def test_flags_each_free_zone_import(self):
+        findings = analyze_fixture("deterministic", "bad_free_zone_import.py")
+        assert rule_ids(findings) == {"free-zone-import"}
+        # import repro.viz; from repro.telemetry import snapshot; and the
+        # function-local import of the linter.
+        assert [f.line for f in findings] == [8, 9, 13]
+        assert "repro.telemetry.snapshot" in findings[1].message
+
+    def test_get_recorder_is_the_one_allowed_name(self):
+        allowed = "from repro.telemetry import get_recorder\n"
+        assert analyze_source(allowed, "m.py", zone=Zone.DETERMINISTIC) == []
+        for source in (
+            "import repro.telemetry\n",
+            "from repro import telemetry\n",
+            "from repro.telemetry import get_recorder as g, flush\n",
+        ):
+            findings = analyze_source(source, "m.py", zone=Zone.DETERMINISTIC)
+            assert [f.rule for f in findings] == ["free-zone-import"], source
+
+    def test_free_ness_comes_from_the_zone_map(self):
+        # The sweep CLI is one free module inside a deterministic package.
+        flagged = analyze_source(
+            "from repro.sweep import cli\n", "m.py", zone=Zone.DETERMINISTIC
+        )
+        assert [f.rule for f in flagged] == ["free-zone-import"]
+        for source in (
+            "import repro\n",
+            "from repro.sweep import engine\n",
+            "from repro.sweep.backends import SerialBackend\n",
+        ):
+            assert analyze_source(source, "m.py", zone=Zone.DETERMINISTIC) == []
+
+    def test_relative_import_resolves_against_the_path(self):
+        source = "from ..viz import tables\nfrom ..telemetry import get_recorder\n"
+        findings = analyze_source(source, "src/repro/core/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("free-zone-import", 1)]
+
+    def test_inactive_outside_the_deterministic_zone(self):
+        source = "from repro.telemetry import flush\n"
+        for zone in (Zone.DISTRIBUTED, Zone.FREE):
+            assert analyze_source(source, "m.py", zone=zone) == []
 
 
 class TestPragmas:
@@ -235,8 +280,9 @@ class TestPragmas:
 
 
 class TestRuleSet:
-    def test_five_per_file_rules_in_id_order(self):
+    def test_six_per_file_rules_in_id_order(self):
         assert [rule.id for rule in FILE_RULES] == [
+            "free-zone-import",
             "lease-clock",
             "no-wallclock",
             "seeded-rng",

@@ -11,12 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    FILE_RULES,
-    PROJECT_RULES,
-    analyze_paths,
-    iter_python_files,
-)
+from repro.analysis import FILE_RULES, analyze_paths, iter_python_files
 from repro.analysis.cli import DEFAULT_ROOTS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -29,17 +24,16 @@ def repo_report():
     return analyze_paths(roots, root=REPO_ROOT)
 
 
-def test_exactly_the_seven_rules_ship():
-    # Five per-file rules plus the two project-scoped (interprocedural)
-    # determinism-taint rules.
-    assert {rule.id for rule in FILE_RULES + PROJECT_RULES} == {
+def test_exactly_the_six_rules_ship():
+    # Five per-file invariants plus the deterministic zone's import
+    # boundary, which stands in for tracing calls across files.
+    assert {rule.id for rule in FILE_RULES} == {
         "no-wallclock",
         "seeded-rng",
         "lease-clock",
         "serialization-safety",
         "telemetry-side-channel",
-        "transitive-wallclock",
-        "transitive-rng",
+        "free-zone-import",
     }
 
 

@@ -25,6 +25,9 @@ class TestZoneFor:
     def test_free_zones(self):
         assert zone_for("src/repro/viz/tables.py") is Zone.FREE
         assert zone_for("src/repro/analysis/engine.py") is Zone.FREE
+        assert zone_for("src/repro/sweep/cli.py") is Zone.FREE
+        # ``python -m repro.sweep``'s entry point imports only the CLI.
+        assert zone_for("src/repro/sweep/__main__.py") is Zone.FREE
         assert zone_for("benchmarks/_common.py") is Zone.FREE
         assert zone_for("examples/quickstart.py") is Zone.FREE
         assert zone_for("scripts/bench_check.py") is Zone.FREE

@@ -60,9 +60,16 @@ class TestKernelContract:
         assert 0.10 <= variant.footprint_factor <= 1.10
 
     def test_deterministic_precise_output(self, name, measured):
-        app, precise, _ = measured[name]
+        # Bit for bit: a clock read or unseeded draw that perturbs the
+        # output but not the work count must fail here, since half the
+        # apps have no kernel pin in tests/golden.
+        _, precise, _ = measured[name]
         again = make_app(name).precise_run(seed=0)
-        assert precise.counters.work == pytest.approx(again.counters.work)
+        if isinstance(precise.output, np.ndarray):
+            assert np.array_equal(precise.output, again.output)
+        else:
+            assert precise.output == again.output
+        assert vars(precise.counters) == vars(again.counters)
 
     def test_seed_changes_dataset(self, name, measured):
         app, precise, _ = measured[name]
