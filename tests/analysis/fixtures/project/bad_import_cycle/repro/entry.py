@@ -1,7 +1,7 @@
 """Deterministic caller through a cyclic import pair."""
 
-from lib.alpha import ping
+import repro.telemetry.alpha as alpha
 
 
 def run():
-    return ping()
+    return alpha.ping()

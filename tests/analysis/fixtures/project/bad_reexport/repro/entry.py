@@ -1,7 +1,8 @@
 """Deterministic caller of a re-exported clock helper."""
 
-from lib.api import now_alias
+from repro.telemetry import get_recorder, now_alias
 
 
 def run():
+    get_recorder()
     return now_alias()

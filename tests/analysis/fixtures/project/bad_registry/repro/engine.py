@@ -8,4 +8,6 @@ def register_policy(name, builder):
 
 
 def make(name):
+    import repro.telemetry.plugin  # noqa: F401  (fills the registry)
+
     return POLICY_REGISTRY[name]()

@@ -1,6 +1,6 @@
 """Deterministic entrypoint two call-edges from a wall clock."""
 
-from lib.util import helper
+from repro.telemetry.util import helper
 
 
 def simulate(ticks):

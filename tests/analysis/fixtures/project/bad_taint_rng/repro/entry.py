@@ -1,6 +1,6 @@
-"""Deterministic entrypoint reaching the global RNG transitively."""
+"""Deterministic entrypoint reaching the global RNG through a call."""
 
-from lib.noise import jitter
+from repro.viz.noise import jitter
 
 
 def plan(n):

@@ -11,6 +11,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted(FIXTURES.glob("*/bad_*.py"))
 GOOD_FIXTURES = sorted(FIXTURES.glob("*/good_*.py"))
 
+BAD_PROJECTS = sorted(FIXTURES.glob("project/bad_*"))
+GOOD_PROJECTS = sorted(FIXTURES.glob("project/good_*"))
+
 
 def run(*argv: str) -> int:
     return main(list(argv))
@@ -30,6 +33,16 @@ def test_bad_fixtures_exit_nonzero(fixture):
 def test_good_fixtures_exit_zero(fixture):
     zone = fixture.parent.name
     assert run("--zone", zone, str(fixture)) == 0
+
+
+@pytest.mark.parametrize("project", BAD_PROJECTS, ids=lambda p: p.name)
+def test_bad_projects_exit_nonzero(project):
+    assert run("--root", str(project), str(project)) == 1
+
+
+@pytest.mark.parametrize("project", GOOD_PROJECTS, ids=lambda p: p.name)
+def test_good_projects_exit_zero(project):
+    assert run("--root", str(project), str(project)) == 0
 
 
 def test_text_format_names_rule_and_location(capsys):
